@@ -20,11 +20,15 @@ exact predicate.  Double precision plus the interval expansion margin is
 the correctness contract; counts are exact wherever f values at integer
 points are not within 1e-9 of the tolerance boundary.
 
-Interval solving: degree-2 signed power forms and linear band systems have
-closed-form vectorized solvers (these carry the large-T experiments);
-integer-degree forms and coordinate products go through polynomial root
-isolation per prefix; anything else (non-integer degree with an indefinite
-form) falls back to scanning the solved coordinate, flagged in the result.
+Interval solving works on whole blocks of prefixes.  Degree-2 signed power
+forms and linear band systems have closed-form solvers (these carry the
+large-T experiments).  Coordinate products and integer-degree forms are
+polynomials in t, piecewise for odd degrees; stacked companion matrices
+give the roots of P -/+ eps* for every row at once, the cells between roots
+whose midpoint passes become slots, and the nearest integer to every root
+is proposed too.  Vector targets keep what lies in every part's slots.  A
+non-integer degree scans the solved coordinate's window, flagged in the
+result.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class CountResult:
     count: int
     first_witness: tuple[int, ...] | None
     visited: int  # prefixes examined plus integer candidates tested
-    full_scan: bool = False  # true when the interval solver fell back to scanning
+    full_scan: bool = False  # true when every integer of each window was tested
 
     def __post_init__(self) -> None:
         if (self.count == 0) != (self.first_witness is None):
@@ -261,152 +265,164 @@ def _band_slots(
     return lo, hi
 
 
-def _poly_abs_leq(poly: np.poly1d, eps: float, window: tuple[float, float]) -> list:
-    """{t in window : |poly(t)| <= eps} as a list of disjoint intervals."""
-    wlo, whi = window
-    if poly.order == 0:
-        return [(wlo, whi)] if abs(poly.coeffs[0]) <= eps else []
-    cuts = [wlo, whi]
-    for shift in (-eps, eps):
-        shifted = np.polyadd(poly, np.poly1d([-shift]))
-        for r in np.roots(shifted):
-            if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and wlo < r.real < whi:
-                cuts.append(float(r.real))
-    cuts = sorted(set(cuts))
-    out = []
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (left + right)
-        if abs(float(poly(mid))) <= eps:
-            if out and out[-1][1] >= left:
-                out[-1] = (out[-1][0], right)
-            else:
-                out.append((left, right))
-    # boundary roots satisfy |P| = eps themselves; keep them as degenerate
-    # intervals so measure-zero solution sets (eps = 0) are not lost between
-    # cells whose midpoints fail the test
-    for r in cuts[1:-1]:
-        covered = any(lo <= r <= hi for lo, hi in out)
-        if not covered:
-            out.append((r, r))
-    out.sort()
-    return out
-
-
-def _intersect_unions(a: list, b: list) -> list:
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo <= hi:
-                out.append((lo, hi))
-    return out
-
-
 # --------------------------------------------------------------------------
-# per-prefix interval solving (generic engine)
+# batched polynomial slots (coordinate products, integer-degree forms)
+
+# prefix rows solved together inside one block; bounds the root-isolation arrays
+_ROW_CHUNK = 4096
 
 
-def _affine_parts(
-    q: CountQuery, prefix_cols: list[int], sol: int, prefix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    h = q.g.h
-    alpha = h[:, prefix_cols] @ prefix.astype(float) + q.g.z
-    return alpha, h[:, sol]
+def _batched_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row polynomial (highest power first), padded with nan.
+
+    Row by row this is ``np.roots``: leading and trailing zeros are stripped
+    (trailing ones are roots at 0), and rows of equal remaining degree stack
+    the same companion matrices into one ``np.linalg.eigvals`` call.
+    """
+    p, width = coeffs.shape
+    out = np.full((p, width - 1), np.nan, dtype=complex)
+    nz = coeffs != 0.0
+    live = nz.any(axis=1)
+    first = np.argmax(nz, axis=1)
+    core = np.where(live, width - 1 - np.argmax(nz[:, ::-1], axis=1) - first, 0)
+    pos = np.arange(width - 1)
+    out[live[:, None] & (pos >= core[:, None]) & (pos < width - 1 - first[:, None])] = 0.0
+    for k in np.unique(core[core > 0]):
+        rows = np.nonzero(core == k)[0]
+        c = coeffs[rows[:, None], first[rows, None] + np.arange(k + 1)]
+        comp = np.zeros((len(rows), k, k))
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        comp[:, 0, :] = -c[:, 1:] / c[:, :1]
+        out[rows, :k] = np.linalg.eigvals(comp)
+    return out
 
 
-def _scalar_intervals(
-    part: TargetFunction,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    eps: float,
-    window: tuple[float, float],
-) -> list | None:
-    """t-intervals with |part(alpha + beta t)| <= eps, or None for
-    combinations with no closed-form solver (callers scan)."""
-    if isinstance(part, MaxPower):
-        segs: list = [window]
-        for coord, a_i in zip(part.resolved_coords(), part.exponents):
-            r = eps ** (1.0 / a_i) if a_i != 1.0 else eps
-            b_c = beta[coord]
-            a_c = alpha[coord]
-            if abs(b_c) > 1e-12:
-                x, y = (-r - a_c) / b_c, (r - a_c) / b_c
-                segs = _intersect_unions(segs, [(min(x, y), max(x, y))])
-            elif abs(a_c) > r:
-                return []
-        return segs
+def _poly_pieces(part, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+    """Pieces (rows, coefficients, lo, hi) of the windows on which
+    part(alpha + beta t) is one polynomial in t, highest power first."""
+    m, n = alphas.shape
     if isinstance(part, CoordinateProduct):
-        poly = np.poly1d([1.0])
-        for a_c, b_c in zip(alpha, beta):
-            poly = np.polymul(poly, np.poly1d([b_c, a_c]))
-        return _poly_abs_leq(np.poly1d(poly), eps, window)
-    if isinstance(part, SignedPowerForm):
-        d = part.d
-        if d != int(d):
-            return None
-        d = int(d)
-        signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
-        if d % 2 == 0:
-            poly = np.poly1d([0.0])
-            for sgn, a_c, b_c in zip(signs, alpha, beta):
-                poly = np.polyadd(poly, sgn * np.poly1d([b_c, a_c]) ** d)
-            return _poly_abs_leq(np.poly1d(poly), eps, window)
-        # odd degree: |u|^d flips sign where u does; piece boundaries there
-        cuts = [window[0], window[1]]
-        for a_c, b_c in zip(alpha, beta):
-            if abs(b_c) > 1e-12:
-                r = -a_c / b_c
-                if window[0] < r < window[1]:
-                    cuts.append(float(r))
-        cuts = sorted(set(cuts))
-        out: list = []
-        for left, right in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (left + right)
-            poly = np.poly1d([0.0])
-            for sgn, a_c, b_c in zip(signs, alpha, beta):
-                u_sign = 1.0 if a_c + b_c * mid >= 0 else -1.0
-                poly = np.polyadd(poly, sgn * (u_sign * np.poly1d([b_c, a_c])) ** d)
-            for lo, hi in _poly_abs_leq(np.poly1d(poly), eps, (left, right)):
-                if out and out[-1][1] >= lo - 1e-12:
-                    out[-1] = (out[-1][0], hi)
-                else:
-                    out.append((lo, hi))
-        return out
+        coeffs = np.ones((m, 1))
+        for j in range(n):
+            nxt = np.zeros((m, j + 2))
+            nxt[:, :-1] = coeffs * beta[j]
+            nxt[:, 1:] += coeffs * alphas[:, j, None]
+            coeffs = nxt
+        return np.arange(m), coeffs, wlo, whi
+    d = int(part.d)
+    k = np.arange(d + 1)
+    binom = np.asarray([math.comb(d, i) for i in k], dtype=float)
+    # (alpha_j + beta_j t)^d has t^(d-i) coefficient C(d, i) beta_j^(d-i) alpha_j^i
+    powers = binom * beta[None, :, None] ** (d - k) * alphas[:, :, None] ** k
+    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
+    if d % 2 == 0:
+        return np.arange(m), np.einsum("j,mjk->mk", signs, powers), wlo, whi
+    # odd degree: |u|^d = sign(u) u^d, so the polynomial changes only where
+    # some u_j = alpha_j + beta_j t changes sign; split the window there
+    moving = np.abs(beta) > 1e-12
+    breaks = np.where(moving, -alphas / np.where(moving, beta, 1.0), np.inf)
+    inside = (breaks > wlo[:, None]) & (breaks < whi[:, None])
+    cuts = np.concatenate([wlo[:, None], whi[:, None], np.where(inside, breaks, np.inf)], axis=1)
+    cuts.sort(axis=1)
+    rows, piece = np.nonzero(np.isfinite(cuts[:, 1:]))
+    lo, hi = cuts[rows, piece], cuts[rows, piece + 1]
+    u_sign = np.where(alphas[rows] + beta * (0.5 * (lo + hi))[:, None] >= 0, 1.0, -1.0)
+    return rows, np.einsum("pj,pjk->pk", signs * u_sign, powers[rows]), lo, hi
+
+
+def _poly_slots(rows, coeffs, lo, hi, eps: float) -> tuple[np.ndarray, ...]:
+    """Slots (rows, lo, hi) of |P(t)| <= eps for row polynomials P on [lo, hi].
+
+    The roots of P - eps and P + eps cut each piece into cells; a cell is
+    kept when its midpoint passes.  The nearest integer to the real part of
+    every root is a point slot too: a multiple root at an integer scatters
+    off the real axis, and the exact refilter decides.
+    """
+    p = len(coeffs)
+    shifted = np.concatenate([coeffs, coeffs])
+    shifted[:p, -1] -= eps
+    shifted[p:, -1] += eps
+    roots = _batched_roots(shifted)
+    roots = np.concatenate([roots[:p], roots[p:]], axis=1)
+    re = roots.real
+    real = (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(re))) & (re > lo[:, None]) & (re < hi[:, None])
+    cuts = np.concatenate([lo[:, None], hi[:, None], np.where(real, re, np.inf)], axis=1)
+    cuts.sort(axis=1)
+    left, right = cuts[:, :-1], cuts[:, 1:]
+    cell = np.isfinite(right)
+    mid = np.where(cell, 0.5 * (left + right), 0.0)
+    val = np.zeros_like(mid)
+    for c in coeffs.T:
+        val = val * mid + c[:, None]
+    cp, ci = np.nonzero(cell & (np.abs(val) <= eps))
+    rp, ri = np.nonzero((re > lo[:, None] - 1.0) & (re < hi[:, None] + 1.0))
+    pts = np.clip(np.rint(re[rp, ri]), lo[rp], hi[rp])
+    return (
+        np.concatenate([rows[cp], rows[rp]]),
+        np.concatenate([left[cp, ci], pts]),
+        np.concatenate([right[cp, ci], pts]),
+    )
+
+
+def _part_slots(part, alphas, beta, eps: float, wlo, whi) -> tuple[np.ndarray, ...]:
+    """Slots (rows, lo, hi) of |part(alpha + beta t)| <= eps in the windows."""
+    if isinstance(part, MaxPower):
+        coords = list(part.resolved_coords())
+        radii = np.asarray([eps ** (1.0 / a) for a in part.exponents])
+        lo, hi = _band_slots(alphas[:, coords], beta[coords], radii)
+        return np.arange(len(alphas)), np.maximum(lo, wlo), np.minimum(hi, whi)
+    if isinstance(part, (CoordinateProduct, SignedPowerForm)):
+        return _poly_slots(*_poly_pieces(part, alphas, beta, wlo, whi), eps)
     raise TypeError(f"unsupported target part {part!r}")
 
 
-def _prefix_intervals(
-    q: CountQuery,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    eps_vec: np.ndarray,
-    window: tuple[float, float],
-) -> tuple[list, bool]:
-    """(interval union, fell_back_to_scan) for one prefix."""
-    parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
-    segs: list = [window]
-    pos = 0
-    for part in parts:
-        width = part.component_count
-        eps = float(eps_vec[pos]) if width == 1 else None
-        if width != 1:
-            raise TypeError("vector parts must be scalar forms")
-        pos += width
-        got = _scalar_intervals(part, alpha, beta, eps, window)
-        if got is None:
-            return [window], True
-        segs = _intersect_unions(segs, got)
-        if not segs:
-            return [], False
-    return segs, False
+def _slot_candidates(parts, alphas, beta, eps_vec, wlo, whi) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct candidates (rows, ts) of one prefix block, sorted by row,
+    then t, for targets whose parts are solved slot by slot.
+
+    The part with the fewest integers in its slots is expanded; a candidate
+    stays when it lies in an expanded slot of every other part.
+    """
+    live = np.nonzero(wlo <= whi)[0]
+    if len(live) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # one integer key per (row, t), increasing in row, then t
+    tmin = math.floor(wlo[live].min()) - 1
+    span = math.ceil(whi[live].max()) + 2 - tmin
+    rows_out, ts_out = [], []
+    for s in range(0, len(live), _ROW_CHUNK):
+        sub = live[s : s + _ROW_CHUNK]
+        ranges = []
+        for part, eps in zip(parts, eps_vec):
+            rows, lo, hi = _part_slots(part, alphas[sub], beta, float(eps), wlo[sub], whi[sub])
+            start, stop = _integer_range(lo, hi)
+            ok = start <= stop
+            base = rows[ok] * span - tmin
+            ranges.append((base + start[ok].astype(np.int64), base + stop[ok].astype(np.int64)))
+        ranges.sort(key=lambda r: int((r[1] - r[0] + 1).sum()))
+        key_lo, key_hi = ranges[0]
+        counts = key_hi - key_lo + 1
+        keys = np.repeat(key_lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        for key_lo, key_hi in ranges[1:]:
+            order = np.argsort(key_lo)
+            # slots never reach into the next row's keys, so the running
+            # maximum of the slot ends only covers keys of the slot's own row
+            ends = np.maximum.accumulate(key_hi[order])
+            at = np.searchsorted(key_lo[order], keys, side="right") - 1
+            keys = keys[(at >= 0) & (keys <= ends[np.maximum(at, 0)])]
+        keys = np.unique(keys)
+        rows_out.append(sub[keys // span])
+        ts_out.append(keys % span + tmin)
+    return np.concatenate(rows_out), np.concatenate(ts_out)
 
 
 # --------------------------------------------------------------------------
 # candidate expansion and the main loop
 
 
-def _expand_candidates(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer points of per-row intervals, as (row_index, t) flat arrays.
+def _integer_range(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last integer of per-row intervals, as floats; stop < start
+    when an interval holds none.
 
     Endpoints are expanded by 1e-9 * (1 + |endpoint|) before rounding so
     root-finding error cannot drop a boundary candidate; the exact refilter
@@ -417,6 +433,12 @@ def _expand_candidates(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np
     his = np.where(empty, 0.0, his)
     start = np.ceil(los - _EXPAND * (1.0 + np.abs(los)))
     stop = np.floor(his + _EXPAND * (1.0 + np.abs(his)))
+    return start, stop
+
+
+def _expand_candidates(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer points of per-row intervals, as (row_index, t) flat arrays."""
+    start, stop = _integer_range(los, his)
     counts = np.maximum(stop - start + 1.0, 0.0)
     ok = counts > 0
     counts = counts[ok].astype(np.int64)
@@ -488,17 +510,23 @@ def _reduce_for_w(q: CountQuery) -> tuple[CountQuery, np.ndarray | None]:
     return q2, change
 
 
-def count_solutions(q: CountQuery) -> CountResult:
-    """Exact shell count; see the module docstring for the contract."""
+def _in_reduced_basis(q: CountQuery, core) -> CountResult:
+    """``core(q)``, run on a w-space query in its reduced basis, with the
+    witness mapped back to the original integer coordinates."""
     if q.shell_space == "w":
         q2, change = _reduce_for_w(q)
         if change is not None:
-            res = _count_core(q2)
+            res = core(q2)
             if res.first_witness is None:
                 return res
             mapped = tuple(int(x) for x in change @ np.asarray(res.first_witness))
             return CountResult(res.count, mapped, res.visited, res.full_scan)
-    return _count_core(q)
+    return core(q)
+
+
+def count_solutions(q: CountQuery) -> CountResult:
+    """Exact shell count; see the module docstring for the contract."""
+    return _in_reduced_basis(q, _count_core)
 
 
 def _count_core(q: CountQuery) -> CountResult:
@@ -510,20 +538,22 @@ def _count_core(q: CountQuery) -> CountResult:
     eps_vec = _coarse_tolerance(q)
     beta = h[:, sol]
 
-    fast = None
+    parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
     if isinstance(q.f, SignedPowerForm) and q.f.d == 2:
-        fast = "quadratic"
-    elif isinstance(q.f, MaxPower):
-        fast = "bands"
-    elif isinstance(q.f, VectorOf) and all(
-        isinstance(p, MaxPower) and len(p.exponents) == 1 for p in q.f.parts
+        engine = "quadratic"
+    elif isinstance(q.f, MaxPower) or all(
+        isinstance(p, MaxPower) and len(p.exponents) == 1 for p in parts
     ):
-        fast = "bands"
+        engine = "bands"
+    elif any(isinstance(p, SignedPowerForm) and p.d != int(p.d) for p in parts):
+        engine = "scan"
+    else:
+        engine = "slots"
 
     count = 0
     witness: tuple[int, ...] | None = None
     visited = 0
-    fell_back = False
+    full_scan = engine == "scan"
 
     block_target = 256 if q.stop_after_first else 1 << 14
     for prefix_block in _prefix_blocks(box, prefix_cols, block_target):
@@ -531,7 +561,7 @@ def _count_core(q: CountQuery) -> CountResult:
         alphas = prefix_block.astype(float) @ h[:, prefix_cols].T + q.g.z
         wlo, whi = _window_arrays(q, alphas, beta)
 
-        if fast == "quadratic":
+        if engine == "quadratic":
             signs = np.concatenate([np.ones(q.f.p), -np.ones(q.f.q)])
             a_coef = float(signs @ (beta * beta))
             b_coef = 2.0 * (alphas * beta) @ signs
@@ -544,7 +574,7 @@ def _count_core(q: CountQuery) -> CountResult:
                 slot_ts.append(t)
             rows = np.concatenate(slot_rows)
             ts = np.concatenate(slot_ts)
-        elif fast == "bands":
+        elif engine == "bands":
             coords, exps = [], []
             if isinstance(q.f, MaxPower):
                 coords = list(q.f.resolved_coords())
@@ -560,26 +590,10 @@ def _count_core(q: CountQuery) -> CountResult:
             )
             lo, hi = _band_slots(alphas[:, coords], beta[coords], radii)
             rows, ts = _expand_candidates(np.maximum(lo, wlo), np.minimum(hi, whi))
+        elif engine == "scan":
+            rows, ts = _expand_candidates(wlo, whi)
         else:
-            rows_list, ts_list = [], []
-            for i in range(len(prefix_block)):
-                if wlo[i] > whi[i]:
-                    continue
-                segs, scanned = _prefix_intervals(
-                    q, alphas[i], beta, eps_vec, (float(wlo[i]), float(whi[i]))
-                )
-                fell_back = fell_back or scanned
-                for lo, hi in segs:
-                    t0i = math.ceil(lo - _EXPAND * (1.0 + abs(lo)))
-                    t1i = math.floor(hi + _EXPAND * (1.0 + abs(hi)))
-                    if t1i >= t0i:
-                        ts_block = np.arange(t0i, t1i + 1, dtype=np.int64)
-                        rows_list.append(np.full(len(ts_block), i, dtype=np.int64))
-                        ts_list.append(ts_block)
-            rows = (
-                np.concatenate(rows_list) if rows_list else np.empty(0, dtype=np.int64)
-            )
-            ts = np.concatenate(ts_list) if ts_list else np.empty(0, dtype=np.int64)
+            rows, ts = _slot_candidates(parts, alphas, beta, eps_vec, wlo, whi)
 
         if len(ts) == 0:
             continue
@@ -592,8 +606,8 @@ def _count_core(q: CountQuery) -> CountResult:
         count += hits
         if q.stop_after_first and count > 0:
             # truncated search: the count reports the witness, not the total
-            return CountResult(1, witness, visited, fell_back)
-    return CountResult(count, witness, visited, fell_back)
+            return CountResult(1, witness, visited, full_scan)
+    return CountResult(count, witness, visited, full_scan)
 
 
 def _prefix_blocks(
@@ -636,19 +650,11 @@ def _prefix_blocks(
 
 def brute_force_count(q: CountQuery, box_cap: int = 10**9) -> CountResult:
     """Full integer-box scan with the exact predicate; ground truth."""
-    if q.shell_space == "w":
-        q2, change = _reduce_for_w(q)
-        if change is not None:
-            res = _brute_core(q2, box_cap)
-            if res.first_witness is None:
-                return res
-            mapped = tuple(int(x) for x in change @ np.asarray(res.first_witness))
-            return CountResult(res.count, mapped, res.visited, res.full_scan)
-    return _brute_core(q, box_cap)
+    return _in_reduced_basis(q, lambda q2: _brute_core(q2, box_cap))
 
 
 def _brute_core(q: CountQuery, box_cap: int) -> CountResult:
-    box = _prefix_box_full(q)
+    box = _prefix_box(q)
     cells = 1
     for b in box:
         cells *= 2 * int(b) + 1
@@ -678,15 +684,6 @@ def _brute_core(q: CountQuery, box_cap: int) -> CountResult:
             witness = tuple(int(x) for x in vs[mask.argmax()])
         count += hits
     return CountResult(count, witness, visited)
-
-
-def _prefix_box_full(q: CountQuery) -> np.ndarray:
-    n = q.f.n
-    if q.shell_space == "v":
-        return np.full(n, math.floor(q.t), dtype=np.int64)
-    hinv = q.g.inverse_h()
-    reach = np.abs(hinv) @ (q.t + np.abs(q.g.z))
-    return np.floor(reach + _EXPAND).astype(np.int64)
 
 
 # --------------------------------------------------------------------------

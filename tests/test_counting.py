@@ -27,6 +27,8 @@ from genlat.counting import (
     CountResult,
     IntegerBox,
     NormBall,
+    _batched_roots,
+    _solved_index,
     brute_force_count,
     count_solutions,
     is_primitive,
@@ -364,3 +366,162 @@ class TestVisited:
     def test_pruning_visits_less_than_brute_force(self):
         q = _query(t=20.0)
         assert count_solutions(q).visited < brute_force_count(q).visited
+
+
+def _family(name, n):
+    return {
+        "prod": CoordinateProduct(n),
+        "spf3": SignedPowerForm(1, n - 1, 3),
+        "spf4": SignedPowerForm(1, n - 1, 4),
+        "spf3+prod": VectorOf((SignedPowerForm(1, n - 1, 3), CoordinateProduct(n))),
+        "spf4+maxpow": VectorOf(
+            (SignedPowerForm(1, n - 1, 4), MaxPower((2.0,) * (n - 1), n))
+        ),
+    }[name]
+
+
+def _check_against_brute_force(q, counting_tools):
+    fast = count_solutions(q)
+    slow = brute_force_count(q)
+    assert fast.count == slow.count, f"{q}: {fast.count} != {slow.count}"
+    assert not fast.full_scan
+    counting_tools.assert_valid_witness(q, fast)
+    return fast
+
+
+class TestSlotSolver:
+    """The batched slot solver (coordinate products, integer-degree power
+    forms and vectors of them) against brute force, in regimes the random
+    query generator rarely reaches."""
+
+    def test_batched_roots_match_np_roots(self):
+        rng = np.random.default_rng(4041)
+        polys = rng.normal(size=(240, 6))
+        polys[::6, 0] = 0.0  # vanishing leading coefficients lower the degree
+        polys[1::6, :3] = 0.0
+        polys[2::6, -1] = 0.0  # vanishing trailing coefficients are roots at 0
+        polys[3::6, -2:] = 0.0
+        polys[4::6, [0, -1]] = 0.0
+        polys[5, :-1] = 0.0  # a constant has no roots
+        polys[11] = 0.0
+        roots = _batched_roots(polys)
+        for row, got in zip(polys, roots):
+            want = np.sort_complex(np.roots(row))
+            got = np.sort_complex(got[~np.isnan(got)])
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+
+    @pytest.mark.parametrize("family", ["prod", "spf3", "spf4"])
+    def test_zero_tolerance_multiple_root(self, family, counting_tools):
+        """With z = c h e_sol, v = -c e_sol maps to w = 0: a root of
+        multiplicity d of the prefix-0 polynomial, which root finding
+        scatters off the real axis."""
+        rng = np.random.default_rng(5150)
+        for i in range(12):
+            n = 2 + i % 2
+            h = sample_sl(n, rng).h
+            sol = _solved_index(h)
+            c = int(rng.integers(1, 4)) * (-1) ** i
+            q = CountQuery(
+                g=UnimodularMap(h, c * h[:, sol]),
+                f=_family(family, n),
+                bound=(0.0,),
+                norm=max_norm(n),
+                point_class=PointClass.ALL_NONZERO,
+                t0=0.0,
+                t=5.0,
+            )
+            assert _check_against_brute_force(q, counting_tools).count >= 1
+
+    @pytest.mark.parametrize("family", ["spf3+prod", "spf4+maxpow"])
+    def test_vector_of_polynomial_parts(self, family, counting_tools):
+        rng = np.random.default_rng(5151)
+        for i in range(8):
+            n = 2 + i % 2
+            f = _family(family, n)
+            q = CountQuery(
+                g=sample_sl(n, rng),
+                f=f,
+                bound=tuple(float(rng.uniform(0.5, 6.0)) for _ in f.parts),
+                norm=max_norm(n),
+                point_class=(PointClass.ALL_NONZERO, PointClass.PRIMITIVE)[i % 2],
+                t0=0.0,
+                t=20.0 if n == 2 else 8.0,
+            )
+            _check_against_brute_force(q, counting_tools)
+
+    def test_vector_part_without_slots(self, counting_tools):
+        """A shifted zero-tolerance band holds no integer, so the product's
+        single-point slots must all be dropped."""
+        rng = np.random.default_rng(5155)
+        for i in range(4):
+            n = 2 + i % 2
+            q = CountQuery(
+                g=sample_asl(n, rng, shift_bound=0.8),
+                f=VectorOf((CoordinateProduct(n), MaxPower((1.0,), n, (n - 1,)))),
+                bound=(0.0, 0.0),
+                norm=max_norm(n),
+                point_class=PointClass.ALL_INTEGER,
+                t0=0.0,
+                t=6.0,
+            )
+            _check_against_brute_force(q, counting_tools)
+
+    @pytest.mark.parametrize("family", ["prod", "spf3", "spf4"])
+    def test_identity_and_triangular_maps(self, family, counting_tools):
+        """Solved columns with zero entries drop the polynomial degree."""
+        rng = np.random.default_rng(5152)
+        for n in (2, 3):
+            tri = np.eye(n) + np.triu(rng.normal(size=(n, n)), 1)
+            for g in (identity_map(n), UnimodularMap(tri, np.zeros(n))):
+                for bound in ((0.0,), (2.5,), ApproxFunction(((2.0, 0.5, 0),))):
+                    q = CountQuery(
+                        g=g,
+                        f=_family(family, n),
+                        bound=bound,
+                        norm=max_norm(n),
+                        point_class=PointClass.ALL_NONZERO,
+                        t0=0.0,
+                        t=12.0 if n == 2 else 6.0,
+                    )
+                    _check_against_brute_force(q, counting_tools)
+
+    @pytest.mark.parametrize("family", ["prod", "spf3", "spf4", "spf3+prod"])
+    def test_w_space_with_shift(self, family, counting_tools):
+        rng = np.random.default_rng(5153)
+        for i in range(6):
+            n = 2 + i % 2
+            f = _family(family, n)
+            q = CountQuery(
+                g=sample_asl(n, rng, shift_bound=0.8),
+                f=f,
+                bound=tuple(float(rng.uniform(0.5, 6.0)) for _ in range(f.component_count)),
+                norm=lp_norm(n, 2.0),
+                point_class=(PointClass.ALL_INTEGER, PointClass.PRIMITIVE)[i % 2],
+                t0=float(rng.uniform(0.0, 2.0)),
+                t=16.0 if n == 2 else 7.0,
+                shell_space="w",
+            )
+            _check_against_brute_force(q, counting_tools)
+
+    @pytest.mark.parametrize(
+        "n, family, t",
+        [
+            (2, "prod", 1000.0),
+            (2, "spf3", 1000.0),
+            (2, "spf4", 1000.0),
+            (3, "prod", 40.0),
+            (3, "spf3", 40.0),
+        ],
+    )
+    def test_larger_radius(self, n, family, t, counting_tools):
+        q = CountQuery(
+            g=sample_sl(n, np.random.default_rng(5154)),
+            f=_family(family, n),
+            bound=power_law(2.0, 0.5, 0),
+            norm=max_norm(n),
+            point_class=PointClass.ALL_NONZERO,
+            t0=0.0,
+            t=t,
+        )
+        assert _check_against_brute_force(q, counting_tools).count > 0
