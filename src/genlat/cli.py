@@ -48,6 +48,7 @@ from .core import (
 )
 from .counting import CountQuery, brute_force_count, count_solutions
 from .experiments import (
+    ConfigError,
     ExperimentConfig,
     StatSummary,
     _run_indexed,
@@ -86,14 +87,6 @@ _CONFIG_KEYS = {
     "sampleCount",
     "masterSeed",
 }
-
-
-class ConfigError(ValueError):
-    """Validation failure attributable to one configuration key."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(message)
-        self.key = key
 
 
 # --------------------------------------------------------------------------
@@ -193,19 +186,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     except ConfigError:
         raise
     except ValueError as exc:
-        # map the dataclass validator message back to its key
-        text = str(exc)
-        for key, needle in (
-            ("sampleCount", "sampleCount"),
-            ("group", "group"),
-            ("shiftBound", "shiftBound"),
-            ("f", "target dimension"),
-            ("norm", "norm dimension"),
-            ("n", "n must"),
-        ):
-            if needle in text:
-                raise ConfigError(key, text) from None
-        raise ConfigError("config", text) from None
+        raise ConfigError("config", str(exc)) from None
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
@@ -365,10 +346,10 @@ def _require(value, key: str):
     return value
 
 
-def _draw_map(cfg: ExperimentConfig, use_identity: bool):
+def _draw_map(cfg: ExperimentConfig, use_identity: bool, index: int = 0):
     if use_identity:
         return identity_map(cfg.n)
-    rng = np.random.default_rng(mix_seed(cfg.master_seed, 0))
+    rng = np.random.default_rng(mix_seed(cfg.master_seed, index))
     if cfg.group == "ASL":
         return sample_asl(cfg.n, rng, cfg.shift_bound, cfg.norm)
     return sample_sl(cfg.n, rng)
@@ -550,11 +531,7 @@ def _cmd_emptyprob(cfg: ExperimentConfig, args) -> tuple:
 
 def _ratio_sample(payload):
     cfg, use_identity, index = payload
-    if use_identity:
-        g = identity_map(cfg.n)
-    else:
-        rng = np.random.default_rng(mix_seed(cfg.master_seed, index))
-        g = sample_asl(cfg.n, rng, cfg.shift_bound, cfg.norm) if cfg.group == "ASL" else sample_sl(cfg.n, rng)
+    g = _draw_map(cfg, use_identity, index)
     res = counting_ratio_experiment(g, cfg.f, cfg.psi, cfg.norm, cfg.point_class, cfg.schedule)
     return index, res
 

@@ -49,13 +49,9 @@ __all__ = [
     "DyadicSchedule",
     "mix_seed",
     "Bound",
-    "norm_eval",
-    "psi_eval",
     "f_eval",
-    "partial_order_leq",
     "bound_values",
-    "in_b_set",
-    "in_a_set",
+    "band_system",
     "subhomogeneity_witness",
     "regularity_witness",
     "parse_norm",
@@ -139,19 +135,6 @@ def block_norm(blocks: Iterable[tuple[int, float | None]]) -> Norm:
     return Norm(tuple((int(a), None if b is None else float(b)) for a, b in blocks))
 
 
-def norm_eval(norm: Norm, x: Sequence[float]) -> float:
-    return norm(x)
-
-
-def partial_order_leq(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Componentwise a <= b; requires equal lengths."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b))
-
-
 # --------------------------------------------------------------------------
 # bound functions
 
@@ -206,10 +189,6 @@ class ApproxFunction:
 
 def power_law(coeff: float = 1.0, s: float = 1.0, j: int = 0) -> ApproxFunction:
     return ApproxFunction(((float(coeff), float(s), int(j)),))
-
-
-def psi_eval(psi: ApproxFunction, z: float) -> np.ndarray:
-    return psi(z)
 
 
 # fixed componentwise tolerance, as a tuple; or a radius-dependent bound
@@ -277,6 +256,9 @@ class SignedPowerForm:
             return lp_norm(self.p, self.d)
         return block_norm(((self.p, self.d), (self.q, self.d)))
 
+    def spec(self) -> str:
+        return f"spf:p={self.p},q={self.q},d={_format_float(self.d)}"
+
 
 @dataclass(frozen=True)
 class CoordinateProduct:
@@ -302,6 +284,9 @@ class CoordinateProduct:
 
     def canonical_norm(self) -> Norm:
         return max_norm(self.n)
+
+    def spec(self) -> str:
+        return f"prod:n={self.n}"
 
 
 @dataclass(frozen=True)
@@ -354,6 +339,12 @@ class MaxPower:
     def canonical_norm(self) -> Norm:
         return max_norm(self.n)
 
+    def spec(self) -> str:
+        out = "maxpow:a=" + "|".join(_format_float(x) for x in self.exponents) + f",n={self.n}"
+        if self.coords is not None:
+            out += ",c=" + "|".join(str(c) for c in self.coords)
+        return out
+
 
 @dataclass(frozen=True)
 class VectorOf:
@@ -386,6 +377,9 @@ class VectorOf:
     def canonical_norm(self) -> Norm:
         return max_norm(self.n)
 
+    def spec(self) -> str:
+        return "vec:" + ";".join(p.spec() for p in self.parts)
+
 
 ScalarTarget = Union[SignedPowerForm, CoordinateProduct, MaxPower]
 TargetFunction = Union[SignedPowerForm, CoordinateProduct, MaxPower, VectorOf]
@@ -399,24 +393,20 @@ def f_eval(f: TargetFunction, x: Sequence[float]) -> np.ndarray:
     return f.evaluate_many(x[None, :])[0]
 
 
-def in_b_set(f: TargetFunction, eps: Sequence[float], norm: Norm, big_t: float, x) -> bool:
-    """Membership in { nu(x) <= T, |f(x)| <= eps componentwise }."""
-    x = np.asarray(x, dtype=float)
-    if norm(x) > big_t:
-        return False
-    return partial_order_leq(np.abs(f_eval(f, x)), eps)
+def band_system(f: TargetFunction) -> tuple[tuple[int, float, int], ...] | None:
+    """The bands |x_c|^a <= psi_k of f as (c, a, k) triples, or None.
 
-
-def in_a_set(
-    f: TargetFunction, psi: ApproxFunction, norm: Norm, x, inner: float = 0.0,
-    outer: float = math.inf,
-) -> bool:
-    """Membership in { inner < nu(x) <= outer, |f(x)| <= psi(nu(x)) }."""
-    x = np.asarray(x, dtype=float)
-    z = norm(x)
-    if not (inner < z <= outer):
-        return False
-    return partial_order_leq(np.abs(f_eval(f, x)), psi(z))
+    A max power bounds all its bands by component 0; a vector of
+    single-coordinate max powers bounds band k by component k.  Any other
+    target is not a band system.
+    """
+    if isinstance(f, MaxPower):
+        return tuple((c, a, 0) for c, a in zip(f.resolved_coords(), f.exponents))
+    if isinstance(f, VectorOf):
+        parts = [band_system(p) for p in f.parts]
+        if all(b is not None and len(b) == 1 for b in parts):
+            return tuple((c, a, k) for k, ((c, a, _),) in enumerate(parts))
+    return None
 
 
 def subhomogeneity_witness(
@@ -603,30 +593,36 @@ def _need(kv: dict[str, str], key: str, spec: str) -> str:
     return kv[key]
 
 
-def _parse_scalar_target(spec: str) -> ScalarTarget:
-    if spec.startswith("spf:"):
-        kv = _parse_kv(spec[4:], spec)
-        extra = set(kv) - {"p", "q", "d"}
-        if extra:
-            raise ValueError(f"target spec: unknown keys {sorted(extra)} in {spec!r}")
-        return SignedPowerForm(
+# prefix -> (allowed keys, constructor from the parsed key=value pairs)
+_SCALAR_TARGETS = {
+    "spf": (
+        {"p", "q", "d"},
+        lambda kv, spec: SignedPowerForm(
             p=int(_need(kv, "p", spec)), q=int(kv.get("q", "0")), d=float(_need(kv, "d", spec))
-        )
-    if spec.startswith("prod:"):
-        kv = _parse_kv(spec[5:], spec)
-        extra = set(kv) - {"n"}
-        if extra:
-            raise ValueError(f"target spec: unknown keys {sorted(extra)} in {spec!r}")
-        return CoordinateProduct(n=int(_need(kv, "n", spec)))
-    if spec.startswith("maxpow:"):
-        kv = _parse_kv(spec[7:], spec)
-        extra = set(kv) - {"a", "n", "c"}
-        if extra:
-            raise ValueError(f"target spec: unknown keys {sorted(extra)} in {spec!r}")
-        exps = tuple(float(t) for t in _need(kv, "a", spec).split("|"))
-        coords = tuple(int(t) for t in kv["c"].split("|")) if "c" in kv else None
-        return MaxPower(exponents=exps, n=int(_need(kv, "n", spec)), coords=coords)
-    raise ValueError(f"target spec: unrecognized {spec!r}")
+        ),
+    ),
+    "prod": ({"n"}, lambda kv, spec: CoordinateProduct(n=int(_need(kv, "n", spec)))),
+    "maxpow": (
+        {"a", "n", "c"},
+        lambda kv, spec: MaxPower(
+            exponents=tuple(float(t) for t in _need(kv, "a", spec).split("|")),
+            n=int(_need(kv, "n", spec)),
+            coords=tuple(int(t) for t in kv["c"].split("|")) if "c" in kv else None,
+        ),
+    ),
+}
+
+
+def _parse_scalar_target(spec: str) -> ScalarTarget:
+    prefix, colon, body = spec.partition(":")
+    if not colon or prefix not in _SCALAR_TARGETS:
+        raise ValueError(f"target spec: unrecognized {spec!r}")
+    keys, build = _SCALAR_TARGETS[prefix]
+    kv = _parse_kv(body, spec)
+    extra = set(kv) - keys
+    if extra:
+        raise ValueError(f"target spec: unknown keys {sorted(extra)} in {spec!r}")
+    return build(kv, spec)
 
 
 def parse_target(spec: str) -> TargetFunction:
@@ -639,21 +635,5 @@ def parse_target(spec: str) -> TargetFunction:
     return _parse_scalar_target(spec)
 
 
-def _scalar_target_spec(f: ScalarTarget) -> str:
-    if isinstance(f, SignedPowerForm):
-        return f"spf:p={f.p},q={f.q},d={_format_float(f.d)}"
-    if isinstance(f, CoordinateProduct):
-        return f"prod:n={f.n}"
-    if isinstance(f, MaxPower):
-        a = "|".join(_format_float(x) for x in f.exponents)
-        base = f"maxpow:a={a},n={f.n}"
-        if f.coords is not None:
-            base += ",c=" + "|".join(str(c) for c in f.coords)
-        return base
-    raise TypeError(f"not a scalar target: {f!r}")
-
-
 def target_spec(f: TargetFunction) -> str:
-    if isinstance(f, VectorOf):
-        return "vec:" + ";".join(_scalar_target_spec(p) for p in f.parts)
-    return _scalar_target_spec(f)
+    return f.spec()

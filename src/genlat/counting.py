@@ -34,7 +34,7 @@ result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -43,12 +43,12 @@ from .core import (
     ApproxFunction,
     Bound,
     CoordinateProduct,
-    MaxPower,
     Norm,
     PointClass,
     SignedPowerForm,
     TargetFunction,
     VectorOf,
+    band_system,
     bound_values,
 )
 from .haar import UnimodularMap, lll_reduce
@@ -366,14 +366,19 @@ def _poly_slots(rows, coeffs, lo, hi, eps: float) -> tuple[np.ndarray, ...]:
 
 def _part_slots(part, alphas, beta, eps: float, wlo, whi) -> tuple[np.ndarray, ...]:
     """Slots (rows, lo, hi) of |part(alpha + beta t)| <= eps in the windows."""
-    if isinstance(part, MaxPower):
-        coords = list(part.resolved_coords())
-        radii = np.asarray([eps ** (1.0 / a) for a in part.exponents])
-        lo, hi = _band_slots(alphas[:, coords], beta[coords], radii)
-        return np.arange(len(alphas)), np.maximum(lo, wlo), np.minimum(hi, whi)
-    if isinstance(part, (CoordinateProduct, SignedPowerForm)):
+    bands = band_system(part)
+    if bands is None:
         return _poly_slots(*_poly_pieces(part, alphas, beta, wlo, whi), eps)
-    raise TypeError(f"unsupported target part {part!r}")
+    lo, hi = _system_slot(bands, alphas, beta, [eps])
+    return np.arange(len(alphas)), np.maximum(lo, wlo), np.minimum(hi, whi)
+
+
+def _system_slot(bands, alphas, beta, eps_vec) -> tuple[np.ndarray, np.ndarray]:
+    """One slot per row for the bands |alpha_c + beta_c t|^a <= eps_k of a
+    band system's (c, a, k) triples."""
+    coords = [c for c, _, _ in bands]
+    radii = np.asarray([float(eps_vec[k]) ** (1.0 / a) for _, a, k in bands])
+    return _band_slots(alphas[:, coords], beta[coords], radii)
 
 
 def _slot_candidates(parts, alphas, beta, eps_vec, wlo, whi) -> tuple[np.ndarray, np.ndarray]:
@@ -483,31 +488,28 @@ def _reduce_for_w(q: CountQuery) -> tuple[CountQuery, np.ndarray | None]:
     rewritten query and the change matrix, or (q, None) when reduction
     does not certify or does not help.
     """
-    basis = lll_reduce(q.g.h)
-    u = np.linalg.inv(q.g.h) @ basis
-    change = np.round(u).astype(np.int64)
-    if np.max(np.abs(u - change)) > 1e-6:
+    reduced = _certified_reduction(q.g.h)
+    if reduced is None or np.allclose(reduced[0], q.g.h):
         return q, None
-    if np.allclose(basis, q.g.h):
-        return q, None
+    basis, change = reduced
     if np.linalg.det(basis) < 0:
         basis = basis.copy()
         basis[:, 0] = -basis[:, 0]
         change = change.copy()
         change[:, 0] = -change[:, 0]
-    g2 = UnimodularMap(basis, q.g.z)
-    q2 = CountQuery(
-        g=g2,
-        f=q.f,
-        bound=q.bound,
-        norm=q.norm,
-        point_class=q.point_class,
-        t0=q.t0,
-        t=q.t,
-        shell_space=q.shell_space,
-        stop_after_first=q.stop_after_first,
-    )
-    return q2, change
+    return replace(q, g=UnimodularMap(basis, q.g.z)), change
+
+
+def _certified_reduction(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """LLL-reduced basis of the columns of h with its integer change of basis
+    (h @ change = basis), or None when the change does not round to an
+    integer matrix of determinant +-1."""
+    basis = lll_reduce(h)
+    u = np.linalg.inv(h) @ basis
+    change = np.round(u).astype(np.int64)
+    if np.max(np.abs(u - change)) > 1e-6 or abs(abs(np.linalg.det(u)) - 1.0) > 1e-6:
+        return None
+    return basis, change
 
 
 def _in_reduced_basis(q: CountQuery, core) -> CountResult:
@@ -539,11 +541,10 @@ def _count_core(q: CountQuery) -> CountResult:
     beta = h[:, sol]
 
     parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
+    bands = band_system(q.f)
     if isinstance(q.f, SignedPowerForm) and q.f.d == 2:
         engine = "quadratic"
-    elif isinstance(q.f, MaxPower) or all(
-        isinstance(p, MaxPower) and len(p.exponents) == 1 for p in parts
-    ):
+    elif bands is not None:
         engine = "bands"
     elif any(isinstance(p, SignedPowerForm) and p.d != int(p.d) for p in parts):
         engine = "scan"
@@ -575,20 +576,7 @@ def _count_core(q: CountQuery) -> CountResult:
             rows = np.concatenate(slot_rows)
             ts = np.concatenate(slot_ts)
         elif engine == "bands":
-            coords, exps = [], []
-            if isinstance(q.f, MaxPower):
-                coords = list(q.f.resolved_coords())
-                exps = list(q.f.exponents)
-            else:
-                for p in q.f.parts:
-                    coords.append(p.resolved_coords()[0])
-                    exps.append(p.exponents[0])
-            radii = np.asarray(
-                [float(e) ** (1.0 / a) for e, a in zip(eps_vec, exps)]
-                if len(eps_vec) == len(exps)
-                else [float(eps_vec[0]) ** (1.0 / a) for a in exps]
-            )
-            lo, hi = _band_slots(alphas[:, coords], beta[coords], radii)
+            lo, hi = _system_slot(bands, alphas, beta, eps_vec)
             rows, ts = _expand_candidates(np.maximum(lo, wlo), np.minimum(hi, whi))
         elif engine == "scan":
             rows, ts = _expand_candidates(wlo, whi)
@@ -737,18 +725,11 @@ def lattice_points_in_region(
     Includes v = 0 when its image lies in the region; callers filter
     point classes.
     """
-    n = g.n
-    basis = g.h
-    change = np.eye(n, dtype=np.int64)
-    if reduce_basis:
-        reduced = lll_reduce(basis)
-        u = np.linalg.inv(basis) @ reduced
-        change = np.round(u).astype(np.int64)
-        if np.max(np.abs(u - change)) > 1e-6 or abs(abs(np.linalg.det(u)) - 1.0) > 1e-6:
-            # reduction failed to certify; fall back to the raw basis
-            reduced = basis
-            change = np.eye(n, dtype=np.int64)
-        basis = reduced
+    reduced = _certified_reduction(g.h) if reduce_basis else None
+    if reduced is None:
+        # no reduction asked for, or it failed to certify: the raw basis
+        reduced = g.h, np.eye(g.n, dtype=np.int64)
+    basis, change = reduced
     half = region.cube_halfwidth()
     hinv = np.linalg.inv(basis)
     reach = np.abs(hinv) @ (half + np.abs(g.z))

@@ -59,6 +59,7 @@ from .volume import (
 __all__ = [
     "StatSummary",
     "WeightedMean",
+    "ConfigError",
     "ExperimentConfig",
     "wilson_interval",
     "siegel_mean_experiment",
@@ -180,6 +181,14 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 # configuration
 
 
+class ConfigError(ValueError):
+    """Validation failure attributable to one configuration key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved run parameters shared by the CLI subcommands."""
@@ -198,17 +207,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+            raise ConfigError("n", f"n must be a positive integer, got {self.n}")
         if self.sample_count < 1:
-            raise ValueError(f"sampleCount must be >= 1, got {self.sample_count}")
+            raise ConfigError("sampleCount", f"sampleCount must be >= 1, got {self.sample_count}")
         if self.group not in ("SL", "ASL"):
-            raise ValueError(f"group must be SL or ASL, got {self.group!r}")
+            raise ConfigError("group", f"group must be SL or ASL, got {self.group!r}")
         if self.shift_bound < 0:
-            raise ValueError(f"shiftBound must be >= 0, got {self.shift_bound}")
+            raise ConfigError("shiftBound", f"shiftBound must be >= 0, got {self.shift_bound}")
         if self.f is not None and self.f.n != self.n:
-            raise ValueError(f"target dimension {self.f.n} does not match n={self.n}")
+            raise ConfigError("f", f"target dimension {self.f.n} does not match n={self.n}")
         if self.norm is not None and self.norm.dim != self.n:
-            raise ValueError(f"norm dimension {self.norm.dim} does not match n={self.n}")
+            raise ConfigError("norm", f"norm dimension {self.norm.dim} does not match n={self.n}")
 
 
 # --------------------------------------------------------------------------
@@ -294,8 +303,7 @@ def siegel_mean_experiment(
         counts = [r[key] for r in records]
         estimates[key] = WeightedMean.from_weighted(counts, weights)
         summaries[key] = StatSummary.from_values(counts)
-        c = 1.0 if key != "primitive" else 1.0 / zeta_fn(float(n))
-        references[key] = c * volume
+        references[key] = _SIEGEL_CONSTANT[PointClass(key)](n) * volume
     return SiegelResult(volume, ensemble, estimates, references, summaries, records)
 
 

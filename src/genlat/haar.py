@@ -339,17 +339,24 @@ def _primitive_gaussian_mass(basis: np.ndarray, sigma: float) -> float:
     n = basis.shape[0]
     radius = 8.0 * sigma
     hinv = np.linalg.inv(basis)
-    box = np.floor(np.abs(hinv).sum(axis=1) * radius).astype(int)
+    # on the ball |c_i| = |hinv_i . x| <= |hinv_i| radius; the slack keeps
+    # rounding from cutting a boundary row (points past the ball drop below)
+    box = np.floor(np.linalg.norm(hinv, axis=1) * radius * (1.0 + 1e-9)).astype(int)
     ranges = [np.arange(-b, b + 1) for b in box]
     grids = np.meshgrid(*ranges, indexing="ij")
     coeffs = np.stack([g.ravel() for g in grids], axis=1)
-    coeffs = coeffs[(coeffs != 0).any(axis=1)]
+    # the ranges are symmetric, so the origin is the middle row
+    mid = len(coeffs) // 2
+    coeffs = np.concatenate((coeffs[:mid], coeffs[mid + 1 :]))
     pts = coeffs @ basis.T
     sq = (pts * pts).sum(axis=1)
-    primitive = np.gcd.reduce(np.abs(coeffs), axis=1) == 1
-    keep = primitive & (sq <= radius * radius)
+    # test primitivity only inside the ball: the same points in the same
+    # order as a mask over the whole box, so the same sum
+    inside = sq <= radius * radius
+    sq = sq[inside]
+    primitive = np.gcd.reduce(np.abs(coeffs[inside]), axis=1) == 1
     norm_const = (2.0 * math.pi * sigma * sigma) ** (n / 2.0)
-    return float(np.exp(-sq[keep] / (2.0 * sigma * sigma)).sum() / norm_const)
+    return float(np.exp(-sq[primitive] / (2.0 * sigma * sigma)).sum() / norm_const)
 
 
 def sample_lattice_exact(

@@ -24,10 +24,13 @@ where psi(z) < z^degree:
     with the kernel K_k(z, c) = integral of min(z, c/(z y_1...y_k)) over
     (0, z]^k, available in closed form (below);
 
-  * max power, f = max |x_{c_i}|^{a_i} over l < n coordinates, nu the sup
-    norm:  2^n (n-l) int_S^T psi(z)^a z^(n-l-1) dz with a = sum 1/a_i, and
-    the componentwise variant with per-coordinate bounds psi_i replaces
-    psi^a by prod_i psi_i(z)^(1/a_i).
+  * band system, bands |x_{c_i}|^{a_i} <= psi_{k_i}(nu(x)) on l < n
+    distinct coordinates, nu the sup norm (a max power bounds every band by
+    its one component; a componentwise system bounds band i by component i):
+
+        2^n (n-l) int_S^T prod_k psi_k(z)^(w_k) z^(n-l-1) dz,
+
+    where w_k = sum of 1/a_i over the bands that component k bounds.
 
 Everything here is deterministic; Monte Carlo volumes draw from seeded,
 chunked generators with a fixed reduction order.
@@ -51,7 +54,7 @@ from .core import (
     Norm,
     SignedPowerForm,
     TargetFunction,
-    VectorOf,
+    band_system,
     bound_values,
     mix_seed,
 )
@@ -68,8 +71,7 @@ __all__ = [
     "i_k_closed_form",
     "shell_volume_signed_power",
     "shell_volume_product",
-    "shell_volume_max_power",
-    "shell_volume_component_bands",
+    "shell_volume_bands",
     "shell_volume",
     "region_mask",
     "monte_carlo_region_volume",
@@ -328,61 +330,53 @@ def shell_volume_product(
     return Quadrature(scale * q.value, scale * q.error)
 
 
-def shell_volume_max_power(
-    f: MaxPower,
+def _bands(f: TargetFunction, psi: ApproxFunction) -> tuple[tuple[int, float, int], ...]:
+    """The band system of f, checked against the bound's component count."""
+    bands = band_system(f)
+    if bands is None:
+        raise ValueError("band systems need max power or single-coordinate max power parts")
+    if psi.component_count != f.component_count:
+        raise ValueError("need one bound component per band component")
+    return bands
+
+
+def _band_weights(f: TargetFunction, bands) -> list[float]:
+    """w_k = sum of 1/a_i over the bands that component k bounds."""
+    w = [0.0] * f.component_count
+    for _, a, k in bands:
+        w[k] += 1.0 / a
+    return w
+
+
+def _band_product(vals: np.ndarray, w: list[float]) -> float:
+    """prod_k vals_k^(w_k) in Python floats."""
+    prod = 1.0
+    for v, wk in zip(vals, w):
+        prod *= float(v) ** wk
+    return prod
+
+
+def shell_volume_bands(
+    f: TargetFunction,
     psi: ApproxFunction,
     s_lo: float,
     t_hi: float,
     **quad_opts,
 ) -> Quadrature:
-    """Exact shell volume for the max power family under the sup norm."""
-    if psi.component_count != 1:
-        raise ValueError("max power closed form takes a scalar bound")
-    _require_shell(f, psi, s_lo, t_hi)
-    n = f.n
-    ell = len(f.exponents)
-    a = sum(1.0 / ai for ai in f.exponents)
-
-    def integrand(z: float) -> float:
-        return float(psi(z)[0]) ** a * z ** (n - ell - 1)
-
-    q = adaptive_simpson(integrand, s_lo, t_hi, **quad_opts)
-    scale = 2.0**n * (n - ell)
-    return Quadrature(scale * q.value, scale * q.error)
-
-
-def shell_volume_component_bands(
-    f: VectorOf,
-    psi: ApproxFunction,
-    s_lo: float,
-    t_hi: float,
-    **quad_opts,
-) -> Quadrature:
-    """Exact shell volume of a simultaneous system |x_{c_i}|^{a_i} <= psi_i.
-
-    ``f`` must be a vector of single-coordinate max power parts with
-    pairwise distinct coordinates; the bound is componentwise.
-    """
-    coords: list[int] = []
-    exps: list[float] = []
-    for part in f.parts:
-        if not isinstance(part, MaxPower) or len(part.exponents) != 1:
-            raise ValueError("component bands need single-coordinate max power parts")
-        coords.append(part.resolved_coords()[0])
-        exps.append(part.exponents[0])
+    """Exact shell volume of a band system under the sup norm."""
+    bands = _bands(f, psi)
+    coords = [c for c, _, _ in bands]
     if len(set(coords)) != len(coords):
         raise ValueError(f"band coordinates must be distinct, got {coords}")
-    if psi.component_count != len(f.parts):
-        raise ValueError("need one bound component per band")
-    _require_shell(f, psi, s_lo, t_hi)
     n = f.n
-    ell = len(coords)
+    ell = len(bands)
     if ell >= n:
         raise ValueError("need at least one unconstrained coordinate")
-    inv = np.asarray([1.0 / a for a in exps])
+    _require_shell(f, psi, s_lo, t_hi)
+    w = _band_weights(f, bands)
 
     def integrand(z: float) -> float:
-        return float(np.prod(psi(z) ** inv)) * z ** (n - ell - 1)
+        return _band_product(psi(z), w) * z ** (n - ell - 1)
 
     q = adaptive_simpson(integrand, s_lo, t_hi, **quad_opts)
     scale = 2.0**n * (n - ell)
@@ -407,11 +401,7 @@ def shell_volume(
         return shell_volume_signed_power(f, psi, s_lo, t_hi, **quad_opts)
     if isinstance(f, CoordinateProduct):
         return shell_volume_product(f, psi, s_lo, t_hi, **quad_opts)
-    if isinstance(f, MaxPower):
-        return shell_volume_max_power(f, psi, s_lo, t_hi, **quad_opts)
-    if isinstance(f, VectorOf):
-        return shell_volume_component_bands(f, psi, s_lo, t_hi, **quad_opts)
-    raise TypeError(f"unsupported target {f!r}")
+    return shell_volume_bands(f, psi, s_lo, t_hi, **quad_opts)
 
 
 # --------------------------------------------------------------------------
@@ -566,20 +556,6 @@ def _series_verdict(gamma: float, beta: float, r: float) -> Verdict:
     return Verdict.CONVERGES if beta * (r - 1.0) > 1.0 else Verdict.DIVERGES
 
 
-def _band_exponents(f: VectorOf, psi: ApproxFunction) -> tuple[float, float, int]:
-    """(sum s_i/a_i, sum j_i/a_i, l) for a componentwise band system."""
-    if psi.component_count != len(f.parts):
-        raise ValueError("need one bound component per band")
-    s_eff = 0.0
-    j_eff = 0.0
-    for part, (_, s, j) in zip(f.parts, psi.components):
-        if not isinstance(part, MaxPower) or len(part.exponents) != 1:
-            raise ValueError("component bands need single-coordinate max power parts")
-        s_eff += s / part.exponents[0]
-        j_eff += j / part.exponents[0]
-    return s_eff, j_eff, len(f.parts)
-
-
 def classify_series(
     f: TargetFunction,
     psi: ApproxFunction,
@@ -616,22 +592,17 @@ def classify_series(
             return _series_verdict(-s, j + 1.0, r)
         return _series_verdict(-s, j + n - 1.0, r)
 
-    if isinstance(f, MaxPower):
-        _, s, j = _scalar_params(psi)
-        n, ell = f.n, len(f.exponents)
-        a = sum(1.0 / ai for ai in f.exponents)
-        if criterion == "asymptotic":
-            return _integral_verdict(s * a - (n - ell - 1.0), j * a)
-        return _series_verdict(n - ell - s * a, j * a, r)
-
-    if isinstance(f, VectorOf):
-        s_eff, j_eff, ell = _band_exponents(f, psi)
-        n = f.n
-        if criterion == "asymptotic":
-            return _integral_verdict(s_eff - (n - ell - 1.0), j_eff)
-        return _series_verdict(n - ell - s_eff, j_eff, r)
-
-    raise TypeError(f"unsupported target {f!r}")
+    bands = _bands(f, psi)
+    s_eff = 0.0
+    j_eff = 0.0
+    for _, a, k in bands:
+        _, s, j = psi.components[k]
+        s_eff += s / a
+        j_eff += j / a
+    n, ell = f.n, len(bands)
+    if criterion == "asymptotic":
+        return _integral_verdict(s_eff - (n - ell - 1.0), j_eff)
+    return _series_verdict(n - ell - s_eff, j_eff, r)
 
 
 def criterion_terms(
@@ -663,18 +634,9 @@ def criterion_terms(
                         f"checkpoint t={t} too small for the product criterion"
                     )
                 x = pv * math.log(arg) ** (f.n - 1)
-        elif isinstance(f, MaxPower):
-            a = sum(1.0 / ai for ai in f.exponents)
-            x = t ** (f.n - len(f.exponents)) * float(psi(t)[0]) ** a
-        elif isinstance(f, VectorOf):
-            _band_exponents(f, psi)  # validates the shape
-            vals = psi(t)
-            prod = 1.0
-            for part, v in zip(f.parts, vals):
-                prod *= float(v) ** (1.0 / part.exponents[0])
-            x = t ** (f.n - len(f.parts)) * prod
         else:
-            raise TypeError(f"unsupported target {f!r}")
+            bands = _bands(f, psi)
+            x = t ** (f.n - len(bands)) * _band_product(psi(t), _band_weights(f, bands))
         if not x > 0:
             raise ValueError(f"nonpositive criterion term at k={k}")
         out.append(x ** (1.0 - r))

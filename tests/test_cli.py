@@ -158,6 +158,18 @@ def test_config_dimension_mismatch_named():
     assert err.value.key == "f"
 
 
+def test_config_zero_n_named():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"n": 0})
+    assert err.value.key == "n"
+
+
+def test_config_norm_dimension_mismatch_named():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"n": 3, "norm": max_norm(2)})
+    assert err.value.key == "norm"
+
+
 # --------------------------------------------------------------------------
 # shared runners
 
@@ -311,6 +323,21 @@ def test_zero_samples_names_sample_count(tmp_path, capsys):
     rc = _run(argv + ["--out", tmp_path / "x"])
     assert rc == 2
     assert _stderr_record(capsys)["key"] == "sampleCount"
+
+
+def test_negative_shift_bound_names_key(tmp_path, capsys):
+    argv = ["siegel", "--n", 2, "--volume", 4, "--shift-bound", -1]
+    rc = _run(argv + ["--out", tmp_path / "x"])
+    assert rc == 2
+    assert _stderr_record(capsys)["key"] == "shiftBound"
+
+
+def test_bad_group_in_config_file_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "group": "GL"}))
+    rc = _run(["volume", "--config", cfg, "--out", tmp_path / "x"])
+    assert rc == 2
+    assert _stderr_record(capsys)["key"] == "group"
 
 
 def test_unknown_config_file_key_named(tmp_path, capsys):

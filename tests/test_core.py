@@ -19,22 +19,19 @@ from genlat.core import (
     block_norm,
     bound_values,
     f_eval,
-    in_a_set,
-    in_b_set,
     lp_norm,
     max_norm,
-    norm_eval,
     norm_spec,
     parse_norm,
     parse_psi,
     parse_target,
-    partial_order_leq,
     power_law,
     psi_spec,
     regularity_witness,
     subhomogeneity_witness,
     target_spec,
 )
+from genlat.volume import region_mask
 
 RNG = np.random.default_rng(20240819)
 
@@ -44,7 +41,7 @@ RNG = np.random.default_rng(20240819)
 
 
 def test_norm_euclidean_345():
-    assert norm_eval(lp_norm(2, 2.0), (3.0, 4.0)) == pytest.approx(5.0, rel=1e-15)
+    assert lp_norm(2, 2.0)((3.0, 4.0)) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_norm_max():
@@ -164,13 +161,6 @@ def test_psi_nonincreasing_when_power_dominates(coeff, s, j, z1, z2):
     psi = power_law(coeff, s, j)
     lo, hi = min(z1, z2), max(z1, z2)
     assert psi(hi)[0] <= psi(lo)[0] * (1 + 1e-12)
-
-
-def test_partial_order():
-    assert partial_order_leq((1.0, 2.0), (1.0, 3.0))
-    assert not partial_order_leq((1.0, 4.0), (1.0, 3.0))
-    with pytest.raises(ValueError):
-        partial_order_leq((1.0,), (1.0, 2.0))
 
 
 def test_bound_values_fixed_and_psi():
@@ -294,20 +284,27 @@ def test_canonical_norms():
 # region membership and the scaling inclusion
 
 
+def _in_b_set(f, eps, nu, big_t, x) -> bool:
+    """x in { nu(x) <= T, |f(x)| <= eps }; the ball includes the origin, so
+    the shell's inner radius sits below 0."""
+    return bool(region_mask(f, eps, nu, np.asarray([x], dtype=float), -1.0, big_t)[0])
+
+
 def test_in_b_set_basic():
     f = SignedPowerForm(2, 1, 2.0)
     nu = f.canonical_norm()
-    assert in_b_set(f, (0.5,), nu, 10.0, (1.0, 1.0, 1.4))
-    assert not in_b_set(f, (0.5,), nu, 10.0, (1.0, 1.0, 0.0))
-    assert not in_b_set(f, (0.5,), nu, 1.0, (1.0, 1.0, 1.4))
+    assert _in_b_set(f, (0.5,), nu, 10.0, (1.0, 1.0, 1.4))
+    assert not _in_b_set(f, (0.5,), nu, 10.0, (1.0, 1.0, 0.0))
+    assert not _in_b_set(f, (0.5,), nu, 1.0, (1.0, 1.0, 1.4))
 
 
 def test_in_a_set_shell():
     f = SignedPowerForm(1, 1, 1.0)
     nu = f.canonical_norm()
     psi = power_law(1.0, 0.0, 0)  # constant 1
-    assert in_a_set(f, psi, nu, (4.0, 4.5), inner=2.0, outer=8.0)
-    assert not in_a_set(f, psi, nu, (4.0, 4.5), inner=5.0, outer=8.0)
+    x = np.array([[4.0, 4.5]])
+    assert region_mask(f, psi, nu, x, inner=2.0, outer=8.0)[0]
+    assert not region_mask(f, psi, nu, x, inner=5.0, outer=8.0)[0]
 
 
 @given(
@@ -323,9 +320,9 @@ def test_b_set_scaling_inclusion(t, eps, big_t, xs):
     f = SignedPowerForm(2, 1, 2.0)
     nu = f.canonical_norm()
     x = np.array(xs)
-    if in_b_set(f, (eps,), nu, big_t, x):
+    if _in_b_set(f, (eps,), nu, big_t, x):
         d = f.degrees[0]
-        assert in_b_set(f, (t**d * eps * (1 + 1e-9),), nu, t * big_t * (1 + 1e-12), t * x)
+        assert _in_b_set(f, (t**d * eps * (1 + 1e-9),), nu, t * big_t * (1 + 1e-12), t * x)
 
 
 # --------------------------------------------------------------------------
@@ -447,9 +444,33 @@ target_strategy = st.one_of(
         st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=1, max_size=3),
         st.integers(1, 3),
     ),
+    # explicit coordinates: the first l entries of a permutation of range(n)
+    st.builds(
+        lambda exps, perm: MaxPower(tuple(exps), len(perm), tuple(perm[: len(exps)])),
+        st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=3),
+        st.permutations(range(4)),
+    ),
 )
 
 
-@given(st.one_of(target_strategy, st.builds(lambda f: VectorOf((f, f)), target_strategy)))
+@st.composite
+def _mixed_vectors(draw):
+    """Vectors of different part families sharing one ambient n."""
+    n = draw(st.integers(2, 4))
+    pool = [
+        SignedPowerForm(1, n - 1, draw(st.sampled_from([1.0, 2.0, 3.0]))),
+        CoordinateProduct(n),
+        MaxPower((draw(st.sampled_from([1.0, 2.0])),), n, (draw(st.integers(0, n - 1)),)),
+    ]
+    return VectorOf(tuple(draw(st.permutations(pool))[: draw(st.integers(2, 3))]))
+
+
+@given(
+    st.one_of(
+        target_strategy,
+        st.builds(lambda f: VectorOf((f, f)), target_strategy),
+        _mixed_vectors(),
+    )
+)
 def test_target_spec_round_trip(f):
     assert parse_target(target_spec(f)) == f

@@ -226,6 +226,24 @@ class TestOracleEquivalence:
         assert fast.count == brute_force_count(q).count
 
 
+class TestBandSystems:
+    def test_max_power_counts_as_its_component_bands(self):
+        # |x_c|^a <= psi for every band is max_c |x_c|^a <= psi
+        rng = np.random.default_rng(2718)
+        psi = power_law(1.2, 0.4, 1)
+        for f in (MaxPower((2.0, 1.0), 3), MaxPower((1.5,), 3, (2,)), MaxPower((1.0, 3.0), 4, (3, 0))):
+            parts = tuple(MaxPower((a,), f.n, (c,)) for c, a in zip(f.resolved_coords(), f.exponents))
+            vec = VectorOf(parts)
+            for _ in range(3):
+                g = sample_sl(f.n, rng)
+                kw = dict(g=g, norm=max_norm(f.n), point_class=PointClass.ALL_NONZERO, t0=0.0, t=9.0)
+                one = count_solutions(CountQuery(f=f, bound=psi, **kw))
+                bands = count_solutions(
+                    CountQuery(f=vec, bound=ApproxFunction(psi.components * len(parts)), **kw)
+                )
+                assert one.count == bands.count
+
+
 class TestFallback:
     def test_fractional_degree_flags_full_scan(self):
         q = _query(

@@ -19,6 +19,7 @@ from genlat.haar import (
     sample_lattice_exact,
     sample_sl,
 )
+from genlat.haar import _primitive_gaussian_mass
 
 
 class TestUnimodularMap:
@@ -332,3 +333,27 @@ class TestExactSamplers:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             sample_lattice_exact(1, np.random.default_rng(0))
+
+    def test_primitive_mass_matches_abs_row_sum_box(self):
+        # reference: mask the box bounded by the absolute row sums of h^{-1}
+        # (a superset of the norm-bounded box); same points in the same
+        # order, so the sums agree bit for bit
+        def reference(basis, sigma):
+            radius = 8.0 * sigma
+            box = np.floor(np.abs(np.linalg.inv(basis)).sum(axis=1) * radius).astype(int)
+            grids = np.meshgrid(*[np.arange(-b, b + 1) for b in box], indexing="ij")
+            coeffs = np.stack([g.ravel() for g in grids], axis=1)
+            coeffs = coeffs[(coeffs != 0).any(axis=1)]
+            pts = coeffs @ basis.T
+            sq = (pts * pts).sum(axis=1)
+            keep = (np.gcd.reduce(np.abs(coeffs), axis=1) == 1) & (sq <= radius * radius)
+            norm_const = (2.0 * math.pi * sigma * sigma) ** (basis.shape[0] / 2.0)
+            return float(np.exp(-sq[keep] / (2.0 * sigma * sigma)).sum() / norm_const)
+
+        rng = np.random.default_rng(23)
+        bases = [sample_lattice_exact(3, rng)[0] for _ in range(20)]
+        bases.append(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
+        bases.append(sample_lattice_exact(2, rng)[0])
+        for basis in bases:
+            for sigma in (1.0, 1.5):
+                assert _primitive_gaussian_mass(basis, sigma) == reference(basis, sigma)

@@ -33,7 +33,7 @@ from genlat.volume import (
     partial_sums,
     region_mask,
     shell_volume,
-    shell_volume_component_bands,
+    shell_volume_bands,
     threshold_M,
     unit_ball_volume_ld,
     zeta_fn,
@@ -407,14 +407,59 @@ class TestShellValidation:
         dup = VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((1.0,), 3, (0,))))
         psi = ApproxFunction(((0.5, 0.0, 0), (0.5, 0.0, 0)))
         with pytest.raises(ValueError, match="distinct"):
-            shell_volume_component_bands(dup, psi, 2.0, 4.0)
+            shell_volume_bands(dup, psi, 2.0, 4.0)
         full = VectorOf((MaxPower((1.0,), 2, (0,)), MaxPower((1.0,), 2, (1,))))
         with pytest.raises(ValueError, match="unconstrained"):
-            shell_volume_component_bands(full, psi, 2.0, 4.0)
+            shell_volume_bands(full, psi, 2.0, 4.0)
         mixed = VectorOf((SignedPowerForm(1, 1, 2), MaxPower((1.0,), 2, (0,))))
         psi2 = ApproxFunction(((0.5, 0.0, 0), (0.5, 0.0, 0)))
         with pytest.raises(ValueError, match="single-coordinate"):
-            shell_volume_component_bands(mixed, psi2, 2.0, 4.0)
+            shell_volume_bands(mixed, psi2, 2.0, 4.0)
+
+
+# --------------------------------------------------------------------------
+# band systems: a max power is the componentwise system of its bands
+
+
+def as_component_bands(f: MaxPower, psi: ApproxFunction) -> tuple[VectorOf, ApproxFunction]:
+    """The single-coordinate bands of f, each under a copy of psi's one component."""
+    parts = tuple(
+        MaxPower((a,), f.n, (c,)) for c, a in zip(f.resolved_coords(), f.exponents)
+    )
+    return VectorOf(parts), ApproxFunction(psi.components * len(parts))
+
+
+BAND_CASES = [
+    (MaxPower((2.0, 1.5), 3), power_law(1.0, 0.5, 0)),
+    (MaxPower((1.0,), 2), power_law(0.7, 0.0, 0)),
+    (MaxPower((2.0, 1.0), 4), power_law(1.0, 1.0, 0)),
+    (MaxPower((3.0, 2.5), 4, (3, 1)), power_law(1.5, 1.0, 1)),
+    (MaxPower((1.0, 2.0, 7.0), 5), power_law(2.0, 2.0, 1)),
+]
+
+
+class TestMaxPowerAsBands:
+    @pytest.mark.parametrize("f, psi", BAND_CASES)
+    def test_same_verdicts(self, f, psi):
+        vec, vpsi = as_component_bands(f, psi)
+        for crit in ("asymptotic", "uniform"):
+            assert classify_series(f, psi, crit) is classify_series(vec, vpsi, crit)
+
+    @pytest.mark.parametrize("f, psi", BAND_CASES)
+    def test_same_criterion_terms(self, f, psi):
+        vec, vpsi = as_component_bands(f, psi)
+        sched = DyadicSchedule(t0=1.0, ratio=2.0, k0=1, kmax=12)
+        np.testing.assert_allclose(
+            criterion_terms(vec, vpsi, sched), criterion_terms(f, psi, sched), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("f, psi", BAND_CASES)
+    def test_same_shell_volume(self, f, psi):
+        vec, vpsi = as_component_bands(f, psi)
+        lo = max(threshold_M(f, psi), threshold_M(vec, vpsi))
+        a = shell_volume(f, psi, f.canonical_norm(), lo, 3.0 * lo)
+        b = shell_volume(vec, vpsi, vec.canonical_norm(), lo, 3.0 * lo)
+        assert abs(a.value - b.value) <= a.error + b.error
 
 
 # --------------------------------------------------------------------------
