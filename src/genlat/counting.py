@@ -28,7 +28,18 @@ give the roots of P -/+ eps* for every row at once, the cells between roots
 whose midpoint passes become slots, and the nearest integer to every root
 is proposed too.  Vector targets keep what lies in every part's slots.  A
 non-integer degree scans the solved coordinate's window, flagged in the
-result.
+result.  At a zero tolerance the closed-form solvers also propose the
+nearest integer to the double root or to a zero-radius band's centre,
+which rounding can otherwise leave outside an empty slot.
+
+Prefixes come in centered order (small coordinates first), in blocks whose
+row target doubles after every block up to 16384 rows.  An early-exit query
+starts at 256 rows, so a witness near the origin costs one small block and
+an empty search soon runs at full block size; an exhaustive query runs at
+16384 rows throughout.  The first witness is the first hit in prefix order,
+then t, for every engine and both modes, so it does not depend on where
+block edges fall: an early-exit search returns the exhaustive run's first
+witness.
 """
 
 from __future__ import annotations
@@ -97,6 +108,7 @@ class CountQuery:
 @dataclass(frozen=True)
 class CountResult:
     count: int
+    # first hit in prefix order, then t, for every engine and both modes
     first_witness: tuple[int, ...] | None
     visited: int  # prefixes examined plus integer candidates tested
     full_scan: bool = False  # true when every integer of each window was tested
@@ -262,6 +274,16 @@ def _band_slots(
             dead = np.abs(a_col) > r_i
             lo[dead] = np.inf
             hi[dead] = -np.inf
+    pinned = (radii == 0.0) & (np.abs(betas) > 1e-12)
+    if pinned.any():
+        # a zero radius pins t to the band's centre, and rounding can leave
+        # two such centres apart; any integer solution is the nearest integer
+        # to the steepest pinned band's centre, and the exact refilter decides
+        steep = int(np.argmax(np.where(pinned, np.abs(betas), 0.0)))
+        centre = np.rint(-alphas[:, steep] / betas[steep])
+        live = lo < np.inf  # lo is +inf only where a flat band ruled the row out
+        lo = np.where(live, centre, np.inf)
+        hi = np.where(live, centre, -np.inf)
     return lo, hi
 
 
@@ -556,8 +578,8 @@ def _count_core(q: CountQuery) -> CountResult:
     visited = 0
     full_scan = engine == "scan"
 
-    block_target = 256 if q.stop_after_first else 1 << 14
-    for prefix_block in _prefix_blocks(box, prefix_cols, block_target):
+    first_block = 256 if q.stop_after_first else _MAX_BLOCK
+    for prefix_block in _prefix_blocks(box, prefix_cols, first_block):
         visited += len(prefix_block)
         alphas = prefix_block.astype(float) @ h[:, prefix_cols].T + q.g.z
         wlo, whi = _window_arrays(q, alphas, beta)
@@ -567,14 +589,26 @@ def _count_core(q: CountQuery) -> CountResult:
             a_coef = float(signs @ (beta * beta))
             b_coef = 2.0 * (alphas * beta) @ signs
             c_coef = (alphas * alphas) @ signs
-            lo1, hi1, lo2, hi2 = _quadratic_slots(a_coef, b_coef, c_coef, float(eps_vec[0]))
+            eps = float(eps_vec[0])
+            lo1, hi1, lo2, hi2 = _quadratic_slots(a_coef, b_coef, c_coef, eps)
             slot_rows, slot_ts = [], []
             for lo, hi in ((lo1, hi1), (lo2, hi2)):
                 r, t = _expand_candidates(np.maximum(lo, wlo), np.minimum(hi, whi))
                 slot_rows.append(r)
                 slot_ts.append(t)
+            double_root = eps == 0.0 and abs(a_coef) >= 1e-12
+            if double_root:
+                # rounding can push a double root's discriminant below 0, or
+                # split the root off its integer: propose the nearest integer
+                # to -b/2a too, and let the refilter decide
+                slot_rows.append(np.arange(len(b_coef)))
+                slot_ts.append(np.rint(-b_coef / (2.0 * a_coef)).astype(np.int64))
             rows = np.concatenate(slot_rows)
             ts = np.concatenate(slot_ts)
+            if double_root:
+                # the point may repeat a slot's integer
+                pairs = np.unique(np.stack([rows, ts], axis=1), axis=0)
+                rows, ts = pairs[:, 0], pairs[:, 1]
         elif engine == "bands":
             lo, hi = _system_slot(bands, alphas, beta, eps_vec)
             rows, ts = _expand_candidates(np.maximum(lo, wlo), np.minimum(hi, whi))
@@ -590,7 +624,11 @@ def _count_core(q: CountQuery) -> CountResult:
         mask = _exact_mask(q, vs)
         hits = int(mask.sum())
         if hits and witness is None:
-            witness = tuple(int(x) for x in vs[mask.argmax()])
+            # first hit in prefix order, then t, whatever order the engine
+            # emitted its candidates in
+            idx = mask.nonzero()[0]
+            first = idx[np.lexsort((ts[idx], rows[idx]))[0]]
+            witness = tuple(int(x) for x in vs[first])
         count += hits
         if q.stop_after_first and count > 0:
             # truncated search: the count reports the witness, not the total
@@ -598,14 +636,19 @@ def _count_core(q: CountQuery) -> CountResult:
     return CountResult(count, witness, visited, full_scan)
 
 
+# prefix rows per block once the block schedule has grown
+_MAX_BLOCK = 1 << 14
+
+
 def _prefix_blocks(
-    box: np.ndarray, prefix_cols: list[int], block_target: int = 1 << 14
+    box: np.ndarray, prefix_cols: list[int], first_block: int
 ) -> Iterator[np.ndarray]:
     """Integer prefix assignments in centered order, in contiguous blocks.
 
     The first prefix coordinate advances slowest (centered 0, 1, -1, ...);
     the remaining coordinates are fully expanded per slab so blocks stay
-    vectorizable.
+    vectorizable.  A block closes once it holds ``first_block`` rows; the
+    target doubles after every block, up to ``_MAX_BLOCK``.
     """
     if not prefix_cols:
         yield np.zeros((1, 0), dtype=np.int64)
@@ -619,15 +662,17 @@ def _prefix_blocks(
         tail = np.stack([g.ravel() for g in grids], axis=1)
     else:
         tail = np.zeros((1, 0), dtype=np.int64)
+    target = first_block
     for v1 in lead:
         block = np.empty((len(tail), len(prefix_cols)), dtype=np.int64)
         block[:, 0] = v1
         block[:, 1:] = tail
         slab.append(block)
         slab_rows += len(block)
-        if slab_rows >= block_target:
+        if slab_rows >= target:
             yield np.concatenate(slab, axis=0)
             slab, slab_rows = [], 0
+            target = min(2 * target, _MAX_BLOCK)
     if slab:
         yield np.concatenate(slab, axis=0)
 

@@ -618,6 +618,10 @@ def criterion_terms(
     """
     if not r > 1.0:
         raise ValueError(f"need r > 1, got {r}")
+    if isinstance(f, (SignedPowerForm, CoordinateProduct)):
+        _scalar_params(psi)  # one bound component, as classify_series requires
+    else:
+        bands = _bands(f, psi)
     out = []
     for k, t in zip(schedule.indices(), schedule.values()):
         if isinstance(f, SignedPowerForm):
@@ -635,7 +639,6 @@ def criterion_terms(
                     )
                 x = pv * math.log(arg) ** (f.n - 1)
         else:
-            bands = _bands(f, psi)
             x = t ** (f.n - len(bands)) * _band_product(psi(t), _band_weights(f, bands))
         if not x > 0:
             raise ValueError(f"nonpositive criterion term at k={k}")

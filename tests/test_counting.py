@@ -7,6 +7,8 @@ norm, point class, and shell space; scaling identities tie nonzero counts
 to primitive counts the way the zeta factor ties the two mean laws.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,11 @@ from genlat.counting import (
     CountResult,
     IntegerBox,
     NormBall,
+    _MAX_BLOCK,
     _batched_roots,
+    _centered,
+    _exact_mask,
+    _prefix_blocks,
     _solved_index,
     brute_force_count,
     count_solutions,
@@ -331,6 +337,76 @@ class TestEarlyExit:
         assert res.count == 0
         assert res.first_witness is None
 
+    @pytest.mark.parametrize(
+        "box, prefix_cols",
+        [((40, 3, 9), [0, 2]), ((7, 0, 5, 2), [0, 1, 3]), ((300,), [0]), ((2, 500), [1, 0])],
+    )
+    def test_block_schedule_grows_to_the_cap(self, box, prefix_cols):
+        box = np.asarray(box)
+        slab = int(np.prod([2 * box[c] + 1 for c in prefix_cols[1:]]))
+        orders = []
+        for first in (1, 5, 256, _MAX_BLOCK):
+            blocks = list(_prefix_blocks(box, prefix_cols, first))
+            orders.append(np.concatenate(blocks))
+            sizes = [len(b) for b in blocks]
+            for i, size in enumerate(sizes[:-1]):
+                # a block closes at the first slab that reaches its target
+                target = min(first << i, _MAX_BLOCK)
+                assert target <= size < target + slab
+            assert sizes[:-1] == sorted(sizes[:-1])
+        # centered order, the first prefix coordinate slowest
+        grids = np.meshgrid(*[_centered(int(box[c])) for c in prefix_cols], indexing="ij")
+        centered = np.stack([g.ravel() for g in grids], axis=1)
+        for order in orders:
+            assert np.array_equal(order, centered)
+
+    @staticmethod
+    def _first_in_prefix_order(q):
+        """The hit that comes first in centered prefix order, then t, by a
+        full scan of the v-space box."""
+        n = q.f.n
+        sol = _solved_index(q.g.h)
+        lim = int(q.t)
+        axes = np.meshgrid(*[np.arange(-lim, lim + 1)] * n, indexing="ij")
+        vs = np.stack([a.ravel() for a in axes], axis=1)
+        hits = vs[_exact_mask(q, vs)]
+        if len(hits) == 0:
+            return None
+        rank = np.abs(2 * hits) - (hits > 0)  # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+        keys = [hits[:, sol]] + [rank[:, c] for c in reversed(range(n)) if c != sol]
+        return tuple(int(x) for x in hits[np.lexsort(keys)[0]])
+
+    def test_witness_does_not_depend_on_blocks(self, counting_tools):
+        """The early-exit witness is the exhaustive run's first witness:
+        the first hit in prefix order, then t, in every engine."""
+        rng = np.random.default_rng(6061)
+        qs = [counting_tools.make_random_query(rng) for _ in range(60)]
+        f = SignedPowerForm(2, 1, 2)
+        for i in range(12):
+            # zero-full style spf d=2 shells: early exit crosses many blocks
+            qs.append(
+                CountQuery(
+                    g=sample_sl(3, rng),
+                    f=f,
+                    bound=power_law(1.0, (0.5, 1.0, 1.5)[i % 3], 0),
+                    norm=f.canonical_norm(),
+                    point_class=PointClass.PRIMITIVE,
+                    t0=float(8 * (1 + i % 4)),
+                    t=(40.0, 96.0)[i % 2],
+                )
+            )
+        hits = 0
+        for q in qs:
+            full = count_solutions(q)
+            early = count_solutions(replace(q, stop_after_first=True))
+            assert (full.count > 0) == (early.count > 0)
+            assert early.first_witness == full.first_witness, q
+            counting_tools.assert_valid_witness(q, early)
+            if q.shell_space == "v" and q.t <= 40.0:
+                assert full.first_witness == self._first_in_prefix_order(q), q
+            hits += full.count > 0
+        assert hits >= 50
+
 
 class TestRegionStreaming:
     def test_identity_sup_ball(self):
@@ -451,6 +527,41 @@ class TestSlotSolver:
             )
             assert _check_against_brute_force(q, counting_tools).count >= 1
 
+    @pytest.mark.parametrize(
+        "f, bound",
+        [
+            (SignedPowerForm(2, 1, 2), (0.0,)),
+            (SignedPowerForm(1, 1, 2), (0.0,)),
+            (MaxPower((2.0, 2.0), 3), (0.0,)),
+            (VectorOf(tuple(MaxPower((1.0,), 3, (c,)) for c in range(3))), (0.0, 0.0, 1.5)),
+        ],
+        ids=["spf2-n3", "spf2-n2", "maxpow-squares", "bands-two-pinned"],
+    )
+    def test_zero_tolerance_double_root_closed_form(self, f, bound, counting_tools):
+        """The same construction for the closed-form engines: the degree-2
+        form has a double root at t = -c, and every zero-radius band centres
+        there, so rounding can empty the slot unless its nearest integer is
+        proposed."""
+        rng = np.random.default_rng(5156)
+        for i in range(20):
+            h = sample_sl(f.n, rng).h
+            sol = _solved_index(h)
+            c = int(rng.integers(1, 4)) * (-1) ** i
+            q = CountQuery(
+                g=UnimodularMap(h, c * h[:, sol]),
+                f=f,
+                bound=bound,
+                norm=max_norm(f.n),
+                point_class=PointClass.ALL_INTEGER,
+                t0=0.0,
+                t=5.0,
+            )
+            full = count_solutions(q)
+            assert full.count == brute_force_count(q).count >= 1, q
+            counting_tools.assert_valid_witness(q, full)
+            early = count_solutions(replace(q, stop_after_first=True))
+            assert early.first_witness == full.first_witness
+
     @pytest.mark.parametrize("family", ["spf3+prod", "spf4+maxpow"])
     def test_vector_of_polynomial_parts(self, family, counting_tools):
         rng = np.random.default_rng(5151)
@@ -543,3 +654,38 @@ class TestSlotSolver:
             t=t,
         )
         assert _check_against_brute_force(q, counting_tools).count > 0
+
+
+class TestQuadraticOracleReach:
+    """The closed-form quadratic engine against brute force at radii the
+    random query generator does not reach, exhaustive and early exit."""
+
+    @pytest.mark.parametrize(
+        "n, t, f, bound, shell_space",
+        [
+            (2, 1500.0, SignedPowerForm(1, 1, 2), power_law(2.0, 0.25, 0), "v"),
+            (2, 1500.0, SignedPowerForm(1, 1, 2), (3.0,), "v"),
+            (3, 60.0, SignedPowerForm(2, 1, 2), power_law(1.0, 0.5, 0), "v"),
+            (3, 60.0, SignedPowerForm(1, 2, 2), (0.3,), "w"),
+        ],
+    )
+    def test_large_radius(self, n, t, f, bound, shell_space, counting_tools):
+        rng = np.random.default_rng(5157)
+        g = sample_asl(n, rng, shift_bound=0.8) if shell_space == "w" else sample_sl(n, rng)
+        q = CountQuery(
+            g=g,
+            f=f,
+            bound=bound,
+            norm=max_norm(n),
+            point_class=PointClass.PRIMITIVE,
+            t0=t / 4,
+            t=t,
+            shell_space=shell_space,
+        )
+        full = count_solutions(q)
+        assert full.count == brute_force_count(q).count > 0
+        counting_tools.assert_valid_witness(q, full)
+        early = count_solutions(replace(q, stop_after_first=True))
+        assert early.count == 1
+        assert early.first_witness == full.first_witness
+        assert early.visited <= full.visited

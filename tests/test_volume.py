@@ -773,3 +773,14 @@ class TestCriterionTerms:
         f = SignedPowerForm(1, 1, 2)
         with pytest.raises(ValueError):
             criterion_terms(f, power_law(1.0, 1.0, 0), DyadicSchedule(kmax=3), r=0.5)
+
+    @pytest.mark.parametrize("f", [SignedPowerForm(2, 1, 2), CoordinateProduct(3)])
+    def test_rejects_extra_bound_components(self, f):
+        # the same check, with the same message, as classify_series
+        psi = ApproxFunction(((1.0, 1.0, 0), (1.0, 0.5, 0)))
+        sched = DyadicSchedule(t0=1.0, ratio=2.0, k0=2, kmax=4)
+        with pytest.raises(ValueError, match="one bound component") as terms_err:
+            criterion_terms(f, psi, sched)
+        with pytest.raises(ValueError) as series_err:
+            classify_series(f, psi, "uniform")
+        assert str(terms_err.value) == str(series_err.value)
