@@ -32,6 +32,14 @@ where psi(z) < z^degree:
 
     where w_k = sum of 1/a_i over the bands that component k bounds.
 
+One private description per family (``_family``) holds the integrand, its
+scale, the growth exponents the classifiers read and the checkpoint term of
+the uniform criterion; ``shell_volume``, ``classify_series`` and
+``criterion_terms`` read that description and never branch on the family.
+A definite signed power form (q = 0) is the norm to the power d, so its
+region is bounded: its shells past the threshold are empty (scale 0), the
+volume integral converges, and the uniform series diverges (X_k = 0).
+
 Everything here is deterministic; Monte Carlo volumes draw from seeded,
 chunked generators with a fixed reduction order.
 """
@@ -69,16 +77,12 @@ __all__ = [
     "unit_ball_volume_ld",
     "threshold_M",
     "i_k_closed_form",
-    "shell_volume_signed_power",
-    "shell_volume_product",
-    "shell_volume_bands",
     "shell_volume",
     "region_mask",
     "monte_carlo_region_volume",
     "b_set_volume",
     "classify_series",
     "criterion_terms",
-    "partial_sums",
     "verification_matrix",
 ]
 
@@ -250,37 +254,6 @@ def _require_shell(f: TargetFunction, psi: ApproxFunction, s_lo: float, t_hi: fl
 # closed forms
 
 
-def shell_volume_signed_power(
-    f: SignedPowerForm,
-    psi: ApproxFunction,
-    s_lo: float,
-    t_hi: float,
-    **quad_opts,
-) -> Quadrature:
-    """Exact shell volume for the signed power family under its block norm."""
-    if psi.component_count != 1:
-        raise ValueError("signed power closed form takes a scalar bound")
-    _require_shell(f, psi, s_lo, t_hi)
-    p, q, d = f.p, f.q, f.d
-    n = f.n
-    v_p, vr_p = unit_ball_volume_ld(p, d)
-    v_q, vr_q = unit_ball_volume_ld(q, d)
-
-    def one_minus_pow(w: float, alpha: float) -> float:
-        # 1 - (1-w)^alpha without cancellation for w near 0 (and near 1)
-        if w >= 1.0:
-            return 1.0
-        return -math.expm1(alpha * math.log1p(-w))
-
-    def integrand(z: float) -> float:
-        w = float(psi(z)[0]) / z**d  # in (0, 1) past the threshold
-        return z ** (n - 1) * (
-            v_p * vr_q * one_minus_pow(w, p / d) + v_q * vr_p * one_minus_pow(w, q / d)
-        )
-
-    return adaptive_simpson(integrand, s_lo, t_hi, **quad_opts)
-
-
 def i_k_closed_form(k: int, z: float, bound_value: float) -> float:
     """Closed form of the kernel K_k(z, c) = int_{(0,z]^k} min(z, c/(z prod y)) dy.
 
@@ -309,78 +282,99 @@ def i_k_closed_form(k: int, z: float, bound_value: float) -> float:
     return bound_value / z * acc
 
 
-def shell_volume_product(
-    f: CoordinateProduct,
-    psi: ApproxFunction,
-    s_lo: float,
-    t_hi: float,
-    **quad_opts,
-) -> Quadrature:
-    """Exact shell volume for the coordinate product family under the sup norm."""
-    if psi.component_count != 1:
-        raise ValueError("coordinate product closed form takes a scalar bound")
-    _require_shell(f, psi, s_lo, t_hi)
+class _Family(NamedTuple):
+    """What the closed form and the classifiers read of one target family.
+
+    The shell volume over (S, T] is ``scale`` times the integral of
+    ``integrand``; scale 0 marks a bounded region, whose shells past the
+    threshold radius are empty.  Far out the integrand grows like
+    z^(A-1) log^B z prod psi_k(z)^(1/a) over the (a, k) pairs in ``bands``.
+    ``checkpoint(k, t)`` is X_k, the volume-scale factor of the k-th
+    checkpoint shell of the uniform criterion.
+    """
+
+    integrand: Callable[[float], float]
+    scale: float
+    a_pow: float
+    b_log: float
+    bands: tuple[tuple[float, int], ...]
+    checkpoint: Callable[[int, float], float]
+
+
+def _family(f: TargetFunction, psi: ApproxFunction) -> _Family:
+    """The description of f's family, with psi checked against it."""
+    if psi.component_count != f.component_count:
+        raise ValueError("need one bound component per target component")
     n = f.n
 
-    def integrand(z: float) -> float:
-        return i_k_closed_form(n - 2, z, float(psi(z)[0]))
+    if isinstance(f, SignedPowerForm):
+        p, q, d = f.p, f.q, f.d
+        v_p, vr_p = unit_ball_volume_ld(p, d)
+        v_q, vr_q = unit_ball_volume_ld(q, d)
 
-    q = adaptive_simpson(integrand, s_lo, t_hi, **quad_opts)
-    scale = 2.0**n * n
-    return Quadrature(scale * q.value, scale * q.error)
+        def one_minus_pow(w: float, alpha: float) -> float:
+            # 1 - (1-w)^alpha without cancellation for w near 0 (and near 1)
+            if w >= 1.0:
+                return 1.0
+            return -math.expm1(alpha * math.log1p(-w))
 
+        def integrand(z: float) -> float:
+            w = float(psi(z)[0]) / z**d  # in (0, 1) past the threshold
+            return z ** (n - 1) * (
+                v_p * vr_q * one_minus_pow(w, p / d) + v_q * vr_p * one_minus_pow(w, q / d)
+            )
 
-def _bands(f: TargetFunction, psi: ApproxFunction) -> tuple[tuple[int, float, int], ...]:
-    """The band system of f, checked against the bound's component count."""
+        def checkpoint(k: int, t: float) -> float:
+            pv = float(psi(t)[0])
+            return k * pv if d == n else t ** (n - d) * pv
+
+        # q = 0: f is the norm to the power d, so the region is bounded
+        return _Family(integrand, 1.0 if q else 0.0, n - d, 0, ((1.0, 0),), checkpoint)
+
+    if isinstance(f, CoordinateProduct):
+
+        def integrand(z: float) -> float:
+            return i_k_closed_form(n - 2, z, float(psi(z)[0]))
+
+        def checkpoint(k: int, t: float) -> float:
+            pv = float(psi(t)[0])
+            if n == 2:
+                return k * pv
+            arg = t * pv ** (-1.0 / n)
+            if arg <= 1.0:
+                raise ValueError(f"checkpoint t={t} too small for the product criterion")
+            return pv * math.log(arg) ** (n - 1)
+
+        return _Family(integrand, 2.0**n * n, 0, n - 2, ((1.0, 0),), checkpoint)
+
     bands = band_system(f)
     if bands is None:
         raise ValueError("band systems need max power or single-coordinate max power parts")
-    if psi.component_count != f.component_count:
-        raise ValueError("need one bound component per band component")
-    return bands
-
-
-def _band_weights(f: TargetFunction, bands) -> list[float]:
-    """w_k = sum of 1/a_i over the bands that component k bounds."""
-    w = [0.0] * f.component_count
-    for _, a, k in bands:
-        w[k] += 1.0 / a
-    return w
-
-
-def _band_product(vals: np.ndarray, w: list[float]) -> float:
-    """prod_k vals_k^(w_k) in Python floats."""
-    prod = 1.0
-    for v, wk in zip(vals, w):
-        prod *= float(v) ** wk
-    return prod
-
-
-def shell_volume_bands(
-    f: TargetFunction,
-    psi: ApproxFunction,
-    s_lo: float,
-    t_hi: float,
-    **quad_opts,
-) -> Quadrature:
-    """Exact shell volume of a band system under the sup norm."""
-    bands = _bands(f, psi)
     coords = [c for c, _, _ in bands]
     if len(set(coords)) != len(coords):
         raise ValueError(f"band coordinates must be distinct, got {coords}")
-    n = f.n
     ell = len(bands)
     if ell >= n:
         raise ValueError("need at least one unconstrained coordinate")
-    _require_shell(f, psi, s_lo, t_hi)
-    w = _band_weights(f, bands)
+    # w_k = sum of 1/a_i over the bands that component k bounds
+    w = [0.0] * f.component_count
+    for _, a, k in bands:
+        w[k] += 1.0 / a
 
-    def integrand(z: float) -> float:
-        return _band_product(psi(z), w) * z ** (n - ell - 1)
+    def band_product(vals: np.ndarray) -> float:
+        prod = 1.0
+        for v, wk in zip(vals, w):
+            prod *= float(v) ** wk
+        return prod
 
-    q = adaptive_simpson(integrand, s_lo, t_hi, **quad_opts)
-    scale = 2.0**n * (n - ell)
-    return Quadrature(scale * q.value, scale * q.error)
+    return _Family(
+        lambda z: band_product(psi(z)) * z ** (n - ell - 1),
+        2.0**n * (n - ell),
+        n - ell,
+        0,
+        tuple((a, k) for _, a, k in bands),
+        lambda k, t: t ** (n - ell) * band_product(psi(t)),
+    )
 
 
 def shell_volume(
@@ -391,17 +385,16 @@ def shell_volume(
     t_hi: float,
     **quad_opts,
 ) -> Quadrature:
-    """Family dispatcher; requires ``norm`` to be the family's canonical norm."""
+    """Exact shell volume of f's family; requires ``norm`` to be the family norm."""
     if norm != f.canonical_norm():
         raise ValueError(
             "closed forms hold under the family norm "
             f"({f.canonical_norm()}), got {norm}"
         )
-    if isinstance(f, SignedPowerForm):
-        return shell_volume_signed_power(f, psi, s_lo, t_hi, **quad_opts)
-    if isinstance(f, CoordinateProduct):
-        return shell_volume_product(f, psi, s_lo, t_hi, **quad_opts)
-    return shell_volume_bands(f, psi, s_lo, t_hi, **quad_opts)
+    fam = _family(f, psi)
+    _require_shell(f, psi, s_lo, t_hi)
+    q = adaptive_simpson(fam.integrand, s_lo, t_hi, **quad_opts)
+    return Quadrature(fam.scale * q.value, fam.scale * q.error)
 
 
 # --------------------------------------------------------------------------
@@ -524,27 +517,18 @@ def b_set_volume(
 #     J >= 0);
 #   * sum_k (alpha k^beta rho^k)^(1-r) with r > 1 converges iff rho > 1, or
 #     rho = 1 and beta (r-1) > 1.
-# The parameters (P, J) and (beta, log2 rho) below are exact in the family
-# and bound parameters, so the classification is exact whenever those are
-# exactly representable.
+# With the family's growth z^(A-1) log^B z prod psi_k^(1/a) and
+# psi_k = C_k log^(j_k) z^(-s_k), the integrand decays like z^(-P) with
+# P = s_eff - (A - 1), s_eff = sum s_k / a, and the checkpoint term grows like
+# k^beta 2^(gamma k) with gamma = A - s_eff, beta = j_eff + B (one more log at
+# A = 0, where the shell integral is harmonic).  These are exact in the
+# family and bound parameters, so the classification is exact whenever those
+# are exactly representable.
 
 
 class Verdict(Enum):
     CONVERGES = "converges"
     DIVERGES = "diverges"
-
-
-def _scalar_params(psi: ApproxFunction) -> tuple[float, float, int]:
-    if psi.component_count != 1:
-        raise ValueError("classification takes one bound component per band")
-    return psi.scalar()
-
-
-def _integral_verdict(p_pow: float, j_log: float) -> Verdict:
-    if p_pow > 1.0:
-        return Verdict.CONVERGES
-    # at the critical power the log factor is nonnegative here, so divergence
-    return Verdict.DIVERGES
 
 
 def _series_verdict(gamma: float, beta: float, r: float) -> Verdict:
@@ -567,42 +551,29 @@ def classify_series(
     ``criterion`` = "asymptotic" classifies the volume integral governing
     whether the full region has finite measure; "uniform" classifies the
     dyadic series sum_k (term_k)^(1-r) governing the uniform statement along
-    t_k = 2^k checkpoints (r > 1 is the variance-bound exponent).
+    t_k = 2^k checkpoints (r > 1 is the variance-bound exponent).  A bounded
+    region has finite measure and empty checkpoint shells (X_k = 0), so it
+    converges under the first and diverges under the second.
     """
     if criterion not in ("asymptotic", "uniform"):
         raise ValueError(f"unknown criterion {criterion!r}")
     if criterion == "uniform" and not r > 1.0:
         raise ValueError(f"uniform criterion needs r > 1, got {r}")
-
-    if isinstance(f, SignedPowerForm):
-        _, s, j = _scalar_params(psi)
-        n, d = f.n, f.d
-        if criterion == "asymptotic":
-            return _integral_verdict(s - (n - d - 1.0), j)
-        if d == n:
-            return _series_verdict(-s, j + 1.0, r)
-        return _series_verdict(n - d - s, float(j), r)
-
-    if isinstance(f, CoordinateProduct):
-        _, s, j = _scalar_params(psi)
-        n = f.n
-        if criterion == "asymptotic":
-            return _integral_verdict(s + 1.0, j + n - 2.0)
-        if n == 2:
-            return _series_verdict(-s, j + 1.0, r)
-        return _series_verdict(-s, j + n - 1.0, r)
-
-    bands = _bands(f, psi)
+    fam = _family(f, psi)
+    if fam.scale == 0.0:
+        return Verdict.CONVERGES if criterion == "asymptotic" else Verdict.DIVERGES
     s_eff = 0.0
     j_eff = 0.0
-    for _, a, k in bands:
+    for a, k in fam.bands:
         _, s, j = psi.components[k]
         s_eff += s / a
         j_eff += j / a
-    n, ell = f.n, len(bands)
     if criterion == "asymptotic":
-        return _integral_verdict(s_eff - (n - ell - 1.0), j_eff)
-    return _series_verdict(n - ell - s_eff, j_eff, r)
+        # the log factor is nonnegative, so the critical power P = 1 diverges
+        p_pow = s_eff - (fam.a_pow - 1.0)
+        return Verdict.CONVERGES if p_pow > 1.0 else Verdict.DIVERGES
+    beta = j_eff + fam.b_log + (1.0 if fam.a_pow == 0 else 0.0)
+    return _series_verdict(fam.a_pow - s_eff, beta, r)
 
 
 def criterion_terms(
@@ -618,37 +589,14 @@ def criterion_terms(
     """
     if not r > 1.0:
         raise ValueError(f"need r > 1, got {r}")
-    if isinstance(f, (SignedPowerForm, CoordinateProduct)):
-        _scalar_params(psi)  # one bound component, as classify_series requires
-    else:
-        bands = _bands(f, psi)
+    fam = _family(f, psi)
     out = []
     for k, t in zip(schedule.indices(), schedule.values()):
-        if isinstance(f, SignedPowerForm):
-            pv = float(psi(t)[0])
-            x = k * pv if f.d == f.n else t ** (f.n - f.d) * pv
-        elif isinstance(f, CoordinateProduct):
-            pv = float(psi(t)[0])
-            if f.n == 2:
-                x = k * pv
-            else:
-                arg = t * pv ** (-1.0 / f.n)
-                if arg <= 1.0:
-                    raise ValueError(
-                        f"checkpoint t={t} too small for the product criterion"
-                    )
-                x = pv * math.log(arg) ** (f.n - 1)
-        else:
-            x = t ** (f.n - len(bands)) * _band_product(psi(t), _band_weights(f, bands))
+        x = fam.checkpoint(k, t) if fam.scale else 0.0  # bounded: empty shells
         if not x > 0:
             raise ValueError(f"nonpositive criterion term at k={k}")
         out.append(x ** (1.0 - r))
     return out
-
-
-def partial_sums(terms: Sequence[float]) -> list[float]:
-    """Cumulative sums, for convergence diagnostics."""
-    return list(np.cumsum(np.asarray(list(terms), dtype=float)))
 
 
 def verification_matrix() -> list[tuple[str, TargetFunction, ApproxFunction, float, float]]:

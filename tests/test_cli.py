@@ -264,6 +264,18 @@ def test_classify_verdict(tmp_path):
     assert _read_manifest(out)["result"]["verdict"] == "converges"
 
 
+def test_definite_form_is_bounded(tmp_path, capsys):
+    # q = 0: the region is bounded, so finite measure and empty checkpoint shells
+    spec = ["--f", "spf:p=3,d=2", "--psi", "pl:C=1,s=0.5,j=0"]
+    for criterion, verdict in (("asymptotic", "converges"), ("uniform", "diverges")):
+        out = tmp_path / criterion
+        assert _run(["classify", *spec, "--criterion", criterion, "--out", out]) == 0
+        assert _read_manifest(out)["result"]["verdict"] == verdict
+    argv = ["ratio", *spec, "--samples", 2, "--schedule", "t0=4,ratio=2,k0=0,kmax=2"]
+    assert _run([*argv, "--out", tmp_path / "ra"]) == 2
+    assert "divergent" in _stderr_record(capsys)["message"]
+
+
 def test_selftest_passes(tmp_path):
     out = tmp_path / "st"
     assert _run(["selftest", "--out", out]) == 0

@@ -30,12 +30,11 @@ from genlat.volume import (
     gamma_fn,
     i_k_closed_form,
     monte_carlo_region_volume,
-    partial_sums,
     region_mask,
     shell_volume,
-    shell_volume_bands,
     threshold_M,
     unit_ball_volume_ld,
+    verification_matrix,
     zeta_fn,
 )
 
@@ -380,6 +379,29 @@ class TestShellSymbolicAnchors:
         assert lo <= hi * (1 + 1e-12)
 
 
+# shell_volume (value, error) on the nine verification points, pinned so a
+# change of formula shows even where Monte Carlo stderr would hide it
+PINNED_SHELLS = {
+    "spf-flat": (2.2260212648974544, 7.96058681168388e-08),
+    "spf-decay": (20.828579243003013, 4.519861963222145e-07),
+    "spf-log": (43.591077064615064, 1.234928885699797e-06),
+    "prod-flat": (4.815891218395444, 1.5884628427424258e-07),
+    "prod-log": (46.0033887244213, 9.682726747950455e-07),
+    "prod-decay": (100.3480188396415, 3.543175076980986e-06),
+    "maxpow-pair": (11.914918270524588, 2.1962881156708153e-07),
+    "maxpow-slab": (8.4, 0.0),
+    "maxpow-wide": (52.59868257953153, 1.204311672875491e-06),
+}
+
+
+@pytest.mark.parametrize(
+    "label, f, psi, lo, hi", verification_matrix(), ids=[row[0] for row in verification_matrix()]
+)
+def test_closed_forms_pinned(label, f, psi, lo, hi):
+    q = shell_volume(f, psi, f.canonical_norm(), lo, hi)
+    np.testing.assert_allclose(tuple(q), PINNED_SHELLS[label], rtol=1e-12, atol=0.0)
+
+
 class TestShellValidation:
     def test_wrong_norm_rejected(self):
         f = SignedPowerForm(1, 1, 2)
@@ -407,14 +429,29 @@ class TestShellValidation:
         dup = VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((1.0,), 3, (0,))))
         psi = ApproxFunction(((0.5, 0.0, 0), (0.5, 0.0, 0)))
         with pytest.raises(ValueError, match="distinct"):
-            shell_volume_bands(dup, psi, 2.0, 4.0)
+            shell_volume(dup, psi, dup.canonical_norm(), 2.0, 4.0)
         full = VectorOf((MaxPower((1.0,), 2, (0,)), MaxPower((1.0,), 2, (1,))))
         with pytest.raises(ValueError, match="unconstrained"):
-            shell_volume_bands(full, psi, 2.0, 4.0)
+            shell_volume(full, psi, full.canonical_norm(), 2.0, 4.0)
         mixed = VectorOf((SignedPowerForm(1, 1, 2), MaxPower((1.0,), 2, (0,))))
         psi2 = ApproxFunction(((0.5, 0.0, 0), (0.5, 0.0, 0)))
         with pytest.raises(ValueError, match="single-coordinate"):
-            shell_volume_bands(mixed, psi2, 2.0, 4.0)
+            shell_volume(mixed, psi2, mixed.canonical_norm(), 2.0, 4.0)
+
+    def test_classifiers_validate_like_the_closed_form(self):
+        # one family description: a band system the closed form rejects is
+        # rejected by the classifier and the criterion terms too
+        psi = ApproxFunction(((0.5, 0.0, 0), (0.5, 0.0, 0)))
+        sched = DyadicSchedule(t0=1.0, ratio=2.0, k0=2, kmax=4)
+        for f, needle in [
+            (VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((2.0,), 3, (0,)))), "distinct"),
+            (VectorOf((MaxPower((1.0,), 2, (0,)), MaxPower((1.0,), 2, (1,)))), "unconstrained"),
+        ]:
+            for crit in ("asymptotic", "uniform"):
+                with pytest.raises(ValueError, match=needle):
+                    classify_series(f, psi, crit)
+            with pytest.raises(ValueError, match=needle):
+                criterion_terms(f, psi, sched)
 
 
 # --------------------------------------------------------------------------
@@ -667,6 +704,16 @@ class TestAsymptoticClassifier:
         assert growth_verdict_integral(f, conv) == Verdict.CONVERGES
         assert growth_verdict_integral(f, dive) == Verdict.DIVERGES
 
+    @pytest.mark.parametrize(
+        "p,d,s,j", [(3, 2, 0.5, 0), (2, 2, 0.0, 0), (1, 1, 0.0, 2), (3, 3, 0.0, 1), (2, 1.5, 0.5, 0)]
+    )
+    def test_definite_signed_power(self, p, d, s, j):
+        # q = 0: |f| is the norm to the power d, so the region is bounded
+        f = SignedPowerForm(p, 0, d)
+        psi = power_law(1.0, s, j)
+        assert classify_series(f, psi, "asymptotic") == Verdict.CONVERGES
+        assert growth_verdict_integral(f, psi) == Verdict.CONVERGES
+
     def test_coefficient_invariance(self):
         f = SignedPowerForm(2, 1, 2)
         for s in (0.5, 1.5):
@@ -727,6 +774,19 @@ class TestUniformClassifier:
         assert classify_series(f, power_law(1.0, 0.0, 0), "uniform") == Verdict.DIVERGES
         assert classify_series(f, power_law(1.0, 0.0, 1), "uniform") == Verdict.CONVERGES
 
+    @pytest.mark.parametrize(
+        "f,params",
+        [
+            (SignedPowerForm(3, 0, 2), (1.0, 0.5, 0)),
+            (SignedPowerForm(2, 0, 2), (1.0, 0.0, 1)),
+            (SignedPowerForm(3, 0, 1.5), (1.0, 1.0, 0)),
+        ],
+    )
+    def test_definite_signed_power_diverges(self, f, params):
+        # every checkpoint shell of a bounded region is empty: X_k = 0
+        for r in (1.5, 2.0, 3.0):
+            assert classify_series(f, power_law(*params), "uniform", r=r) == Verdict.DIVERGES
+
     def test_rejects_bad_arguments(self):
         f = SignedPowerForm(1, 1, 2)
         psi = power_law(1.0, 1.0, 0)
@@ -750,15 +810,12 @@ class TestCriterionTerms:
         sched = DyadicSchedule(t0=1.0, ratio=2.0, k0=2, kmax=2)
         assert criterion_terms(f, psi, sched, r=2.0) == [0.5]
 
-    def test_partial_sums(self):
-        assert partial_sums([1.0, 0.5, 0.25]) == [1.0, 1.5, 1.75]
-
     def test_terms_track_classifier(self):
         # divergent case: partial sums keep growing; convergent case flattens
         f = SignedPowerForm(2, 1, 2)
         sched = DyadicSchedule(t0=1.0, ratio=2.0, k0=1, kmax=400)
-        div = partial_sums(criterion_terms(f, power_law(1.0, 1.0, 0), sched))
-        conv = partial_sums(criterion_terms(f, power_law(1.0, 0.25, 0), sched))
+        div = np.cumsum(criterion_terms(f, power_law(1.0, 1.0, 0), sched))
+        conv = np.cumsum(criterion_terms(f, power_law(1.0, 0.25, 0), sched))
         assert div[-1] - div[len(div) // 2] > 0.1
         assert conv[-1] - conv[len(conv) // 2] < 1e-6
 
@@ -768,6 +825,13 @@ class TestCriterionTerms:
         sched = DyadicSchedule(t0=1.0, ratio=2.0, k0=0, kmax=3)
         with pytest.raises(ValueError, match="too small"):
             criterion_terms(f, psi, sched)
+
+    @pytest.mark.parametrize("f", [SignedPowerForm(3, 0, 2), SignedPowerForm(2, 0, 2)])
+    def test_definite_signed_power_rejected(self, f):
+        # X_k = 0 on the empty checkpoint shells of a bounded region
+        sched = DyadicSchedule(t0=1.0, ratio=2.0, k0=2, kmax=4)
+        with pytest.raises(ValueError, match="nonpositive criterion term"):
+            criterion_terms(f, power_law(1.0, 0.5, 0), sched)
 
     def test_rejects_bad_r(self):
         f = SignedPowerForm(1, 1, 2)
