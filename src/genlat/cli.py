@@ -61,7 +61,7 @@ from .experiments import (
     uniform_approx_experiment,
     zero_full_experiment,
 )
-from .haar import CompactWindow, identity_map, sample_asl, sample_sl
+from .haar import identity_map, sample_asl, sample_sl
 from .volume import (
     Verdict,
     adaptive_simpson,
@@ -82,7 +82,6 @@ _CONFIG_KEYS = {
     "pointClass",
     "group",
     "shiftBound",
-    "window",
     "schedule",
     "sampleCount",
     "masterSeed",
@@ -123,22 +122,6 @@ def _schedule_dict(s: DyadicSchedule) -> dict:
     return {"t0": s.t0, "ratio": s.ratio, "k0": s.k0, "kmax": s.kmax}
 
 
-def _parse_window(value) -> CompactWindow:
-    if isinstance(value, CompactWindow):
-        return value
-    if isinstance(value, dict):
-        op = value.get("opNormBound")
-        shift = value.get("shiftBound", 0.0)
-    else:
-        parts = str(value).split(",")
-        op = parts[0]
-        shift = parts[1] if len(parts) > 1 else 0.0
-    try:
-        return CompactWindow(float(op), float(shift))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("window", f"window: {exc}") from None
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build the resolved config, naming the offending key on any failure."""
     unknown = set(data) - _CONFIG_KEYS
@@ -167,7 +150,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if norm is None and f is not None:
         norm = f.canonical_norm()
     point_class = lift("pointClass", lambda v: v if isinstance(v, PointClass) else PointClass(v))
-    window = lift("window", _parse_window)
     schedule = lift("schedule", _parse_schedule)
     try:
         return ExperimentConfig(
@@ -178,7 +160,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             point_class=point_class or PointClass.ALL_NONZERO,
             group=str(data.get("group", "SL")),
             shift_bound=float(data.get("shiftBound", 0.0)),
-            window=window,
             schedule=schedule,
             sample_count=int(data.get("sampleCount", 1)),
             master_seed=int(data.get("masterSeed", 0)),
@@ -205,11 +186,6 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
         out["psi"] = psi_spec(cfg.psi)
     if cfg.norm is not None:
         out["norm"] = norm_spec(cfg.norm)
-    if cfg.window is not None:
-        out["window"] = {
-            "opNormBound": cfg.window.op_norm_bound,
-            "shiftBound": cfg.window.shift_bound,
-        }
     if cfg.schedule is not None:
         out["schedule"] = _schedule_dict(cfg.schedule)
     return out
@@ -236,7 +212,6 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         "pointClass": getattr(args, "point_class", None),
         "group": getattr(args, "group", None),
         "shiftBound": getattr(args, "shift_bound", None),
-        "window": getattr(args, "window", None),
         "schedule": getattr(args, "schedule", None),
         "sampleCount": getattr(args, "samples", None),
         "masterSeed": getattr(args, "seed", None),
@@ -308,13 +283,14 @@ def _emit(
     prefix = Path(args.out)
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
+
     outputs = {}
     if args.format in ("jsonl", "both"):
-        jpath = prefix.with_suffix(".jsonl")
+        jpath = Path(f"{prefix}.jsonl")
         _write_jsonl(jpath, stamped)
         outputs[jpath.name] = _sha256(jpath)
     if args.format in ("csv", "both"):
-        cpath = prefix.with_suffix(".csv")
+        cpath = Path(f"{prefix}.csv")
         _write_csv(cpath, header, rows)
         outputs[cpath.name] = _sha256(cpath)
     manifest = {
@@ -330,7 +306,7 @@ def _emit(
     }
     if extras:
         manifest["result"] = extras
-    mpath = prefix.with_suffix(".manifest.json")
+    mpath = Path(f"{prefix}.manifest.json")
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -810,7 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--class", dest="point_class", choices=("nonzero", "primitive", "all"), default=None)
     model.add_argument("--group", choices=("SL", "ASL"), default=None)
     model.add_argument("--shift-bound", type=float, default=None)
-    model.add_argument("--window", default=None, help="opNormBound[,shiftBound]")
     model.add_argument("--schedule", default=None, help="t0=..,ratio=..,k0=..,kmax=..")
     model.add_argument("--samples", type=int, default=None, help="sample count (sampleCount)")
 

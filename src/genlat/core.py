@@ -27,7 +27,7 @@ and render are exact inverses on canonical forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
 
@@ -49,11 +49,8 @@ __all__ = [
     "DyadicSchedule",
     "mix_seed",
     "Bound",
-    "f_eval",
     "bound_values",
     "band_system",
-    "subhomogeneity_witness",
-    "regularity_witness",
     "parse_norm",
     "norm_spec",
     "parse_psi",
@@ -117,10 +114,6 @@ class Norm:
                 v = (seg**d).sum(axis=1) ** (1.0 / d)
             np.maximum(out, v, out=out)
         return out
-
-    def sup_norm_factor(self) -> float:
-        """Smallest c with nu(x) <= c * sup_i |x_i|; nu >= sup norm always."""
-        return max(1.0 if d is None else dim ** (1.0 / d) for dim, d in self.blocks)
 
 
 def max_norm(n: int) -> Norm:
@@ -385,14 +378,6 @@ ScalarTarget = Union[SignedPowerForm, CoordinateProduct, MaxPower]
 TargetFunction = Union[SignedPowerForm, CoordinateProduct, MaxPower, VectorOf]
 
 
-def f_eval(f: TargetFunction, x: Sequence[float]) -> np.ndarray:
-    """Component values of f at a single point, shape (l,)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.n,):
-        raise ValueError(f"expected vector of dimension {f.n}, got shape {x.shape}")
-    return f.evaluate_many(x[None, :])[0]
-
-
 def band_system(f: TargetFunction) -> tuple[tuple[int, float, int], ...] | None:
     """The bands |x_c|^a <= psi_k of f as (c, a, k) triples, or None.
 
@@ -407,47 +392,6 @@ def band_system(f: TargetFunction) -> tuple[tuple[int, float, int], ...] | None:
         if all(b is not None and len(b) == 1 for b in parts):
             return tuple((c, a, k) for k, ((c, a, _),) in enumerate(parts))
     return None
-
-
-def subhomogeneity_witness(
-    f: TargetFunction, samples: int = 200, seed: int = 0, scale: float = 5.0
-) -> float:
-    """Largest observed ratio |f(t x)|_i / (t^{d_i} |f(x)|_i) over random probes.
-
-    At most 1 (to rounding) certifies subhomogeneity with the declared
-    componentwise degrees on the probe set; the two power families are exactly
-    homogeneous so the ratio sits at 1 whenever f(x) != 0.
-    """
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-scale, scale, size=(samples, f.n))
-    ts = rng.uniform(0.05, 1.0, size=samples)
-    base = np.abs(f.evaluate_many(xs))
-    scaled = np.abs(f.evaluate_many(xs * ts[:, None]))
-    degrees = np.asarray(f.degrees)
-    denom = ts[:, None] ** degrees[None, :] * base
-    ok = denom > 1e-12
-    if not ok.any():
-        return 0.0
-    return float((scaled[ok] / denom[ok]).max())
-
-
-def regularity_witness(
-    psi: ApproxFunction, a: float = 2.0, grid: Sequence[float] | None = None
-) -> tuple[float, float, bool]:
-    """Constants (a, b) with psi(a z) >= b psi(z), checked on a grid.
-
-    For power-log components the ratio psi_i(a z)/psi_i(z) is at least
-    a^(-s_i), so b = a^(-max_i s_i) always works; the returned flag reports
-    the grid check of that bound.
-    """
-    if not a > 1.0:
-        raise ValueError(f"need a > 1, got {a}")
-    b = min(a ** (-s) for _, s, _ in psi.components)
-    if grid is None:
-        grid = [0.0, 0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 5.0, 17.0, 100.0, 1e4, 1e8]
-    zs = np.asarray(grid, dtype=float)
-    ok = bool(np.all(psi.eval_many(a * zs) >= b * psi.eval_many(zs) * (1 - 1e-12)))
-    return a, b, ok
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .core import (
     VectorOf,
     max_norm,
     mix_seed,
-    regularity_witness,
 )
 from .counting import (
     CountQuery,
@@ -39,11 +38,8 @@ from .counting import (
     lattice_points_in_region,
 )
 from .haar import (
-    CompactWindow,
     UnimodularMap,
-    operator_norm,
     sample_grid_exact,
-    sample_in_window,
     sample_lattice_exact,
     sample_sl,
 )
@@ -78,10 +74,6 @@ __all__ = [
     "KGSystemResult",
     "norm_independence_check",
     "NormCheckResult",
-    "window_constants",
-    "WindowConstants",
-    "ratio_sandwich_check",
-    "SandwichResult",
 ]
 
 
@@ -200,7 +192,6 @@ class ExperimentConfig:
     point_class: PointClass = PointClass.ALL_NONZERO
     group: str = "SL"
     shift_bound: float = 0.0
-    window: CompactWindow | None = None
     schedule: DyadicSchedule | None = None
     sample_count: int = 1
     master_seed: int = 0
@@ -735,121 +726,3 @@ def norm_independence_check(
     trend_a = _trend_label(rows[0]["volume_a"], rows[-1]["volume_a"], noise_a)
     trend_b = _trend_label(rows[0]["volume_b"], rows[-1]["volume_b"], noise_b)
     return NormCheckResult(rows, trend_a, trend_b, trend_a == trend_b)
-
-
-# --------------------------------------------------------------------------
-# windowed sandwich (limsup shape)
-
-
-@dataclass(frozen=True)
-class WindowConstants:
-    """Realized constants of a windowed batch: operator-norm bound D, shift
-    bound E, and the regularity-transfer factors C, F, J = C * F."""
-
-    op_bound: float
-    shift_bound: float
-    reg_a: float
-    reg_b: float
-    reg_steps: int
-    transfer_c: float
-    plateau_f: float
-    inflation_j: float
-
-
-def window_constants(batch, norm: Norm, psi: ApproxFunction) -> WindowConstants:
-    d_k = 1.0
-    e_k = 0.0
-    for g in batch:
-        d_k = max(
-            d_k,
-            operator_norm(g.h, norm).upper,
-            operator_norm(g.inverse_h(), norm).upper,
-        )
-        e_k = max(e_k, float(norm(g.z)))
-    a, b, _ = regularity_witness(psi)
-    steps = 0
-    while a**steps < d_k:
-        steps += 1
-    c_k = b ** (-steps)
-    if e_k == 0.0:
-        f_k = 1.0
-    else:
-        pivot = a * e_k / (a - 1.0)
-        ratios = psi(0.0) / psi(pivot)
-        f_k = max(1.0 / b, float(np.max(ratios)))
-    return WindowConstants(d_k, e_k, a, b, steps, c_k, f_k, c_k * f_k)
-
-
-@dataclass(frozen=True)
-class SandwichResult:
-    constants: WindowConstants
-    pass_fraction: float
-    records: list
-
-
-def _sandwich_sample(args):
-    f, psi, norm, point_class, t_lo, t_hi, seed, index, window = args
-    rng = np.random.default_rng(mix_seed(seed, index))
-    g, _ = sample_in_window(f.n, rng, window, norm)
-    res = count_solutions(
-        CountQuery(
-            g=g,
-            f=f,
-            bound=psi,
-            norm=norm,
-            point_class=point_class,
-            t0=t_lo,
-            t=t_hi,
-        )
-    )
-    return {"sample": index, "count": int(res.count)}
-
-
-def ratio_sandwich_check(
-    f: TargetFunction,
-    psi: ApproxFunction,
-    norm: Norm,
-    point_class: PointClass,
-    schedule: DyadicSchedule,
-    samples: int,
-    seed: int,
-    op_norm_bound: float = 4.0,
-    shift_bound: float = 0.5,
-    delta: float = 0.5,
-    workers: int = 1,
-) -> SandwichResult:
-    """Windowed grids: the count over the shell (2 D E, T] should not exceed
-    c_P (1+delta) times the closed-form volume with J-inflated tolerance
-    over (E, D T + E], with (D, E, J) computed from the realized batch.
-    Returns the per-sample comparisons; callers assert the majority."""
-    window = CompactWindow(op_norm_bound, shift_bound)
-    big_t = schedule.values()[-1]
-    # realized constants need the batch first; draw it with the same seeds
-    batch = []
-    for i in range(samples):
-        rng = np.random.default_rng(mix_seed(seed, i))
-        g, _ = sample_in_window(f.n, rng, window, norm)
-        batch.append(g)
-    consts = window_constants(batch, norm, psi)
-    t_lo = 2.0 * consts.op_bound * consts.shift_bound
-    if t_lo >= big_t:
-        raise ValueError("schedule top must exceed twice the window reach")
-    inflated = ApproxFunction(
-        tuple((c * consts.inflation_j, s, j) for c, s, j in psi.components)
-    )
-    m_thr = threshold_M(f, inflated)
-    lo = max(consts.shift_bound, m_thr)
-    hi = consts.op_bound * big_t + consts.shift_bound
-    volume = shell_volume(f, inflated, norm, lo, hi).value
-    c = _SIEGEL_CONSTANT[point_class](f.n)
-    budget = c * (1.0 + delta) * volume
-    payloads = [
-        (f, psi, norm, point_class, t_lo, float(big_t), seed, i, window)
-        for i in range(samples)
-    ]
-    records = _run_indexed(_sandwich_sample, payloads, workers)
-    for r in records:
-        r["budget"] = budget
-        r["within"] = r["count"] <= budget
-    frac = sum(1 for r in records if r["within"]) / samples
-    return SandwichResult(consts, frac, records)

@@ -1,6 +1,6 @@
 """Random determinant-one maps and affine grids, in two tiers.
 
-Tier 1, ``sample_sl`` / ``sample_asl`` / ``sample_in_window``: normalized
+Tier 1, ``sample_sl`` / ``sample_asl``: normalized
 Gaussian matrices.  Their law is absolutely continuous with respect to the
 invariant measure on the group, which is exactly what almost-every-g
 statements consume (dichotomy, counting-ratio, and uniform-approximability
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +37,9 @@ from .core import Norm, max_norm
 
 __all__ = [
     "UnimodularMap",
-    "CompactWindow",
-    "OperatorNorm",
     "identity_map",
     "sample_sl",
     "sample_asl",
-    "sample_in_window",
-    "operator_norm",
     "lll_reduce",
     "sample_lattice_exact",
     "sample_grid_exact",
@@ -96,21 +91,6 @@ class UnimodularMap:
 def identity_map(n: int, shift: np.ndarray | None = None) -> UnimodularMap:
     z = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
     return UnimodularMap(np.eye(n), z)
-
-
-@dataclass(frozen=True)
-class CompactWindow:
-    """Acceptance window: operator-norm bound on h and its inverse, and a
-    bound on the shift's norm."""
-
-    op_norm_bound: float
-    shift_bound: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.op_norm_bound >= 1.0:
-            raise ValueError(f"operator norm bound must be >= 1, got {self.op_norm_bound}")
-        if not self.shift_bound >= 0.0:
-            raise ValueError(f"shift bound must be >= 0, got {self.shift_bound}")
 
 
 # --------------------------------------------------------------------------
@@ -165,88 +145,6 @@ def sample_asl(
         if nu(z) <= shift_bound:
             return UnimodularMap(g.h, z)
     raise RuntimeError("shift rejection cap hit; norm ball too small inside its cube")
-
-
-class OperatorNorm(NamedTuple):
-    estimate: float  # best ratio found; a lower bound on the true norm
-    upper: float  # guaranteed upper bound; exact for the sup norm
-
-
-def operator_norm(h: np.ndarray, norm: Norm) -> OperatorNorm:
-    """Operator norm of h on (R^n, nu), as (probe estimate, certified upper).
-
-    The upper bound is sup_factor(nu) * max absolute row sum, from
-    nu <= factor * sup and sup <= nu; for the sup norm it is the exact
-    induced norm.  The estimate maximizes nu(h u)/nu(u) over coordinate
-    vectors, sign patterns, fixed random directions, and a short local
-    ascent from the best of those.
-    """
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if norm.dim != n:
-        raise ValueError(f"norm dimension {norm.dim} does not match matrix size {n}")
-    upper = norm.sup_norm_factor() * float(np.abs(h).sum(axis=1).max())
-
-    probes = [np.eye(n)]
-    if n <= 10:
-        signs = np.array(
-            [[1.0 if (m >> i) & 1 else -1.0 for i in range(n)] for m in range(2**n)]
-        )
-        probes.append(signs)
-    probe_rng = np.random.default_rng(0)  # fixed: the estimate is deterministic
-    probes.append(probe_rng.standard_normal((32, n)))
-    us = np.concatenate(probes, axis=0)
-    us = us / np.apply_along_axis(norm, 1, us)[:, None]
-
-    def ratio(u: np.ndarray) -> float:
-        return norm(h @ u) / norm(u)
-
-    vals = norm.eval_many(us @ h.T)
-    best_idx = int(np.argmax(vals))
-    best_u = us[best_idx]
-    best = float(vals[best_idx])
-    for step in (0.3, 0.05, 0.008):
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                for sgn in (1.0, -1.0):
-                    cand = best_u.copy()
-                    cand[i] += sgn * step
-                    r = ratio(cand)
-                    if r > best * (1.0 + 1e-12):
-                        best, best_u = r, cand / norm(cand)
-                        improved = True
-    return OperatorNorm(min(best, upper), upper)
-
-
-def sample_in_window(
-    n: int,
-    rng: np.random.Generator,
-    window: CompactWindow,
-    norm: Norm | None = None,
-    max_tries: int = 10**6,
-) -> tuple[UnimodularMap, int]:
-    """Rejection-sample Gaussian maps into the window; returns (map, tries).
-
-    Acceptance uses the certified upper bounds of the operator norms of h
-    and h^{-1}, so accepted samples provably lie in the window.  The shift
-    satisfies its bound by construction.
-    """
-    nu = norm if norm is not None else max_norm(n)
-    for tries in range(1, max_tries + 1):
-        g = sample_asl(n, rng, window.shift_bound, nu)
-        if operator_norm(g.h, nu).upper > window.op_norm_bound:
-            continue
-        if operator_norm(g.inverse_h(), nu).upper > window.op_norm_bound:
-            continue
-        return g, tries
-    raise RuntimeError(
-        f"window rejection cap {max_tries} hit; "
-        f"op-norm bound {window.op_norm_bound} is infeasibly tight"
-    )
 
 
 # --------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .core import (
     band_system,
     bound_values,
     mix_seed,
+    power_law,
 )
 
 __all__ = [
@@ -80,7 +81,6 @@ __all__ = [
     "shell_volume",
     "region_mask",
     "monte_carlo_region_volume",
-    "b_set_volume",
     "classify_series",
     "criterion_terms",
     "verification_matrix",
@@ -474,41 +474,6 @@ def monte_carlo_region_volume(
     )
 
 
-def b_set_volume(
-    f: TargetFunction,
-    eps: Sequence[float],
-    norm: Norm,
-    big_t: float,
-    samples: int = 200_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Volume of { nu(x) <= T, |f(x)| <= eps }: closed form past the
-    threshold radius plus Monte Carlo on the inner core.
-
-    Falls back to pure Monte Carlo when the norm is not the family norm or
-    the whole region sits inside the core.  Returns (value, error) where the
-    error combines quadrature and Monte Carlo standard error.
-    """
-    eps = tuple(float(e) for e in eps)
-    if len(eps) != f.component_count:
-        raise ValueError(f"expected {f.component_count} tolerance components")
-    if any(e < 0 for e in eps):
-        raise ValueError("tolerances must be nonnegative")
-    if not big_t > 0:
-        raise ValueError("need T > 0")
-    if any(e == 0.0 for e in eps):
-        return 0.0, 0.0  # the zero set of each family is Lebesgue-null
-    const = ApproxFunction(tuple((e, 0.0, 0) for e in eps))
-    closed_ok = norm == f.canonical_norm()
-    split = threshold_M(f, const) if closed_ok else big_t
-    split = min(split, big_t)
-    mc = monte_carlo_region_volume(f, eps, norm, split, samples, seed=seed)
-    if split >= big_t:
-        return mc.value, 3.0 * mc.stderr
-    q = shell_volume(f, const, norm, split, big_t)
-    return mc.value + q.value, 3.0 * mc.stderr + q.error
-
-
 # --------------------------------------------------------------------------
 # convergence classification
 
@@ -604,15 +569,14 @@ def verification_matrix() -> list[tuple[str, TargetFunction, ApproxFunction, flo
     closed-form family, each resolvable by rejection Monte Carlo (shell
     measure at least ~1e-4 of the sampling box).  Rows are
     (label, f, psi, s_lo, t_hi); the norm is always the family norm."""
-    pl = lambda c, s, j: ApproxFunction(((float(c), float(s), int(j)),))
     return [
-        ("spf-flat", SignedPowerForm(1, 1, 2), pl(0.5, 0.0, 0), 2.0, 6.0),
-        ("spf-decay", SignedPowerForm(2, 1, 2), pl(1.0, 0.5, 0), 2.0, 5.0),
-        ("spf-log", SignedPowerForm(2, 2, 3), pl(0.8, 1.0, 1), 1.5, 4.0),
-        ("prod-flat", CoordinateProduct(2), pl(0.5, 0.0, 0), 1.5, 5.0),
-        ("prod-log", CoordinateProduct(3), pl(1.0, 1.0, 1), 2.0, 4.0),
-        ("prod-decay", CoordinateProduct(3), pl(2.0, 0.5, 0), 1.5, 4.0),
-        ("maxpow-pair", MaxPower((2.0, 1.5), 3), pl(1.0, 0.5, 0), 2.0, 5.0),
-        ("maxpow-slab", MaxPower((1.0,), 2), pl(0.7, 0.0, 0), 1.0, 4.0),
-        ("maxpow-wide", MaxPower((2.0, 1.0), 4), pl(1.0, 1.0, 0), 2.0, 5.0),
+        ("spf-flat", SignedPowerForm(1, 1, 2), power_law(0.5, 0.0, 0), 2.0, 6.0),
+        ("spf-decay", SignedPowerForm(2, 1, 2), power_law(1.0, 0.5, 0), 2.0, 5.0),
+        ("spf-log", SignedPowerForm(2, 2, 3), power_law(0.8, 1.0, 1), 1.5, 4.0),
+        ("prod-flat", CoordinateProduct(2), power_law(0.5, 0.0, 0), 1.5, 5.0),
+        ("prod-log", CoordinateProduct(3), power_law(1.0, 1.0, 1), 2.0, 4.0),
+        ("prod-decay", CoordinateProduct(3), power_law(2.0, 0.5, 0), 1.5, 4.0),
+        ("maxpow-pair", MaxPower((2.0, 1.5), 3), power_law(1.0, 0.5, 0), 2.0, 5.0),
+        ("maxpow-slab", MaxPower((1.0,), 2), power_law(0.7, 0.0, 0), 1.0, 4.0),
+        ("maxpow-wide", MaxPower((2.0, 1.0), 4), power_law(1.0, 1.0, 0), 2.0, 5.0),
     ]

@@ -19,7 +19,6 @@ from genlat.core import (
     SignedPowerForm,
     VectorOf,
     bound_values,
-    f_eval,
     lp_norm,
     max_norm,
 )
@@ -120,7 +119,7 @@ def assert_valid_witness(q: CountQuery, res) -> None:
     r = q.norm(v) if q.shell_space == "v" else q.norm(w)
     assert q.t0 < r <= q.t
     tol = bound_values(q.bound, np.asarray([r]), q.f.component_count)[0]
-    assert np.all(np.abs(f_eval(q.f, w)) <= tol * (1.0 + 1e-12))
+    assert np.all(np.abs(q.f.evaluate_many(w[None, :])[0]) <= tol * (1.0 + 1e-12))
     if q.point_class is PointClass.ALL_NONZERO:
         assert np.any(v != 0)
     elif q.point_class is PointClass.PRIMITIVE:

@@ -28,7 +28,6 @@ from genlat.core import (
     max_norm,
 )
 from genlat.experiments import ExperimentConfig
-from genlat.haar import CompactWindow
 from genlat.volume import verification_matrix
 
 
@@ -92,10 +91,6 @@ def _configs(draw):
         norm = f.canonical_norm() if draw(st.booleans()) else draw(_norms(n))
     else:
         norm = draw(st.none() | _norms(n))
-    window = draw(
-        st.none()
-        | st.builds(CompactWindow, _floats(1.0, 50.0), _floats(0.0, 5.0))
-    )
     k0 = draw(st.integers(0, 3))
     schedule = draw(
         st.none()
@@ -115,7 +110,6 @@ def _configs(draw):
         point_class=draw(st.sampled_from(PointClass)),
         group=draw(st.sampled_from(("SL", "ASL"))),
         shift_bound=draw(_floats(0.0, 2.0)),
-        window=window,
         schedule=schedule,
         sample_count=draw(st.integers(1, 10**6)),
         master_seed=draw(st.integers(0, 2**32 - 1)),
@@ -226,6 +220,22 @@ def test_format_flag_selects_outputs(tmp_path):
     assert Path(f"{out}.csv").exists()
     assert not Path(f"{out}.jsonl").exists()
     assert set(_read_manifest(out)["outputs"]) == {"only_csv.csv"}
+
+
+def test_dotted_prefix_is_used_verbatim(tmp_path):
+    # a dot in the prefix is part of the name, not a suffix to replace, so
+    # prefixes that differ only after it write separate files
+    cases = {"cl_s_0.0": "diverges", "cl_s_0.5": "converges"}
+    for name in cases:
+        psi = f"pl:C=1,s={name[5:]},j=0"
+        assert _run(["classify", "--f", "prod:n=2", "--psi", psi, "--out", tmp_path / name]) == 0
+    for name, verdict in cases.items():
+        manifest = _read_manifest(tmp_path / name)
+        assert manifest["result"]["verdict"] == verdict
+        assert set(manifest["outputs"]) == {f"{name}.jsonl", f"{name}.csv"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name + ext for name in cases for ext in (".jsonl", ".csv", ".manifest.json")
+    )
 
 
 def test_records_carry_seed_and_unique_samples(tmp_path):
@@ -358,6 +368,14 @@ def test_unknown_config_file_key_named(tmp_path, capsys):
     rc = _run(["volume", "--config", cfg, "--out", tmp_path / "x"])
     assert rc == 2
     assert _stderr_record(capsys)["key"] == "bogus"
+
+
+def test_window_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "window": {"opNormBound": 4}}))
+    rc = _run(["volume", "--config", cfg, "--out", tmp_path / "x"])
+    assert rc == 2
+    assert _stderr_record(capsys)["key"] == "window"
 
 
 def test_bad_schedule_names_key(tmp_path, capsys):

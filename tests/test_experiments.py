@@ -2,8 +2,8 @@
 
 Statistical assertions here use generous bands (the acceptance suite runs
 the full-scale versions); the focus is determinism, record shapes, the
-summary algebra, and the structural properties: primitive/nonzero coupling,
-the windowed sandwich majority, and trend agreement across norms.
+summary algebra, and the structural properties: primitive/nonzero coupling
+and trend agreement across norms.
 """
 
 import math
@@ -32,15 +32,13 @@ from genlat.experiments import (
     empty_probability_experiment,
     kg_system_experiment,
     norm_independence_check,
-    ratio_sandwich_check,
     rogers_variance_experiment,
     siegel_mean_experiment,
     uniform_approx_experiment,
     wilson_interval,
-    window_constants,
     zero_full_experiment,
 )
-from genlat.haar import CompactWindow, identity_map, sample_in_window, sample_sl
+from genlat.haar import identity_map, sample_sl
 from genlat.volume import Verdict, zeta_fn
 
 
@@ -400,42 +398,6 @@ class TestNormIndependence:
         )
         assert res.trend_a == "shrinking" and res.trend_b == "shrinking"
         assert res.agree
-
-
-class TestWindowedSandwich:
-    def test_window_constants_shape(self):
-        rng = np.random.default_rng(44)
-        window = CompactWindow(4.0, 0.5)
-        norm = block_norm(((2, 2), (1, 2)))
-        batch = [sample_in_window(3, rng, window, norm)[0] for _ in range(5)]
-        consts = window_constants(batch, norm, power_law(1.0, 0.5, 0))
-        assert consts.op_bound <= 4.0 and consts.op_bound >= 1.0
-        assert 0.0 <= consts.shift_bound <= 0.5
-        assert consts.reg_a ** consts.reg_steps >= consts.op_bound
-        assert consts.transfer_c >= 1.0 and consts.plateau_f >= 1.0
-        assert consts.inflation_j == pytest.approx(consts.transfer_c * consts.plateau_f)
-
-    def test_sandwich_majority(self):
-        res = ratio_sandwich_check(
-            SignedPowerForm(2, 1, 2),
-            power_law(1.0, 0.5, 0),
-            block_norm(((2, 2), (1, 2))),
-            PointClass.ALL_NONZERO,
-            DyadicSchedule(1.0, 2.0, 4, 6),
-            samples=20,
-            seed=37,
-        )
-        assert res.pass_fraction >= 0.8
-        assert all(r["count"] >= 0 for r in res.records)
-
-    def test_sandwich_needs_headroom(self):
-        with pytest.raises(ValueError, match="schedule top"):
-            ratio_sandwich_check(
-                SignedPowerForm(1, 1, 2), power_law(1.0, 0.5, 0),
-                block_norm(((1, 2), (1, 2))), PointClass.ALL_NONZERO,
-                DyadicSchedule(1.0, 2.0, 0, 1), samples=3, seed=0,
-                op_norm_bound=8.0, shift_bound=2.0,
-            )
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
-"""Sampler tests: determinant contracts, operator norms, window acceptance,
-basis reduction, and statistical smoke checks of the exact-law tier."""
+"""Sampler tests: determinant contracts, shift sampling, basis reduction,
+and statistical smoke checks of the exact-law tier."""
 
 import math
 
@@ -8,14 +8,11 @@ import pytest
 
 from genlat.core import lp_norm, max_norm, mix_seed
 from genlat.haar import (
-    CompactWindow,
     UnimodularMap,
     identity_map,
     lll_reduce,
-    operator_norm,
     sample_asl,
     sample_grid_exact,
-    sample_in_window,
     sample_lattice_exact,
     sample_sl,
 )
@@ -117,82 +114,6 @@ class TestSampleASL:
             sample_asl(2, rng, shift_bound=-1.0)
         with pytest.raises(ValueError):
             sample_asl(2, rng, shift_bound=1.0, norm=max_norm(3))
-
-
-class TestOperatorNorm:
-    def test_identity(self):
-        est, upper = operator_norm(np.eye(3), max_norm(3))
-        assert est == 1.0 and upper == 1.0
-
-    def test_diagonal_scaling(self):
-        est, upper = operator_norm(np.diag([2.0, 0.5]), max_norm(2))
-        assert abs(est - 2.0) <= 1e-12
-        assert abs(upper - 2.0) <= 1e-12
-
-    def test_sup_norm_is_max_row_sum(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            h = rng.standard_normal((3, 3))
-            est, upper = operator_norm(h, max_norm(3))
-            row_sum = np.abs(h).sum(axis=1).max()
-            assert abs(upper - row_sum) <= 1e-12
-            assert abs(est - row_sum) <= 1e-9 * row_sum  # sign probe achieves it
-
-    def test_euclidean_matches_spectral(self):
-        rng = np.random.default_rng(9)
-        nu = lp_norm(3, 2.0)
-        for _ in range(10):
-            h = rng.standard_normal((3, 3))
-            spectral = np.linalg.svd(h, compute_uv=False)[0]
-            est, upper = operator_norm(h, nu)
-            assert est <= spectral * (1 + 1e-9)
-            assert upper >= spectral * (1 - 1e-12)
-            assert est >= 0.97 * spectral  # ascent gets close
-
-    def test_estimate_never_exceeds_upper(self):
-        rng = np.random.default_rng(10)
-        nu = lp_norm(2, 3.0)
-        for _ in range(20):
-            h = rng.standard_normal((2, 2))
-            est, upper = operator_norm(h, nu)
-            assert est <= upper * (1 + 1e-12)
-
-    def test_rejects_mismatched_norm(self):
-        with pytest.raises(ValueError):
-            operator_norm(np.eye(2), max_norm(3))
-
-
-class TestWindowSampling:
-    def test_loose_window_accepts_quickly(self):
-        rng = np.random.default_rng(0)
-        window = CompactWindow(op_norm_bound=1e6, shift_bound=0.0)
-        total_tries = 0
-        for _ in range(100):
-            g, tries = sample_in_window(2, rng, window)
-            total_tries += tries
-        assert total_tries <= 110  # acceptance ~ 1
-
-    def test_accepted_samples_satisfy_window(self):
-        rng = np.random.default_rng(1)
-        nu = max_norm(3)
-        window = CompactWindow(op_norm_bound=5.0, shift_bound=1.0)
-        for _ in range(20):
-            g, _ = sample_in_window(3, rng, window, norm=nu)
-            assert operator_norm(g.h, nu).upper <= 5.0
-            assert operator_norm(g.inverse_h(), nu).upper <= 5.0
-            assert nu(g.z) <= 1.0
-
-    def test_isometry_window_infeasible(self):
-        rng = np.random.default_rng(2)
-        window = CompactWindow(op_norm_bound=1.0)
-        with pytest.raises(RuntimeError, match="tight"):
-            sample_in_window(2, rng, window, max_tries=200)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            CompactWindow(op_norm_bound=0.5)
-        with pytest.raises(ValueError):
-            CompactWindow(op_norm_bound=2.0, shift_bound=-1.0)
 
 
 class TestSeedMixing:

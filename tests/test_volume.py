@@ -24,7 +24,6 @@ from genlat.volume import (
     Quadrature,
     Verdict,
     adaptive_simpson,
-    b_set_volume,
     classify_series,
     criterion_terms,
     gamma_fn,
@@ -579,32 +578,6 @@ class TestMonteCarlo:
             monte_carlo_region_volume(f, (0.5,), nm, 4.0, 100, inner=5.0)
         with pytest.raises(ValueError):
             monte_carlo_region_volume(f, (0.5,), max_norm(3), 4.0, 100)
-
-
-class TestBoundedSublevelVolume:
-    def test_split_agrees_with_direct_mc(self):
-        f = SignedPowerForm(1, 1, 2)
-        nm = f.canonical_norm()
-        v, err = b_set_volume(f, (0.7,), nm, 12.0, samples=400_000, seed=3)
-        direct = monte_carlo_region_volume(f, (0.7,), nm, 12.0, 2_000_000, seed=11)
-        assert abs(v - direct.value) <= err + 3.0 * direct.stderr
-
-    def test_zero_tolerance(self):
-        f = CoordinateProduct(2)
-        assert b_set_volume(f, (0.0,), f.canonical_norm(), 5.0) == (0.0, 0.0)
-
-    def test_non_canonical_norm_falls_back_to_mc(self):
-        f = SignedPowerForm(1, 1, 2)
-        v, err = b_set_volume(f, (0.7,), max_norm(2), 6.0, samples=300_000, seed=2)
-        direct = monte_carlo_region_volume(f, (0.7,), max_norm(2), 6.0, 1_000_000, seed=8)
-        assert abs(v - direct.value) <= err + 3.0 * direct.stderr
-
-    def test_rejects_bad_tolerances(self):
-        f = SignedPowerForm(1, 1, 2)
-        with pytest.raises(ValueError):
-            b_set_volume(f, (0.5, 0.5), f.canonical_norm(), 5.0)
-        with pytest.raises(ValueError):
-            b_set_volume(f, (-0.5,), f.canonical_norm(), 5.0)
 
 
 # --------------------------------------------------------------------------
