@@ -10,34 +10,37 @@ where the radius argument "." is either v itself (shell_space "v", the
 natural space for approximability statements) or w (shell_space "w", the
 natural space for lattice-point counting against region volumes).
 
-Strategy: enumerate integer prefixes (all coordinates except one solved
-coordinate) over the shell's bounding box; for each prefix the image w is
-affine in the solved coordinate t, so an over-approximate constraint
-|f(w)| <= eps* cuts out a small union of t-intervals, where eps* bounds
-the tolerance over every radius in the shell.
-Every integer candidate in those intervals is then re-filtered against the
-exact predicate.  Double precision plus the interval expansion margin is
+Strategy: enumerate integer prefixes (every coordinate but one solved
+coordinate t) over the shell's bounding box.  For each prefix w is affine in
+t, so |f(w)| <= eps*, with eps* the tolerance's maximum over the shell, cuts
+out a few t-intervals (slots).  Every integer in them is re-filtered against
+the exact predicate.  Double precision plus the interval expansion margin is
 the correctness contract; counts are exact wherever f values at integer
 points are not within 1e-9 of the tolerance boundary.
 
-Interval solving works on whole blocks of prefixes.  Degree-2 signed power
-forms and linear band systems have closed-form solvers (these carry the
-large-T experiments).  Coordinate products and integer-degree forms are
-polynomials in t, piecewise for odd degrees; stacked companion matrices
-give the roots of P -/+ eps* for every row at once, the cells between roots
-whose midpoint passes become slots, and the nearest integer to every root
-is proposed too.  Vector targets keep what lies in every part's slots.  A
-non-integer degree scans the solved coordinate's window, flagged in the
-result.  At a zero tolerance the closed-form solvers also propose the
-nearest integer to the double root or to a zero-radius band's centre,
-which rounding can otherwise leave outside an empty slot.
+Slots come from one solver per part of the target, picked once per query
+and run on whole blocks of prefixes:
+
+- a band system (a max power, or a vector of single bands) is one solver
+  that intersects all its bands into one slot per prefix;
+- a degree-2 signed power form has two closed-form slots per prefix;
+- a coordinate product or an integer-degree form is a polynomial P in t,
+  piecewise for odd degrees: stacked companion matrices give the roots of
+  P -/+ eps* for every row at once, the cells between roots whose midpoint
+  passes become slots, and the nearest integer to every root is one too;
+- a non-integer degree has no slots of its own: its window is scanned, and
+  the result says so.
+
+The candidates are the integers in a slot of every solver.  At a zero
+tolerance the closed-form solvers add a point slot at the nearest integer
+to a double root or to a zero-radius band's centre.
 
 Prefixes come in centered order (small coordinates first), in blocks whose
 row target doubles after every block up to 16384 rows.  An early-exit query
 starts at 256 rows, so a witness near the origin costs one small block and
 an empty search soon runs at full block size; an exhaustive query runs at
 16384 rows throughout.  The first witness is the first hit in prefix order,
-then t, for every engine and both modes, so it does not depend on where
+then t, for every target and both modes, so it does not depend on where
 block edges fall: an early-exit search returns the exhaustive run's first
 witness.
 """
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -56,7 +60,6 @@ from .core import (
     CoordinateProduct,
     Norm,
     PointClass,
-    SignedPowerForm,
     TargetFunction,
     VectorOf,
     band_system,
@@ -108,10 +111,10 @@ class CountQuery:
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    # first hit in prefix order, then t, for every engine and both modes
+    # first hit in prefix order, then t, for every target and both modes
     first_witness: tuple[int, ...] | None
     visited: int  # prefixes examined plus integer candidates tested
-    full_scan: bool = False  # true when every integer of each window was tested
+    full_scan: bool = False  # some part was solved by scanning its window
 
     def __post_init__(self) -> None:
         if (self.count == 0) != (self.first_witness is None):
@@ -199,99 +202,209 @@ def _solved_index(h: np.ndarray) -> int:
 
 
 # --------------------------------------------------------------------------
-# interval machinery (vectorized slots)
-
-# A slot pair (lo, hi) with lo > hi denotes the empty interval.
+# slot solvers
 
 
-def _quadratic_slots(
-    a: float, b: np.ndarray, c: np.ndarray, eps: float
-) -> tuple[np.ndarray, ...]:
-    """Solution of |a t^2 + b t + c| <= eps as up to two interval slots.
+def _buffer(work: dict, key: str, *shape: int, dtype=float) -> np.ndarray:
+    """A view of the array ``key`` in a per-query workspace, grown as needed.
 
-    a is a per-query scalar (the prefix only shifts the linear/constant
-    coefficients); b, c are per-prefix arrays.
+    A 16384-row float64 array is 128 KiB.  When a block frees several of
+    them at once, the C allocator returns the top of the heap to the system
+    and the next block faults it back in page by page, so the per-block
+    arrays live in the workspace and are filled with ``out=`` ufuncs.
     """
-    m = len(b)
-    inf = np.inf
-    if abs(a) < 1e-12:
-        # linear per prefix
-        lo1 = np.full(m, inf)
-        hi1 = np.full(m, -inf)
-        nz = np.abs(b) > 1e-12
-        lo1[nz] = (-eps - c[nz]) / b[nz]
-        hi1[nz] = (eps - c[nz]) / b[nz]
-        flip = nz & (lo1 > hi1)
-        lo1[flip], hi1[flip] = hi1[flip].copy(), lo1[flip].copy()
-        const_ok = ~nz & (np.abs(c) <= eps)
-        lo1[const_ok], hi1[const_ok] = -inf, inf
-        lo2 = np.full(m, inf)
-        hi2 = np.full(m, -inf)
-        return lo1, hi1, lo2, hi2
-    if a < 0:
-        a, b, c = -a, -b, -c
-    # outer set {quad <= eps}: between the roots; the closed comparison keeps
-    # tangency points so eps = 0 solution sets survive
-    disc_out = b * b - 4.0 * a * (c - eps)
-    has_out = disc_out >= 0.0
-    root = np.sqrt(np.maximum(disc_out, 0.0))
-    out_lo = np.where(has_out, (-b - root) / (2.0 * a), np.inf)
-    out_hi = np.where(has_out, (-b + root) / (2.0 * a), -np.inf)
-    # inner hole {quad < -eps}: strictly between its roots
-    disc_in = b * b - 4.0 * a * (c + eps)
-    has_in = disc_in > 0.0
-    root_in = np.sqrt(np.maximum(disc_in, 0.0))
-    in_lo = np.where(has_in, (-b - root_in) / (2.0 * a), np.inf)
-    in_hi = np.where(has_in, (-b + root_in) / (2.0 * a), -np.inf)
-    # [out_lo, out_hi] minus (in_lo, in_hi)
-    lo1 = out_lo
-    hi1 = np.where(has_in, np.minimum(out_hi, in_lo), out_hi)
-    lo2 = np.where(has_in, np.maximum(out_lo, in_hi), np.inf)
-    hi2 = np.where(has_in, out_hi, -np.inf)
-    return lo1, hi1, lo2, hi2
+    size = math.prod(shape)
+    arr = work.get(key)
+    if arr is None or len(arr) < size:
+        arr = work[key] = np.empty(size, dtype)
+    return arr[:size].reshape(shape)
 
 
-def _band_slots(
-    alphas: np.ndarray, betas: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection over bands |alpha_i + beta_i t| <= r_i, as one slot.
+def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> tuple[list, bool]:
+    """The target's slot solvers, and whether some part is solved by
+    scanning its window.  The only place that tells target families apart:
+    a band system is one solver over all its bands; every other target has
+    one solver per part.
 
-    alphas: (m, k) per-prefix affine constants; betas: (k,); radii: (k,).
+    A solver maps a prefix block (alphas, beta) and the solved coordinate's
+    windows [wlo, whi] to slots (rows, lo, hi): intervals of t, each tied to
+    a row of the block and clipped to its window, whose integers hold every
+    solution of its part.  A slot is empty unless lo <= hi.
     """
-    m = alphas.shape[0]
-    lo = np.full(m, -np.inf)
-    hi = np.full(m, np.inf)
-    for i in range(alphas.shape[1]):
-        a_col = alphas[:, i]
-        b_i = betas[i]
-        r_i = radii[i]
-        if abs(b_i) > 1e-12:
-            x = (-r_i - a_col) / b_i
-            y = (r_i - a_col) / b_i
-            np.maximum(lo, np.minimum(x, y), out=lo)
-            np.minimum(hi, np.maximum(x, y), out=hi)
+    bands = band_system(q.f)
+    if bands is not None:
+        return [partial(_band_solver, bands, eps_vec, {})], False
+    parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
+    solvers = []
+    for part, eps in zip(parts, eps_vec):
+        if (bands := band_system(part)) is not None:
+            solvers.append(partial(_band_solver, bands, [eps], {}))
+        elif isinstance(part, CoordinateProduct):
+            solvers.append(partial(_poly_solver, _product_pieces, eps))
+        elif part.d == 2:
+            solvers.append(partial(_quadratic_solver, part, eps, {}))
+        elif part.d == int(part.d):
+            solvers.append(partial(_poly_solver, partial(_power_pieces, part), eps))
         else:
-            dead = np.abs(a_col) > r_i
+            solvers.append(_window_solver)
+    return solvers, _window_solver in solvers
+
+
+def _window_solver(alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+    """The whole window: a non-integer degree has no closed-form slots."""
+    return np.arange(len(wlo)), wlo, whi
+
+
+def _band_solver(bands, eps_vec, work, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+    """One slot per row for the bands |alpha_c + beta_c t|^a <= eps_k of a
+    band system's (c, a, k) triples."""
+    coords = [c for c, _, _ in bands]
+    radii = np.asarray([float(eps_vec[k]) ** (1.0 / a) for _, a, k in bands])
+    lo, hi = _band_slots(alphas, beta, coords, radii, work)
+    np.maximum(lo, wlo, out=lo)
+    np.minimum(hi, whi, out=hi)
+    return np.arange(len(lo)), lo, hi
+
+
+def _band_slots(alphas, beta, coords, radii, work: dict) -> tuple[np.ndarray, ...]:
+    """Intersection over bands |alpha_c + beta_c t| <= r of the columns c in
+    coords with radii r, as one slot per row in workspace arrays."""
+    m = len(alphas)
+    lo, hi, x, y = (_buffer(work, key, m) for key in ("lo", "hi", "x", "y"))
+    lo.fill(-np.inf)
+    hi.fill(np.inf)
+    for c, r in zip(coords, radii):
+        if abs(beta[c]) > 1e-12:
+            np.divide(np.subtract(-r, alphas[:, c], out=x), beta[c], out=x)
+            np.divide(np.subtract(r, alphas[:, c], out=y), beta[c], out=y)
+            # x <= y exactly when beta_c > 0
+            np.maximum(lo, x if beta[c] > 0 else y, out=lo)
+            np.minimum(hi, y if beta[c] > 0 else x, out=hi)
+        else:
+            dead = np.abs(alphas[:, c]) > r
             lo[dead] = np.inf
             hi[dead] = -np.inf
+    betas = beta[coords]
     pinned = (radii == 0.0) & (np.abs(betas) > 1e-12)
     if pinned.any():
         # a zero radius pins t to the band's centre, and rounding can leave
         # two such centres apart; any integer solution is the nearest integer
         # to the steepest pinned band's centre, and the exact refilter decides
         steep = int(np.argmax(np.where(pinned, np.abs(betas), 0.0)))
-        centre = np.rint(-alphas[:, steep] / betas[steep])
+        centre = np.rint(-alphas[:, coords[steep]] / betas[steep])
         live = lo < np.inf  # lo is +inf only where a flat band ruled the row out
         lo = np.where(live, centre, np.inf)
         hi = np.where(live, centre, -np.inf)
     return lo, hi
 
 
-# --------------------------------------------------------------------------
-# batched polynomial slots (coordinate products, integer-degree forms)
+def _quadratic_solver(part, eps: float, work, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+    """Slots of |Q(t)| <= eps, Q(t) = a t^2 + b t + c the degree-2 form at
+    alpha + beta t: two per row in closed form, [out_lo, out_hi] minus the
+    hole (in_lo, in_hi).  At a zero tolerance rounding can push a double
+    root's discriminant below 0, or split the root off its integer, so the
+    nearest integer to -b/2a is a third, point slot, and the exact refilter
+    decides."""
+    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
+    a = float(signs @ (beta * beta))
+    if abs(a) < 1e-12:
+        # Q is linear in t along this column: no closed form to take
+        return _poly_solver(partial(_power_pieces, part), eps, alphas, beta, wlo, whi)
+    if a < 0:
+        a, signs = -a, -signs  # |Q| = |-Q|
+    m = len(alphas)
+    prod = np.multiply(alphas, beta, out=_buffer(work, "prod", *alphas.shape))
+    prod *= 2.0
+    b = np.matmul(prod, signs, out=_buffer(work, "b", m))
+    c = np.matmul(np.multiply(alphas, alphas, out=prod), signs, out=_buffer(work, "c", m))
+    k = 3 if eps == 0.0 else 2
+    lo, hi = _buffer(work, "lo", k, m), _buffer(work, "hi", k, m)
+    in_lo, in_hi = _buffer(work, "in_lo", m), _buffer(work, "in_hi", m)
+    with np.errstate(invalid="ignore"):
+        # outer set {Q <= eps}: between the roots; the closed comparison keeps
+        # tangency points so eps = 0 solution sets survive
+        _quadratic_roots(a, b, c, eps, lo[0], hi[0], work)
+        # inner hole {Q < -eps}: strictly between its roots
+        _quadratic_roots(a, b, c, -eps, in_lo, in_hi, work)
+    # the hole splits the outer slot in two; where there is no hole its nan
+    # roots leave slot 0 whole (fmin) and slot 1 empty (maximum)
+    np.maximum(lo[0], in_hi, out=lo[1])
+    hi[1] = hi[0]
+    np.fmin(hi[0], in_lo, out=hi[0])
+    if k == 3:
+        np.rint(np.divide(b, -2.0 * a, out=lo[2]), out=lo[2])
+        hi[2] = lo[2]
+    np.maximum(lo, wlo, out=lo)
+    np.minimum(hi, whi, out=hi)
+    rows = _buffer(work, "rows", k, m, dtype=np.int64)
+    rows[:] = np.arange(m)
+    return rows.ravel(), lo.ravel(), hi.ravel()
 
-# prefix rows solved together inside one block; bounds the root-isolation arrays
+
+def _quadratic_roots(a: float, b, c, shift: float, r_lo, r_hi, work) -> None:
+    """Roots r_lo <= r_hi of a t^2 + b t + c - shift, a > 0; nan where the
+    discriminant is negative."""
+    root = _buffer(work, "root", len(b))
+    np.multiply(4.0 * a, np.subtract(c, shift, out=root), out=root)
+    np.sqrt(np.subtract(np.multiply(b, b, out=r_lo), root, out=root), out=root)
+    np.divide(np.subtract(np.negative(b, out=r_lo), root, out=r_lo), 2.0 * a, out=r_lo)
+    np.divide(np.add(np.negative(b, out=r_hi), root, out=r_hi), 2.0 * a, out=r_hi)
+
+
+# prefix rows whose polynomials are solved together; bounds the
+# root-isolation arrays, which grow with the degree
 _ROW_CHUNK = 4096
+
+
+def _poly_solver(pieces, eps: float, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+    """Slots of |P(t)| <= eps for the row polynomials P that ``pieces``
+    writes on each nonempty window, ``_ROW_CHUNK`` rows at a time."""
+    live = np.nonzero(wlo <= whi)[0]
+    out = [(live[:0], wlo[:0], whi[:0])]
+    for s in range(0, len(live), _ROW_CHUNK):
+        sub = live[s : s + _ROW_CHUNK]
+        rows, lo, hi = _poly_slots(*pieces(alphas[sub], beta, wlo[sub], whi[sub]), eps)
+        out.append((sub[rows], lo, hi))
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _product_pieces(alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+    """Pieces (rows, coefficients, lo, hi) of x_1 ... x_n at x = alpha + beta t:
+    one polynomial in t per row, highest power first."""
+    m, n = alphas.shape
+    coeffs = np.ones((m, 1))
+    for j in range(n):
+        nxt = np.zeros((m, j + 2))
+        nxt[:, :-1] = coeffs * beta[j]
+        nxt[:, 1:] += coeffs * alphas[:, j, None]
+        coeffs = nxt
+    return np.arange(m), coeffs, wlo, whi
+
+
+def _power_pieces(part, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+    """Pieces (rows, coefficients, lo, hi) of the windows on which an
+    integer-degree signed power form at alpha + beta t is one polynomial in
+    t, highest power first."""
+    m = len(alphas)
+    d = int(part.d)
+    k = np.arange(d + 1)
+    binom = np.asarray([math.comb(d, i) for i in k], dtype=float)
+    # (alpha_j + beta_j t)^d has t^(d-i) coefficient C(d, i) beta_j^(d-i) alpha_j^i
+    powers = binom * beta[None, :, None] ** (d - k) * alphas[:, :, None] ** k
+    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
+    if d % 2 == 0:
+        return np.arange(m), np.einsum("j,mjk->mk", signs, powers), wlo, whi
+    # odd degree: |u|^d = sign(u) u^d, so the polynomial changes only where
+    # some u_j = alpha_j + beta_j t changes sign; split the window there
+    moving = np.abs(beta) > 1e-12
+    breaks = np.where(moving, -alphas / np.where(moving, beta, 1.0), np.inf)
+    inside = (breaks > wlo[:, None]) & (breaks < whi[:, None])
+    cuts = np.concatenate([wlo[:, None], whi[:, None], np.where(inside, breaks, np.inf)], axis=1)
+    cuts.sort(axis=1)
+    rows, piece = np.nonzero(np.isfinite(cuts[:, 1:]))
+    lo, hi = cuts[rows, piece], cuts[rows, piece + 1]
+    u_sign = np.where(alphas[rows] + beta * (0.5 * (lo + hi))[:, None] >= 0, 1.0, -1.0)
+    return rows, np.einsum("pj,pjk->pk", signs * u_sign, powers[rows]), lo, hi
 
 
 def _batched_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -317,39 +430,6 @@ def _batched_roots(coeffs: np.ndarray) -> np.ndarray:
         comp[:, 0, :] = -c[:, 1:] / c[:, :1]
         out[rows, :k] = np.linalg.eigvals(comp)
     return out
-
-
-def _poly_pieces(part, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
-    """Pieces (rows, coefficients, lo, hi) of the windows on which
-    part(alpha + beta t) is one polynomial in t, highest power first."""
-    m, n = alphas.shape
-    if isinstance(part, CoordinateProduct):
-        coeffs = np.ones((m, 1))
-        for j in range(n):
-            nxt = np.zeros((m, j + 2))
-            nxt[:, :-1] = coeffs * beta[j]
-            nxt[:, 1:] += coeffs * alphas[:, j, None]
-            coeffs = nxt
-        return np.arange(m), coeffs, wlo, whi
-    d = int(part.d)
-    k = np.arange(d + 1)
-    binom = np.asarray([math.comb(d, i) for i in k], dtype=float)
-    # (alpha_j + beta_j t)^d has t^(d-i) coefficient C(d, i) beta_j^(d-i) alpha_j^i
-    powers = binom * beta[None, :, None] ** (d - k) * alphas[:, :, None] ** k
-    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
-    if d % 2 == 0:
-        return np.arange(m), np.einsum("j,mjk->mk", signs, powers), wlo, whi
-    # odd degree: |u|^d = sign(u) u^d, so the polynomial changes only where
-    # some u_j = alpha_j + beta_j t changes sign; split the window there
-    moving = np.abs(beta) > 1e-12
-    breaks = np.where(moving, -alphas / np.where(moving, beta, 1.0), np.inf)
-    inside = (breaks > wlo[:, None]) & (breaks < whi[:, None])
-    cuts = np.concatenate([wlo[:, None], whi[:, None], np.where(inside, breaks, np.inf)], axis=1)
-    cuts.sort(axis=1)
-    rows, piece = np.nonzero(np.isfinite(cuts[:, 1:]))
-    lo, hi = cuts[rows, piece], cuts[rows, piece + 1]
-    u_sign = np.where(alphas[rows] + beta * (0.5 * (lo + hi))[:, None] >= 0, 1.0, -1.0)
-    return rows, np.einsum("pj,pjk->pk", signs * u_sign, powers[rows]), lo, hi
 
 
 def _poly_slots(rows, coeffs, lo, hi, eps: float) -> tuple[np.ndarray, ...]:
@@ -386,118 +466,75 @@ def _poly_slots(rows, coeffs, lo, hi, eps: float) -> tuple[np.ndarray, ...]:
     )
 
 
-def _part_slots(part, alphas, beta, eps: float, wlo, whi) -> tuple[np.ndarray, ...]:
-    """Slots (rows, lo, hi) of |part(alpha + beta t)| <= eps in the windows."""
-    bands = band_system(part)
-    if bands is None:
-        return _poly_slots(*_poly_pieces(part, alphas, beta, wlo, whi), eps)
-    lo, hi = _system_slot(bands, alphas, beta, [eps])
-    return np.arange(len(alphas)), np.maximum(lo, wlo), np.minimum(hi, whi)
-
-
-def _system_slot(bands, alphas, beta, eps_vec) -> tuple[np.ndarray, np.ndarray]:
-    """One slot per row for the bands |alpha_c + beta_c t|^a <= eps_k of a
-    band system's (c, a, k) triples."""
-    coords = [c for c, _, _ in bands]
-    radii = np.asarray([float(eps_vec[k]) ** (1.0 / a) for _, a, k in bands])
-    return _band_slots(alphas[:, coords], beta[coords], radii)
-
-
-def _slot_candidates(parts, alphas, beta, eps_vec, wlo, whi) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct candidates (rows, ts) of one prefix block, sorted by row,
-    then t, for targets whose parts are solved slot by slot.
-
-    The part with the fewest integers in its slots is expanded; a candidate
-    stays when it lies in an expanded slot of every other part.
-    """
-    live = np.nonzero(wlo <= whi)[0]
-    if len(live) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # one integer key per (row, t), increasing in row, then t
-    tmin = math.floor(wlo[live].min()) - 1
-    span = math.ceil(whi[live].max()) + 2 - tmin
-    rows_out, ts_out = [], []
-    for s in range(0, len(live), _ROW_CHUNK):
-        sub = live[s : s + _ROW_CHUNK]
-        ranges = []
-        for part, eps in zip(parts, eps_vec):
-            rows, lo, hi = _part_slots(part, alphas[sub], beta, float(eps), wlo[sub], whi[sub])
-            start, stop = _integer_range(lo, hi)
-            ok = start <= stop
-            base = rows[ok] * span - tmin
-            ranges.append((base + start[ok].astype(np.int64), base + stop[ok].astype(np.int64)))
-        ranges.sort(key=lambda r: int((r[1] - r[0] + 1).sum()))
-        key_lo, key_hi = ranges[0]
-        counts = key_hi - key_lo + 1
-        keys = np.repeat(key_lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        for key_lo, key_hi in ranges[1:]:
-            order = np.argsort(key_lo)
-            # slots never reach into the next row's keys, so the running
-            # maximum of the slot ends only covers keys of the slot's own row
-            ends = np.maximum.accumulate(key_hi[order])
-            at = np.searchsorted(key_lo[order], keys, side="right") - 1
-            keys = keys[(at >= 0) & (keys <= ends[np.maximum(at, 0)])]
-        keys = np.unique(keys)
-        rows_out.append(sub[keys // span])
-        ts_out.append(keys % span + tmin)
-    return np.concatenate(rows_out), np.concatenate(ts_out)
-
-
 # --------------------------------------------------------------------------
-# candidate expansion and the main loop
+# candidates and the main loop
 
 
-def _integer_range(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last integer of per-row intervals, as floats; stop < start
-    when an interval holds none.
+def _candidates(slots, work: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct candidates (rows, ts) of one prefix block, in prefix order,
+    then t: the integers that lie in some slot of every solver.
+
+    The solver whose slots hold the fewest integers is expanded; a
+    candidate stays when it lies in a slot of every other solver.
+    """
+    ranges = []
+    for rows, lo, hi in slots:
+        start, stop = _integer_range(lo, hi, work)
+        ok = np.nonzero((lo <= hi) & (start <= stop))[0]
+        ranges.append((rows[ok], start[ok].astype(np.int64), stop[ok].astype(np.int64)))
+    ranges.sort(key=lambda r: int((r[2] - r[1] + 1).sum()))
+    rows, start, stop = ranges[0]
+    if len(rows) == 0:
+        return rows, start
+    # one integer key per (row, t), increasing in row, then t; slots are
+    # clipped to their windows, so a slot never reaches the next row's keys
+    tmin = min(int(r[1].min(initial=0)) for r in ranges)
+    span = max(int(r[2].max(initial=0)) for r in ranges) + 1 - tmin
+    counts = stop - start + 1
+    key_lo = rows * span - tmin + start
+    keys = np.repeat(key_lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    for rows, start, stop in ranges[1:]:
+        key_lo = rows * span - tmin + start
+        order = np.argsort(key_lo)
+        # the running maximum of the slot ends covers only keys of the
+        # slot's own row, since slots never reach into the next row's keys
+        ends = np.maximum.accumulate(key_lo[order] + (stop - start)[order])
+        at = np.searchsorted(key_lo[order], keys, side="right") - 1
+        keys = keys[(at >= 0) & (keys <= ends[np.maximum(at, 0)])]
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # keys are >= 0
+    return keys // span, keys % span + tmin
+
+
+def _integer_range(los: np.ndarray, his: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
+    """First and last integer of per-row intervals with lo <= hi, as floats
+    in workspace arrays; stop < start when an interval holds none.  Other
+    rows get meaningless values.
 
     Endpoints are expanded by 1e-9 * (1 + |endpoint|) before rounding so
     root-finding error cannot drop a boundary candidate; the exact refilter
     discards any extras.
     """
-    empty = ~(los <= his)  # also catches the (+inf, -inf) empty sentinel
-    los = np.where(empty, 1.0, los)
-    his = np.where(empty, 0.0, his)
-    start = np.ceil(los - _EXPAND * (1.0 + np.abs(los)))
-    stop = np.floor(his + _EXPAND * (1.0 + np.abs(his)))
+    start, stop, pad = (_buffer(work, key, len(los)) for key in ("start", "stop", "pad"))
+    with np.errstate(invalid="ignore"):  # infinite ends of empty intervals
+        np.multiply(_EXPAND, np.add(1.0, np.abs(los, out=pad), out=pad), out=pad)
+        np.ceil(np.subtract(los, pad, out=start), out=start)
+        np.multiply(_EXPAND, np.add(1.0, np.abs(his, out=pad), out=pad), out=pad)
+        np.floor(np.add(his, pad, out=stop), out=stop)
     return start, stop
 
 
-def _expand_candidates(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer points of per-row intervals, as (row_index, t) flat arrays."""
-    start, stop = _integer_range(los, his)
-    counts = np.maximum(stop - start + 1.0, 0.0)
-    ok = counts > 0
-    counts = counts[ok].astype(np.int64)
-    if len(counts) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.nonzero(ok)[0], counts)
-    offsets = np.arange(counts.sum()) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    ts = np.repeat(start[ok].astype(np.int64), counts) + offsets
-    return rows, ts
-
-
-def _assemble(
-    prefix_rows: np.ndarray, ts: np.ndarray, prefix_cols: list[int], sol: int, n: int
-) -> np.ndarray:
-    vs = np.empty((len(ts), n), dtype=np.int64)
-    vs[:, prefix_cols] = prefix_rows
-    vs[:, sol] = ts
-    return vs
-
-
-def _window_arrays(
-    q: CountQuery, alphas: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _window_arrays(q: CountQuery, alphas, beta, work: dict) -> tuple[np.ndarray, ...]:
     """Per-prefix bounds on the solved coordinate from the shell's box."""
-    m = alphas.shape[0]
+    n = q.f.n
     if q.shell_space == "v":
         lim = math.floor(q.t)
-        return np.full(m, -lim, dtype=float), np.full(m, lim, dtype=float)
+        lo, hi = _buffer(work, "lo", len(alphas)), _buffer(work, "hi", len(alphas))
+        lo.fill(-lim)
+        hi.fill(lim)
+        return lo, hi
     # w-cube: every |alpha_j + beta_j t| <= T
-    return _band_slots(alphas, beta, np.full(q.f.n, q.t))
+    return _band_slots(alphas, beta, range(n), np.full(n, q.t), work)
 
 
 def _reduce_for_w(q: CountQuery) -> tuple[CountQuery, np.ndarray | None]:
@@ -559,76 +596,36 @@ def _count_core(q: CountQuery) -> CountResult:
     sol = _solved_index(h)
     prefix_cols = [i for i in range(n) if i != sol]
     box = _prefix_box(q)
-    eps_vec = _coarse_tolerance(q)
     beta = h[:, sol]
 
-    parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
-    bands = band_system(q.f)
-    if isinstance(q.f, SignedPowerForm) and q.f.d == 2:
-        engine = "quadratic"
-    elif bands is not None:
-        engine = "bands"
-    elif any(isinstance(p, SignedPowerForm) and p.d != int(p.d) for p in parts):
-        engine = "scan"
-    else:
-        engine = "slots"
+    solvers, full_scan = _slot_solvers(q, _coarse_tolerance(q))
+    work: dict = {}
 
     count = 0
     witness: tuple[int, ...] | None = None
     visited = 0
-    full_scan = engine == "scan"
 
     first_block = 256 if q.stop_after_first else _MAX_BLOCK
     for prefix_block in _prefix_blocks(box, prefix_cols, first_block):
         visited += len(prefix_block)
-        alphas = prefix_block.astype(float) @ h[:, prefix_cols].T + q.g.z
-        wlo, whi = _window_arrays(q, alphas, beta)
-
-        if engine == "quadratic":
-            signs = np.concatenate([np.ones(q.f.p), -np.ones(q.f.q)])
-            a_coef = float(signs @ (beta * beta))
-            b_coef = 2.0 * (alphas * beta) @ signs
-            c_coef = (alphas * alphas) @ signs
-            eps = float(eps_vec[0])
-            lo1, hi1, lo2, hi2 = _quadratic_slots(a_coef, b_coef, c_coef, eps)
-            slot_rows, slot_ts = [], []
-            for lo, hi in ((lo1, hi1), (lo2, hi2)):
-                r, t = _expand_candidates(np.maximum(lo, wlo), np.minimum(hi, whi))
-                slot_rows.append(r)
-                slot_ts.append(t)
-            double_root = eps == 0.0 and abs(a_coef) >= 1e-12
-            if double_root:
-                # rounding can push a double root's discriminant below 0, or
-                # split the root off its integer: propose the nearest integer
-                # to -b/2a too, and let the refilter decide
-                slot_rows.append(np.arange(len(b_coef)))
-                slot_ts.append(np.rint(-b_coef / (2.0 * a_coef)).astype(np.int64))
-            rows = np.concatenate(slot_rows)
-            ts = np.concatenate(slot_ts)
-            if double_root:
-                # the point may repeat a slot's integer
-                pairs = np.unique(np.stack([rows, ts], axis=1), axis=0)
-                rows, ts = pairs[:, 0], pairs[:, 1]
-        elif engine == "bands":
-            lo, hi = _system_slot(bands, alphas, beta, eps_vec)
-            rows, ts = _expand_candidates(np.maximum(lo, wlo), np.minimum(hi, whi))
-        elif engine == "scan":
-            rows, ts = _expand_candidates(wlo, whi)
-        else:
-            rows, ts = _slot_candidates(parts, alphas, beta, eps_vec, wlo, whi)
-
+        block = _buffer(work, "block", *prefix_block.shape)
+        np.copyto(block, prefix_block)
+        alphas = np.matmul(block, h[:, prefix_cols].T, out=_buffer(work, "alphas", len(block), n))
+        alphas += q.g.z
+        wlo, whi = _window_arrays(q, alphas, beta, work)
+        slots = [solve(alphas, beta, wlo, whi) for solve in solvers]
+        rows, ts = _candidates(slots, work)
         if len(ts) == 0:
             continue
         visited += len(ts)
-        vs = _assemble(prefix_block[rows], ts, prefix_cols, sol, n)
+        vs = np.empty((len(ts), n), dtype=np.int64)
+        vs[:, prefix_cols] = prefix_block[rows]
+        vs[:, sol] = ts
         mask = _exact_mask(q, vs)
         hits = int(mask.sum())
         if hits and witness is None:
-            # first hit in prefix order, then t, whatever order the engine
-            # emitted its candidates in
-            idx = mask.nonzero()[0]
-            first = idx[np.lexsort((ts[idx], rows[idx]))[0]]
-            witness = tuple(int(x) for x in vs[first])
+            # candidates come in prefix order, then t
+            witness = tuple(int(x) for x in vs[mask.argmax()])
         count += hits
         if q.stop_after_first and count > 0:
             # truncated search: the count reports the witness, not the total

@@ -73,10 +73,6 @@ class UnimodularMap:
     def n(self) -> int:
         return self.h.shape[0]
 
-    @property
-    def is_affine(self) -> bool:
-        return bool(np.any(self.z != 0.0))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """h p + z for a single point (n,) or rows of an (m, n) array."""
         pts = np.asarray(points, dtype=float)

@@ -1,8 +1,10 @@
 """Unit and property tests for the domain types, and the public-surface rule."""
 
+import ast
 import importlib
 import math
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from genlat.core import (
     Norm,
     PointClass,
     SignedPowerForm,
+    TargetFunction,
     VectorOf,
     block_norm,
     bound_values,
@@ -516,3 +519,20 @@ def test_public_names_have_callers_outside_tests(module):
         if not any(word.search(own.sub("", t)) for t in texts):
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_counting_tells_target_classes_apart_in_one_function():
+    """Counting keeps its family dispatch in one solver table: a new engine
+    must become a table entry, not another isinstance branch."""
+    classes = {c.__name__ for c in typing.get_args(TargetFunction)}
+    tree = ast.parse((_ROOT / "src" / "genlat" / "counting.py").read_text())
+    owners = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(x, "id", getattr(x, "attr", None)) for x in ast.walk(node.args[1])}
+                if named & classes:
+                    owners.add(fn.name)
+    assert owners == {"_slot_solvers"}

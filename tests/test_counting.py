@@ -31,6 +31,7 @@ from genlat.counting import (
     NormBall,
     _MAX_BLOCK,
     _batched_roots,
+    _candidates,
     _centered,
     _exact_mask,
     _prefix_blocks,
@@ -262,6 +263,25 @@ class TestFallback:
         assert res.full_scan
         assert res.count == brute_force_count(q).count
 
+    def test_fractional_part_of_a_vector_flags_full_scan(self):
+        """The d = 2.5 part is scanned over its window and intersected with
+        the band part's slot."""
+        rng = np.random.default_rng(5158)
+        for i in range(4):
+            n = 2 + i % 2
+            q = CountQuery(
+                g=sample_sl(n, rng),
+                f=VectorOf((SignedPowerForm(1, n - 1, 2.5), MaxPower((1.0,), n, (0,)))),
+                bound=(2.0, 1.5),
+                norm=max_norm(n),
+                point_class=PointClass.ALL_NONZERO,
+                t0=0.0,
+                t=12.0 if n == 2 else 6.0,
+            )
+            res = count_solutions(q)
+            assert res.full_scan
+            assert res.count == brute_force_count(q).count
+
     def test_integer_degree_does_not_flag(self):
         assert not count_solutions(_query()).full_scan
 
@@ -468,6 +488,10 @@ def _family(name, n):
         "spf3": SignedPowerForm(1, n - 1, 3),
         "spf4": SignedPowerForm(1, n - 1, 4),
         "spf3+prod": VectorOf((SignedPowerForm(1, n - 1, 3), CoordinateProduct(n))),
+        "spf2+prod": VectorOf((SignedPowerForm(1, n - 1, 2), CoordinateProduct(n))),
+        "spf2+maxpow": VectorOf(
+            (SignedPowerForm(1, n - 1, 2), MaxPower((2.0,) * (n - 1), n))
+        ),
         "spf4+maxpow": VectorOf(
             (SignedPowerForm(1, n - 1, 4), MaxPower((2.0,) * (n - 1), n))
         ),
@@ -505,6 +529,17 @@ class TestSlotSolver:
             assert len(got) == len(want)
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 
+    def test_candidates_are_distinct_and_ordered(self):
+        """Overlapping slots of one solver give each integer once, in prefix
+        order, then t; slots of two solvers that share no integer give
+        none."""
+        one = (np.array([1, 0, 0]), np.array([2.0, 1.0, -0.5]), np.array([3.0, 2.0, 1.0]))
+        rows, ts = _candidates([one], {})
+        assert rows.tolist() == [0, 0, 0, 1, 1] and ts.tolist() == [0, 1, 2, 2, 3]
+        other = (np.array([0, 1]), np.array([5.0, 0.0]), np.array([6.0, 1.5]))
+        rows, ts = _candidates([one, other], {})
+        assert len(rows) == len(ts) == 0
+
     @pytest.mark.parametrize("family", ["prod", "spf3", "spf4"])
     def test_zero_tolerance_multiple_root(self, family, counting_tools):
         """With z = c h e_sol, v = -c e_sol maps to w = 0: a root of
@@ -534,8 +569,9 @@ class TestSlotSolver:
             (SignedPowerForm(1, 1, 2), (0.0,)),
             (MaxPower((2.0, 2.0), 3), (0.0,)),
             (VectorOf(tuple(MaxPower((1.0,), 3, (c,)) for c in range(3))), (0.0, 0.0, 1.5)),
+            (VectorOf((SignedPowerForm(2, 1, 2), MaxPower((1.0,), 3, (2,)))), (0.0, 1.5)),
         ],
-        ids=["spf2-n3", "spf2-n2", "maxpow-squares", "bands-two-pinned"],
+        ids=["spf2-n3", "spf2-n2", "maxpow-squares", "bands-two-pinned", "spf2+band"],
     )
     def test_zero_tolerance_double_root_closed_form(self, f, bound, counting_tools):
         """The same construction for the closed-form engines: the degree-2
@@ -562,7 +598,7 @@ class TestSlotSolver:
             early = count_solutions(replace(q, stop_after_first=True))
             assert early.first_witness == full.first_witness
 
-    @pytest.mark.parametrize("family", ["spf3+prod", "spf4+maxpow"])
+    @pytest.mark.parametrize("family", ["spf3+prod", "spf4+maxpow", "spf2+prod", "spf2+maxpow"])
     def test_vector_of_polynomial_parts(self, family, counting_tools):
         rng = np.random.default_rng(5151)
         for i in range(8):

@@ -22,7 +22,7 @@ from genlat.haar import _primitive_gaussian_mass
 class TestUnimodularMap:
     def test_identity(self):
         g = identity_map(3)
-        assert g.n == 3 and not g.is_affine
+        assert g.n == 3 and not np.any(g.z != 0.0)
         assert np.array_equal(g.apply(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_apply_matches_columns(self):
@@ -65,7 +65,7 @@ class TestSampleSL:
         for _ in range(1000):
             g = sample_sl(n, rng)
             assert abs(np.linalg.det(g.h) - 1.0) <= 1e-9
-            assert not g.is_affine
+            assert not np.any(g.z != 0.0)
 
     def test_distinct_seeds_distinct_draws(self):
         a = sample_sl(2, np.random.default_rng(1))
