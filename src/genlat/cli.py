@@ -24,6 +24,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -303,6 +305,10 @@ def _emit(
         "startedAt": started,
         "finishedAt": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
+        # reruns are byte identical for a fixed numpy version; the platform comes
+        # from uname, as platform.platform() costs ~10 ms scanning the interpreter
+        "environment": {"python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count(),
+                        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}"},
     }
     if extras:
         manifest["result"] = extras
@@ -336,8 +342,8 @@ def _volume_list(text: str, key: str) -> list[float]:
         values = [float(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(key, f"{key}: expected comma separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError(key, f"{key}: empty list")
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(key, f"{key}: expected finite numbers, got {text!r}")
     return values
 
 
@@ -457,7 +463,7 @@ def _cmd_classify(cfg: ExperimentConfig, args) -> tuple:
 def _cmd_siegel(cfg: ExperimentConfig, args) -> tuple:
     res = siegel_mean_experiment(
         cfg.n,
-        float(_require(args.volume, "volume")),
+        _volume_list(str(_require(args.volume, "volume")), "volume")[0],
         cfg.sample_count,
         cfg.master_seed,
         ensemble=args.ensemble,

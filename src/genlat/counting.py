@@ -756,35 +756,37 @@ class IntegerBox:
         return np.all((ws >= lo) & (ws <= hi), axis=1)
 
 
-def lattice_points_in_region(
-    g: UnimodularMap, region: NormBall | IntegerBox, reduce_basis: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """All integer v with w = g(v) in the region, as arrays (V, W).
+# rows of one enumeration chunk; a map with a larger box runs alone
+_REGION_ROWS = 4096
 
-    Enumeration runs in a reduced basis to keep the scan box small for
-    skewed maps; the returned v are in the original integer coordinates
-    (the reduction is inverted through its unimodular change of basis).
-    Includes v = 0 when its image lies in the region; callers filter
-    point classes.
+
+def lattice_points_in_region(
+    bases: np.ndarray, shifts: np.ndarray, region: NormBall | IntegerBox
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sample_index, V, W) of every integer v with w = h v + z in the region,
+    for S maps h = bases[s] and z = shifts[s]; rows are grouped by map.
+
+    The box |h^-1| (r + |z|) covers the region in any basis; a reduced basis
+    only keeps it small.  Includes v = 0; callers filter point classes.
     """
-    reduced = _certified_reduction(g.h) if reduce_basis else None
-    if reduced is None:
-        # no reduction asked for, or it failed to certify: the raw basis
-        reduced = g.h, np.eye(g.n, dtype=np.int64)
-    basis, change = reduced
-    half = region.cube_halfwidth()
-    hinv = np.linalg.inv(basis)
-    reach = np.abs(hinv) @ (half + np.abs(g.z))
-    box = np.floor(reach + _EXPAND).astype(np.int64)
-    total = 1
-    for b in box:
-        total *= 2 * int(b) + 1
-        if total > 10**8:
-            raise ValueError("region enumeration box too large")
-    axes = [np.arange(-int(b), int(b) + 1, dtype=np.int64) for b in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coeffs = np.stack([gx.ravel() for gx in grids], axis=1)
-    ws = coeffs.astype(float) @ basis.T + g.z
-    keep = region.contains(ws)
-    vs = coeffs[keep] @ change.T
-    return vs, ws[keep]
+    half = region.cube_halfwidth() + np.abs(shifts)
+    reach = np.einsum("sij,sj->si", np.abs(np.linalg.inv(bases)), half)
+    sizes = 2.0 * np.floor(reach + _EXPAND) + 1.0
+    # in floating point, so an infinite or nan box fails before any int cast
+    if not np.all(np.prod(sizes, axis=1) <= 1e8):
+        raise ValueError("region enumeration box too large")
+    sizes = sizes.astype(np.int64)
+    edges = np.concatenate(([0], np.cumsum(np.prod(sizes, axis=1))))  # map s: rows edges[s:s+2]
+    strides = np.ones_like(sizes)  # meshgrid "ij" order: the last coordinate runs fastest
+    strides[:, :-1] = np.cumprod(sizes[:, :0:-1], axis=1)[:, ::-1]
+    parts, start = [], 0
+    while start < len(sizes):  # whole maps, up to _REGION_ROWS rows
+        stop = max(int(np.searchsorted(edges, edges[start] + _REGION_ROWS, "right")) - 1, start + 1)
+        owner = np.repeat(np.arange(start, stop), np.diff(edges[start : stop + 1]))
+        local = np.arange(edges[start], edges[stop]) - edges[owner]
+        vs = local[:, None] // strides[owner] % sizes[owner] - sizes[owner] // 2
+        ws = np.einsum("rij,rj->ri", bases[owner], vs.astype(float)) + shifts[owner]
+        keep = region.contains(ws)
+        parts.append((owner[keep], vs[keep], ws[keep]))
+        start = stop
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))

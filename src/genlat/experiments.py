@@ -223,13 +223,6 @@ def _run_indexed(worker, payloads, workers: int):
         return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
 
 
-def _ball_of_volume(n: int, volume: float) -> NormBall:
-    # sup-norm ball: volume (2r)^n
-    if volume < 0:
-        raise ValueError(f"volume must be >= 0, got {volume}")
-    return NormBall(max_norm(n), 0.5 * volume ** (1.0 / n) if volume > 0 else 0.0)
-
-
 _SIEGEL_CONSTANT = {
     PointClass.ALL_NONZERO: lambda n: 1.0,
     PointClass.ALL_INTEGER: lambda n: 1.0,
@@ -251,20 +244,34 @@ class SiegelResult:
     records: list
 
 
+# a sample holds about `volume` points (the Siegel mean), so ranges of
+# _RANGE_POINTS / volume samples bound the points one enumeration call keeps
+_RANGE_POINTS = 16384
+
+
 def _siegel_sample(args):
-    n, volume, ensemble, seed, index = args
-    rng = np.random.default_rng(mix_seed(seed, index))
-    ball = _ball_of_volume(n, volume)
+    """Records of samples start..stop-1, each drawn from its own stream in
+    index order, all counted in one region enumeration."""
+    n, volume, ensemble, seed, start, stop = args
+    size = stop - start
+    bases, shifts, weights = np.zeros((size, n, n)), np.zeros((size, n)), np.zeros(size)
+    for k in range(size):
+        rng = np.random.default_rng(mix_seed(seed, start + k))
+        if ensemble == "lattice":
+            bases[k], weights[k] = sample_lattice_exact(n, rng)
+        else:
+            g, weights[k] = sample_grid_exact(n, rng)
+            bases[k], shifts[k] = g.h, g.z
+    ball = NormBall(max_norm(n), 0.5 * volume ** (1.0 / n))  # sup norm: volume (2r)^n
+    owner, vs, _ = lattice_points_in_region(bases, shifts, ball)
+    classes = {"all": np.ones(len(vs), dtype=bool)}
     if ensemble == "lattice":
-        basis, weight = sample_lattice_exact(n, rng)
-        g = UnimodularMap(basis, np.zeros(n))
-        vs, _ = lattice_points_in_region(g, ball)
-        nonzero = int((vs != 0).any(axis=1).sum())
-        primitive = int((np.gcd.reduce(np.abs(vs), axis=1) == 1).sum())
-        return {"sample": index, "weight": float(weight), "nonzero": nonzero, "primitive": primitive}
-    g, weight = sample_grid_exact(n, rng)
-    vs, _ = lattice_points_in_region(g, ball)
-    return {"sample": index, "weight": float(weight), "all": int(len(vs))}
+        classes = {"nonzero": (vs != 0).any(axis=1), "primitive": np.gcd.reduce(np.abs(vs), axis=1) == 1}
+    counts = {key: np.bincount(owner[mask], minlength=size) for key, mask in classes.items()}
+    return [
+        {"sample": start + k, "weight": float(weights[k]), **{key: int(c[k]) for key, c in counts.items()}}
+        for k in range(size)
+    ]
 
 
 def siegel_mean_experiment(
@@ -285,8 +292,14 @@ def siegel_mean_experiment(
         raise ValueError(f"ensemble must be lattice or grid, got {ensemble!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    payloads = [(n, volume, ensemble, seed, i) for i in range(samples)]
-    records = _run_indexed(_siegel_sample, payloads, workers)
+    if not volume >= 0:
+        raise ValueError(f"volume must be >= 0, got {volume}")
+    # contiguous index ranges, at least one per worker
+    per_range = max(1, int(_RANGE_POINTS // max(volume, 1.0)))
+    parts = max(-(-samples // per_range), min(workers, samples))
+    edges = [samples * k // parts for k in range(parts + 1)]
+    payloads = [(n, volume, ensemble, seed, a, b) for a, b in zip(edges, edges[1:])]
+    records = [r for part in _run_indexed(_siegel_sample, payloads, workers) for r in part]
     weights = [r["weight"] for r in records]
     classes = ("nonzero", "primitive") if ensemble == "lattice" else ("all",)
     estimates, references, summaries = {}, {}, {}

@@ -8,8 +8,11 @@ the JSON error records on stderr.
 import csv
 import hashlib
 import json
+import platform
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -214,6 +217,15 @@ def test_manifest_digests_match_outputs(tmp_path):
     assert set(manifest["outputs"]) == {"vol.jsonl", "vol.csv"}
 
 
+def test_manifest_records_environment(tmp_path):
+    out = tmp_path / "env"
+    assert _run(["volume", "--out", out]) == 0
+    env = _read_manifest(out)["environment"]
+    assert set(env) == {"python", "numpy", "platform", "nproc"}
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
+
+
 def test_format_flag_selects_outputs(tmp_path):
     out = tmp_path / "only_csv"
     assert _run(["volume", "--format", "csv", "--out", out]) == 0
@@ -352,6 +364,30 @@ def test_negative_shift_bound_names_key(tmp_path, capsys):
     rc = _run(argv + ["--out", tmp_path / "x"])
     assert rc == 2
     assert _stderr_record(capsys)["key"] == "shiftBound"
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["siegel", "--n", 3, "--volume", "nan"], "volume"),
+        (["siegel", "--n", 2, "--volume", "inf"], "volume"),
+        (["emptyprob", "--n", 2, "--volumes", "1,nan"], "volumes"),
+        (["rogers", "--n", 2, "--volumes", "4,-inf"], "volumes"),
+    ],
+)
+def test_non_finite_volume_names_key(tmp_path, capsys, argv, key):
+    rc = _run(argv + ["--samples", 3, "--out", tmp_path / "x"])
+    assert rc == 2
+    assert _stderr_record(capsys)["key"] == key
+    assert not list(tmp_path.iterdir())
+
+
+def test_enormous_volume_fails_before_enumerating(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = _run(["siegel", "--n", 3, "--volume", 1e70, "--samples", 2, "--out", tmp_path / "x"])
+    assert rc == 2
+    assert "too large" in _stderr_record(capsys)["message"]
 
 
 def test_bad_group_in_config_file_named(tmp_path, capsys):

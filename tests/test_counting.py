@@ -7,6 +7,8 @@ norm, point class, and shell space; scaling identities tie nonzero counts
 to primitive counts the way the zeta factor ties the two mean laws.
 """
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +32,7 @@ from genlat.counting import (
     IntegerBox,
     NormBall,
     _MAX_BLOCK,
+    _REGION_ROWS,
     _batched_roots,
     _candidates,
     _centered,
@@ -190,6 +193,42 @@ class TestOracleEquivalence:
             assert fast.count == slow.count, f"query {i}: {q}"
             counting_tools.assert_valid_witness(q, fast)
             counting_tools.assert_valid_witness(q, slow)
+
+    def test_mixed_vector_targets_match_brute_force(self, counting_tools):
+        # the shared generator builds vectors from bands only; here a band
+        # rides with a signed power of degree 2, an integer or a fractional
+        # degree, or with a coordinate product
+        rng = np.random.default_rng(5150)
+        kinds = ("spf2", "spf_int", "spf_frac", "prod")
+        for i in range(48):
+            n = int(rng.integers(2, 4))
+            kind = kinds[i % 4]
+            if kind == "prod":
+                other = CoordinateProduct(n)
+            else:
+                d = {"spf2": 2.0, "spf_int": float(rng.choice([3.0, 4.0])),
+                     "spf_frac": float(rng.choice([1.5, 2.5]))}[kind]
+                p = int(rng.integers(1, n + 1))
+                other = SignedPowerForm(p, n - p, d)
+            band = MaxPower((float(rng.choice([1.0, 2.0])),), n, (int(rng.integers(n)),))
+            f = VectorOf((other, band) if rng.random() < 0.5 else (band, other))
+            shell_space = "w" if rng.random() < 0.3 else "v"
+            q = CountQuery(
+                g=sample_asl(n, rng, shift_bound=0.8) if rng.random() < 0.5 else sample_sl(n, rng),
+                f=f,
+                bound=tuple(float(x) for x in np.exp(rng.uniform(np.log(0.3), np.log(4.0), 2))),
+                norm=(max_norm(n), lp_norm(n, 2.0))[int(rng.integers(2))],
+                point_class=tuple(PointClass)[int(rng.integers(3))],
+                t0=0.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0)),
+                t=float(rng.uniform(6.0, 16.0 if n == 2 else 8.0)),
+                shell_space=shell_space,
+            )
+            fast = count_solutions(q)
+            slow = brute_force_count(q)
+            assert fast.count == slow.count, f"query {i}: {q}"
+            early = count_solutions(replace(q, stop_after_first=True))
+            assert early.first_witness == fast.first_witness, f"query {i}: {q}"
+            counting_tools.assert_valid_witness(q, fast)
 
     def test_quadratic_engine_at_larger_radius(self):
         rng = np.random.default_rng(7)
@@ -428,17 +467,32 @@ class TestEarlyExit:
         assert hits >= 50
 
 
+def _stacked(maps):
+    return np.array([g.h for g in maps]), np.array([g.z for g in maps])
+
+
+def _direct_region_scan(g, region):
+    """Integer v with g(v) in the region, by one meshgrid over a padded box."""
+    reach = np.abs(g.inverse_h()) @ (region.cube_halfwidth() + np.abs(g.z))
+    axes = [np.arange(-b, b + 1) for b in np.ceil(reach).astype(int) + 1]
+    vs = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return {tuple(v) for v in vs[region.contains(g.apply(vs.astype(float)))]}
+
+
 class TestRegionStreaming:
     def test_identity_sup_ball(self):
-        vs, ws = lattice_points_in_region(identity_map(2), NormBall(max_norm(2), 2.0))
+        owner, vs, ws = lattice_points_in_region(
+            np.eye(2)[None], np.zeros((1, 2)), NormBall(max_norm(2), 2.0)
+        )
         assert len(vs) == 25
+        assert np.array_equal(owner, np.zeros(25))
         assert np.array_equal(vs.astype(float), ws)
         assert any(np.all(v == 0) for v in vs)
 
     def test_shifted_grid_matches_direct_scan(self):
         g = identity_map(2, shift=np.array([0.25, -0.4]))
         ball = NormBall(lp_norm(2, 2.0), 3.0)
-        vs, ws = lattice_points_in_region(g, ball)
+        _, vs, ws = lattice_points_in_region(*_stacked([g]), ball)
         expected = set()
         for a in range(-5, 6):
             for b in range(-5, 6):
@@ -448,17 +502,58 @@ class TestRegionStreaming:
         assert {tuple(v) for v in vs} == expected
         assert np.allclose(ws, g.apply(vs.astype(float)))
 
-    def test_skewed_basis_reduction_agrees_with_raw_scan(self):
-        g = UnimodularMap(np.array([[1.0, 100.0], [0.0, 1.0]]), np.zeros(2))
+    def test_skewed_raw_basis_finds_the_same_lattice_as_identity(self):
+        # [[1, 100], [0, 1]] spans Z^2, so the image points are those of the
+        # identity map; the box of the unreduced basis must still cover them
+        skew = np.array([[1.0, 100.0], [0.0, 1.0]])
         ball = NormBall(lp_norm(2, 2.0), 2.5)
-        vs_red, ws_red = lattice_points_in_region(g, ball, reduce_basis=True)
-        vs_raw, ws_raw = lattice_points_in_region(g, ball, reduce_basis=False)
-        assert {tuple(v) for v in vs_red} == {tuple(v) for v in vs_raw}
-        assert np.allclose(ws_red, g.apply(vs_red.astype(float)))
+        _, vs, ws = lattice_points_in_region(skew[None], np.zeros((1, 2)), ball)
+        _, _, ws_id = lattice_points_in_region(np.eye(2)[None], np.zeros((1, 2)), ball)
+        assert {tuple(w) for w in ws} == {tuple(w) for w in ws_id}
+        assert len(vs) == len(ws_id) == 21
+        assert np.array_equal(ws, vs @ skew.T)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_maps_match_per_map_scans(self, n):
+        rng = np.random.default_rng(2024 + n)
+        skew = np.eye(n)
+        skew[0, n - 1] = 100.0 if n == 2 else 12.0
+        maps = [sample_asl(n, rng, shift_bound=0.5) for _ in range(5)]
+        maps += [UnimodularMap(skew, np.full(n, 0.3))]
+        maps += [sample_asl(n, rng, shift_bound=0.5) for _ in range(5)]
+        maps += [identity_map(n, shift=np.linspace(-0.4, 0.4, n))]
+        regions = [
+            NormBall(max_norm(n), 3.0),
+            NormBall(lp_norm(n, 2.0), 3.0),
+            IntegerBox((-2.5,) + (-1.0,) * (n - 1), (3.0,) + (2.2,) * (n - 1)),
+        ]
+        bases, shifts = _stacked(maps)
+        for region in regions:
+            owner, vs, ws = lattice_points_in_region(bases, shifts, region)
+            assert np.all(np.diff(owner) >= 0)
+            for s, g in enumerate(maps):
+                mine = owner == s
+                assert {tuple(v) for v in vs[mine]} == _direct_region_scan(g, region), (s, region)
+                assert np.allclose(ws[mine], g.apply(vs[mine].astype(float)))
+
+    def test_chunks_hold_whole_maps_and_a_large_map_runs_alone(self):
+        # the skewed map's box exceeds the row budget, so the maps around it
+        # fall into separate chunks, and one chunk edge splits the small ones
+        skew = np.array([[1.0, 100.0], [0.0, 1.0]])
+        ball = NormBall(max_norm(2), 3.0)
+        reach = np.abs(np.linalg.inv(skew)) @ np.full(2, 3.0)
+        assert np.prod(2 * np.floor(reach) + 1) > _REGION_ROWS
+        small = [identity_map(2, shift=np.array([0.1 * k, -0.05 * k])) for k in range(200)]
+        maps = small[:100] + [UnimodularMap(skew, np.zeros(2))] + small[100:]
+        assert 100 * 49 > _REGION_ROWS
+        owner, vs, _ = lattice_points_in_region(*_stacked(maps), ball)
+        counts = np.bincount(owner, minlength=len(maps))
+        for s, g in enumerate(maps):
+            assert counts[s] == len(_direct_region_scan(g, ball)), s
 
     def test_box_region(self):
         box = IntegerBox((-1.5, -2.0), (2.5, 0.1))
-        vs, _ = lattice_points_in_region(identity_map(2), box)
+        _, vs, _ = lattice_points_in_region(np.eye(2)[None], np.zeros((1, 2)), box)
         # v1 in {-1..2}, v2 in {-2..0}
         assert len(vs) == 12
 
@@ -468,7 +563,25 @@ class TestRegionStreaming:
         with pytest.raises(ValueError, match="corners"):
             IntegerBox((0.0, 1.0), (1.0, 0.0))
         with pytest.raises(ValueError, match="too large"):
-            lattice_points_in_region(identity_map(3), NormBall(max_norm(3), 300.0))
+            lattice_points_in_region(np.eye(3)[None], np.zeros((1, 3)), NormBall(max_norm(3), 300.0))
+
+    def test_box_cap_is_checked_in_floating_point(self):
+        # 10001^2 cells is just over the cap; an infinite radius or a nan
+        # shift must fail the same way, with no int cast of a non-finite box
+        ident = np.eye(2)[None]
+        assert 10001**2 > 1e8 >= 9999**2
+        cases = [
+            (ident, np.zeros((1, 2)), NormBall(max_norm(2), 5000.0)),
+            (ident, np.zeros((1, 2)), NormBall(max_norm(2), math.inf)),
+            (ident, np.array([[math.nan, 0.0]]), NormBall(max_norm(2), 1.0)),
+            (np.stack([np.eye(2), np.eye(2)]), np.array([[0.0, 0.0], [1e70, 0.0]]),
+             NormBall(max_norm(2), 1.0)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bases, shifts, region in cases:
+                with pytest.raises(ValueError, match="too large"):
+                    lattice_points_in_region(bases, shifts, region)
 
 
 class TestVisited:

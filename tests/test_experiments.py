@@ -28,6 +28,7 @@ from genlat.experiments import (
     ExperimentConfig,
     StatSummary,
     WeightedMean,
+    _siegel_sample,
     counting_ratio_experiment,
     empty_probability_experiment,
     kg_system_experiment,
@@ -160,11 +161,21 @@ class TestSiegelMean:
         two = siegel_mean_experiment(2, 15.0, samples=60, seed=11, workers=2)
         assert one.records == two.records
 
+    def test_records_do_not_depend_on_index_ranges(self):
+        # at volume 400 a range holds 16384 // 400 = 40 samples, so 50 samples
+        # run as two enumerations; one range over all of them gives the same
+        res = siegel_mean_experiment(2, 400.0, samples=50, seed=3)
+        assert res.records == _siegel_sample((2, 400.0, "lattice", 3, 0, 50))
+        grid = siegel_mean_experiment(2, 400.0, samples=50, seed=3, ensemble="grid")
+        assert grid.records == _siegel_sample((2, 400.0, "grid", 3, 0, 50))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="ensemble"):
             siegel_mean_experiment(2, 10.0, samples=5, seed=0, ensemble="torus")
         with pytest.raises(ValueError, match="sample"):
             siegel_mean_experiment(2, 10.0, samples=0, seed=0)
+        with pytest.raises(ValueError, match="volume"):
+            siegel_mean_experiment(2, float("nan"), samples=5, seed=0)
 
 
 class TestRogersVariance:
@@ -186,6 +197,12 @@ class TestRogersVariance:
         res = rogers_variance_experiment(2, [25.0], samples=400, seed=1, ceiling=1e-6)
         assert res.rows[0]["flagged"]
 
+    def test_records_do_not_depend_on_worker_count(self):
+        one = rogers_variance_experiment(2, [9.0, 25.0], samples=45, seed=6, workers=1)
+        two = rogers_variance_experiment(2, [9.0, 25.0], samples=45, seed=6, workers=2)
+        assert one.records == two.records
+        assert one.rows == two.rows
+
     def test_lattice_rows_report_ratio(self):
         res = rogers_variance_experiment(
             3, [20.0], samples=150, seed=4, ensemble="lattice"
@@ -206,6 +223,12 @@ class TestEmptyProbability:
     def test_tiny_volume_is_nearly_always_empty(self):
         res = empty_probability_experiment(2, [1e-3, 1.0], samples=300, seed=2)
         assert res.rows[0]["empty_frequency"] >= 0.95
+
+    def test_records_do_not_depend_on_worker_count(self):
+        one = empty_probability_experiment(2, [1.0, 4.0, 16.0], samples=45, seed=8, workers=1)
+        two = empty_probability_experiment(2, [1.0, 4.0, 16.0], samples=45, seed=8, workers=2)
+        assert one.records == two.records
+        assert one.rows == two.rows
 
     def test_needs_two_volumes(self):
         with pytest.raises(ValueError, match="two volumes"):
