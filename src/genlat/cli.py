@@ -53,8 +53,8 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     StatSummary,
-    _run_indexed,
     counting_ratio_experiment,
+    draw_map,
     empty_probability_experiment,
     kg_system_experiment,
     norm_independence_check,
@@ -63,7 +63,7 @@ from .experiments import (
     uniform_approx_experiment,
     zero_full_experiment,
 )
-from .haar import identity_map, sample_asl, sample_sl
+from .haar import sample_sl
 from .volume import (
     Verdict,
     adaptive_simpson,
@@ -328,13 +328,18 @@ def _require(value, key: str):
     return value
 
 
-def _draw_map(cfg: ExperimentConfig, use_identity: bool, index: int = 0):
-    if use_identity:
-        return identity_map(cfg.n)
-    rng = np.random.default_rng(mix_seed(cfg.master_seed, index))
-    if cfg.group == "ASL":
-        return sample_asl(cfg.n, rng, cfg.shift_bound, cfg.norm)
-    return sample_sl(cfg.n, rng)
+def _sampled_maps(cfg: ExperimentConfig, args) -> dict:
+    """How a command draws its maps (``experiments.draw_map``): sampleCount
+    maps of --group from the master seed, or one identity map under --identity."""
+    identity = getattr(args, "identity", False)
+    return {"samples": 1 if identity else cfg.sample_count, "seed": cfg.master_seed,
+            "workers": args.workers, "group": "identity" if identity else cfg.group,
+            "shift_bound": cfg.shift_bound}
+
+
+# the point set siegel and rogers sample: lattices under SL, affine grids
+# (a uniform shift on the torus) under ASL
+_ENSEMBLES = {"SL": "lattice", "ASL": "grid"}
 
 
 def _volume_list(text: str, key: str) -> list[float]:
@@ -365,15 +370,15 @@ def _cmd_volume(cfg: ExperimentConfig, args) -> tuple:
                 "custom",
                 cfg.f,
                 _require(cfg.psi, "psi"),
+                cfg.norm,
                 float(_require(args.t0, "t0")),
                 float(_require(args.t, "t")),
             )
         ]
     else:
-        cases = [(label, f, psi, lo, hi) for label, f, psi, lo, hi in verification_matrix()]
+        cases = [(label, f, psi, f.canonical_norm(), lo, hi) for label, f, psi, lo, hi in verification_matrix()]
     records, rows = [], []
-    for i, (label, f, psi, lo, hi) in enumerate(cases):
-        norm = f.canonical_norm()
+    for i, (label, f, psi, norm, lo, hi) in enumerate(cases):
         quad = shell_volume(f, psi, norm, lo, hi)
         rec = {
             "sample": i,
@@ -419,7 +424,7 @@ def _cmd_count(cfg: ExperimentConfig, args) -> tuple:
         bound = tuple([float(args.eps)] * f.component_count)
     else:
         bound = _require(cfg.psi, "psi")
-    g = _draw_map(cfg, args.identity)
+    g = draw_map(cfg.n, cfg.master_seed, 0, "identity" if args.identity else cfg.group, cfg.shift_bound, cfg.norm)
     query = CountQuery(
         g=g,
         f=f,
@@ -466,7 +471,7 @@ def _cmd_siegel(cfg: ExperimentConfig, args) -> tuple:
         _volume_list(str(_require(args.volume, "volume")), "volume")[0],
         cfg.sample_count,
         cfg.master_seed,
-        ensemble=args.ensemble,
+        ensemble=_ENSEMBLES[cfg.group],
         workers=args.workers,
     )
     header = ["pointClass", "mean", "stderr", "reference", "gapInStderr", "ess"]
@@ -487,7 +492,7 @@ def _cmd_rogers(cfg: ExperimentConfig, args) -> tuple:
         volumes,
         cfg.sample_count,
         cfg.master_seed,
-        ensemble=args.ensemble,
+        ensemble=_ENSEMBLES[cfg.group],
         ceiling=args.ceiling,
         workers=args.workers,
     )
@@ -498,6 +503,8 @@ def _cmd_rogers(cfg: ExperimentConfig, args) -> tuple:
 
 
 def _cmd_emptyprob(cfg: ExperimentConfig, args) -> tuple:
+    if cfg.group != "SL":
+        raise ConfigError("group", f"emptyprob samples lattices only (group SL), got {cfg.group}")
     volumes = _volume_list(_require(args.volumes, "volumes"), "volumes")
     res = empty_probability_experiment(
         cfg.n, volumes, cfg.sample_count, cfg.master_seed, r=args.r, workers=args.workers
@@ -511,54 +518,29 @@ def _cmd_emptyprob(cfg: ExperimentConfig, args) -> tuple:
     return res.records, header, rows, extras
 
 
-def _ratio_sample(payload):
-    cfg, use_identity, index = payload
-    g = _draw_map(cfg, use_identity, index)
-    res = counting_ratio_experiment(g, cfg.f, cfg.psi, cfg.norm, cfg.point_class, cfg.schedule)
-    return index, res
-
-
 def _cmd_ratio(cfg: ExperimentConfig, args) -> tuple:
     """One ratio series per sampled map; sampleCount > 1 repeats the run
     over independent maps (sample i is drawn from mix_seed(seed, i))."""
-    _require(cfg.f, "f")
-    _require(cfg.psi, "psi")
-    _require(cfg.norm, "norm")
-    _require(cfg.schedule, "schedule")
-    count = 1 if args.identity else cfg.sample_count
-    payloads = [(cfg, args.identity, i) for i in range(count)]
-    results = _run_indexed(_ratio_sample, payloads, args.workers)
-    records, rows = [], []
-    per_sample = []
+    res = counting_ratio_experiment(
+        _require(cfg.f, "f"),
+        _require(cfg.psi, "psi"),
+        _require(cfg.norm, "norm"),
+        cfg.point_class,
+        _require(cfg.schedule, "schedule"),
+        **_sampled_maps(cfg, args),
+    )
     header = ["sample", "t", "count", "reference", "ratio", "threshold", "constant"]
-    for index, res in results:
-        for r in res.rows:
-            records.append(
-                {
-                    "sample": index,
-                    "t": r["t"],
-                    "count": r["count"],
-                    "reference": r["reference"],
-                    "ratio": r["ratio"],
-                }
-            )
-            rows.append(
-                [index, r["t"], r["count"], r["reference"], r["ratio"], res.threshold, res.constant]
-            )
-        per_sample.append(
-            {
-                "sample": index,
-                "firstRatio": res.first_ratio,
-                "finalRatio": res.final_ratio,
-                "threshold": res.threshold,
-            }
-        )
-    extras = {
-        "constant": results[0][1].constant,
-        "identity": bool(args.identity),
-        "series": per_sample,
-    }
-    return records, header, rows, extras
+    rows = [
+        [r["sample"], r["t"], r["count"], r["reference"], r["ratio"], res.threshold, res.constant]
+        for r in res.records
+    ]
+    series = [
+        {"sample": s["sample"], "firstRatio": s["first_ratio"], "finalRatio": s["final_ratio"],
+         "threshold": res.threshold}
+        for s in res.series
+    ]
+    extras = {"constant": res.constant, "identity": bool(args.identity), "series": series}
+    return res.records, header, rows, extras
 
 
 def _cmd_zerofull(cfg: ExperimentConfig, args) -> tuple:
@@ -569,9 +551,7 @@ def _cmd_zerofull(cfg: ExperimentConfig, args) -> tuple:
         cfg.point_class,
         float(_require(args.t_split, "tSplit")),
         float(_require(args.t_max, "tMax")),
-        cfg.sample_count,
-        cfg.master_seed,
-        workers=args.workers,
+        **_sampled_maps(cfg, args),
     )
     header = ["fraction", "verdict", "samples"]
     rows = [[res.fraction, res.verdict.value, cfg.sample_count]]
@@ -586,9 +566,7 @@ def _cmd_uniform(cfg: ExperimentConfig, args) -> tuple:
         _require(cfg.norm, "norm"),
         cfg.point_class,
         _require(cfg.schedule, "schedule"),
-        cfg.sample_count,
-        cfg.master_seed,
-        workers=args.workers,
+        **_sampled_maps(cfg, args),
     )
     header = ["t", "successFraction", "samples", "passFraction"]
     rows = [
@@ -607,9 +585,7 @@ def _cmd_kgsystem(cfg: ExperimentConfig, args) -> tuple:
         cfg.n,
         cfg.point_class,
         _require(cfg.schedule, "schedule"),
-        cfg.sample_count,
-        cfg.master_seed,
-        workers=args.workers,
+        **_sampled_maps(cfg, args),
     )
     header = ["t", "meanCount", "verdict"]
     rows = [[r["t"], r["mean_count"], res.verdict.value] for r in res.rows]
@@ -825,11 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("siegel", parents=[common, model], help="mean count vs c_P * volume")
     p.add_argument("--volume", type=float, default=None, required=False)
-    p.add_argument("--ensemble", choices=("lattice", "grid"), default="lattice")
 
     p = sub.add_parser("rogers", parents=[common, model], help="count variance per region volume")
     p.add_argument("--volumes", default=None, help="comma separated V grid")
-    p.add_argument("--ensemble", choices=("lattice", "grid"), default="grid")
     p.add_argument("--ceiling", type=float, default=None)
 
     p = sub.add_parser("emptyprob", parents=[common, model], help="P(empty region) decay across a V grid")

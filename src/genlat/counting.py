@@ -74,7 +74,6 @@ __all__ = [
     "brute_force_count",
     "is_primitive",
     "NormBall",
-    "IntegerBox",
     "lattice_points_in_region",
 ]
 
@@ -729,31 +728,8 @@ class NormBall:
         if not self.radius >= 0.0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
-    def cube_halfwidth(self) -> float:
-        return self.radius
-
     def contains(self, ws: np.ndarray) -> np.ndarray:
         return self.norm.eval_many(ws) <= self.radius
-
-
-@dataclass(frozen=True)
-class IntegerBox:
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.lo) != len(self.hi) or any(
-            a > b for a, b in zip(self.lo, self.hi)
-        ):
-            raise ValueError("box corners out of order")
-
-    def cube_halfwidth(self) -> float:
-        return max(max(abs(a), abs(b)) for a, b in zip(self.lo, self.hi))
-
-    def contains(self, ws: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((ws >= lo) & (ws <= hi), axis=1)
 
 
 # rows of one enumeration chunk; a map with a larger box runs alone
@@ -761,7 +737,7 @@ _REGION_ROWS = 4096
 
 
 def lattice_points_in_region(
-    bases: np.ndarray, shifts: np.ndarray, region: NormBall | IntegerBox
+    bases: np.ndarray, shifts: np.ndarray, region: NormBall
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sample_index, V, W) of every integer v with w = h v + z in the region,
     for S maps h = bases[s] and z = shifts[s]; rows are grouped by map.
@@ -769,7 +745,7 @@ def lattice_points_in_region(
     The box |h^-1| (r + |z|) covers the region in any basis; a reduced basis
     only keeps it small.  Includes v = 0; callers filter point classes.
     """
-    half = region.cube_halfwidth() + np.abs(shifts)
+    half = region.radius + np.abs(shifts)  # every norm here dominates the sup norm
     reach = np.einsum("sij,sj->si", np.abs(np.linalg.inv(bases)), half)
     sizes = 2.0 * np.floor(reach + _EXPAND) + 1.0
     # in floating point, so an infinite or nan box fails before any int cast

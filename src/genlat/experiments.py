@@ -6,6 +6,13 @@ a fixed master seed regardless of worker count or scheduling.  Results
 carry both summary statistics and per-sample records (plain dicts, JSON
 serializable, canonically ordered by sample index) for persistence.
 
+The dichotomy experiments (counting ratio, zero-full, uniform, band system)
+share one map-draw rule, ``draw_map`` (SL, ASL with a bounded shift, or the
+identity), and one worker that counts a run's list of shells (bound, t0, t)
+on each sampled map; each experiment only builds its shells and summarizes
+the counts.  The mean, variance and empty-probability experiments sample
+lattices or affine grids from the exact invariant law instead.
+
 Estimators: unweighted runs use the usual sample mean and variance; the
 exact invariant-law lattice sampler in dimension >= 3 is importance
 weighted, so those runs report self-normalized weighted means with the
@@ -39,6 +46,8 @@ from .counting import (
 )
 from .haar import (
     UnimodularMap,
+    identity_map,
+    sample_asl,
     sample_grid_exact,
     sample_lattice_exact,
     sample_sl,
@@ -58,6 +67,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "wilson_interval",
+    "draw_map",
     "siegel_mean_experiment",
     "SiegelResult",
     "rogers_variance_experiment",
@@ -422,6 +432,55 @@ def empty_probability_experiment(
 
 
 # --------------------------------------------------------------------------
+# sampled maps: one draw rule and one counting worker
+
+
+def draw_map(
+    n: int,
+    seed: int,
+    index: int,
+    group: str = "SL",
+    shift_bound: float = 0.0,
+    norm: Norm | None = None,
+) -> UnimodularMap:
+    """Map ``index`` of a run with master seed ``seed``, drawn from
+    default_rng(mix_seed(seed, index)).
+
+    Group SL gives ``sample_sl``; ASL gives ``sample_asl``, the same linear
+    part plus a shift uniform in the ``norm`` ball of radius ``shift_bound``
+    (bound 0 is the SL draw); "identity" gives the identity map, the
+    non-generic comparison case.
+    """
+    if group == "identity":
+        return identity_map(n)
+    rng = np.random.default_rng(mix_seed(seed, index))
+    if group == "ASL":
+        return sample_asl(n, rng, shift_bound, norm)
+    if group == "SL":
+        return sample_sl(n, rng)
+    raise ValueError(f"group must be SL, ASL or identity, got {group!r}")
+
+
+def _count_map(payload):
+    (f, norm, point_class, shells, space, early, group, shift_bound, seed), index = payload
+    g = draw_map(f.n, seed, index, group, shift_bound, norm)
+    return [
+        count_solutions(CountQuery(g, f, bound, norm, point_class, t0, t, space, early))
+        for bound, t0, t in shells
+    ]
+
+
+def _count_maps(
+    f, norm, point_class, shells, samples, seed, group, shift_bound, workers,
+    space="v", stop_after_first=False,
+) -> list:
+    """Per sampled map (``draw_map`` of index 0..samples-1), its CountResult
+    on each shell (bound, t0, t), in sample order for any worker count."""
+    run = (f, norm, point_class, tuple(shells), space, stop_after_first, group, shift_bound, seed)
+    return _run_indexed(_count_map, [(run, i) for i in range(samples)], workers)
+
+
+# --------------------------------------------------------------------------
 # counting ratio
 
 
@@ -429,26 +488,30 @@ def empty_probability_experiment(
 class RatioResult:
     threshold: float
     constant: float
-    rows: list
-    first_ratio: float | None
-    final_ratio: float | None
+    records: list  # per (sample, checkpoint): t, count, reference, ratio
+    series: list  # per sample: its first and final ratio
 
 
 def counting_ratio_experiment(
-    g: UnimodularMap,
     f: TargetFunction,
     psi: ApproxFunction,
     norm: Norm,
     point_class: PointClass,
     schedule: DyadicSchedule,
+    samples: int,
+    seed: int,
+    workers: int = 1,
+    group: str = "SL",
+    shift_bound: float = 0.0,
 ) -> RatioResult:
-    """Lattice count over the sublevel shell vs c_P times its volume.
+    """Lattice count over the sublevel shell vs c_P times its volume, per
+    sampled map and checkpoint.
 
     Counts run in the image space (the region lives there); volumes come
-    from the family's closed form over the same shell (M, t_k].  Radii at
-    or below the threshold M produce rows with a missing ratio rather
-    than 0/0.  Only meaningful in the divergent regime; convergent input
-    is rejected.
+    from the family's closed form over the same shell (M, t_k], once per
+    run.  Radii at or below the threshold M produce rows with a missing
+    ratio rather than 0/0.  Only meaningful in the divergent regime;
+    convergent input is rejected.
     """
     if classify_series(f, psi, "asymptotic") is not Verdict.DIVERGES:
         raise ValueError(
@@ -456,40 +519,28 @@ def counting_ratio_experiment(
         )
     m_thr = threshold_M(f, psi)
     c = _SIEGEL_CONSTANT[point_class](f.n)
-    rows = []
-    ratios = []
-    for t in schedule.values():
-        if t <= m_thr * (1.0 + 1e-9):
-            rows.append({"t": float(t), "count": 0, "reference": 0.0, "ratio": None})
-            continue
-        res = count_solutions(
-            CountQuery(
-                g=g,
-                f=f,
-                bound=psi,
-                norm=norm,
-                point_class=point_class,
-                t0=m_thr,
-                t=float(t),
-                shell_space="w",
-            )
-        )
-        vol = shell_volume(f, psi, norm, m_thr, float(t)).value
-        reference = c * vol
-        ratio = None if (res.count == 0 and reference == 0.0) else res.count / reference
-        rows.append(
-            {
-                "t": float(t),
-                "count": int(res.count),
-                "reference": reference,
-                "ratio": ratio,
-            }
-        )
-        if ratio is not None:
-            ratios.append(ratio)
-    return RatioResult(
-        m_thr, c, rows, ratios[0] if ratios else None, ratios[-1] if ratios else None
+    ts = [float(t) for t in schedule.values()]
+    counted = [t > m_thr * (1.0 + 1e-9) for t in ts]
+    references = [
+        c * shell_volume(f, psi, norm, m_thr, t).value if ok else 0.0 for t, ok in zip(ts, counted)
+    ]
+    shells = [(psi, m_thr, t) for t, ok in zip(ts, counted) if ok]
+    counts = _count_maps(
+        f, norm, point_class, shells, samples, seed, group, shift_bound, workers, space="w"
     )
+    records, series = [], []
+    for i, results in enumerate(counts):
+        hits = iter(results)
+        found = [int(next(hits).count) if ok else 0 for ok in counted]
+        ratios = [None if (k == 0 and ref == 0.0) else k / ref for k, ref in zip(found, references)]
+        records += [
+            {"sample": i, "t": t, "count": k, "reference": ref, "ratio": r}
+            for t, k, ref, r in zip(ts, found, references, ratios)
+        ]
+        defined = [r for r in ratios if r is not None]
+        series.append({"sample": i, "first_ratio": defined[0] if defined else None,
+                       "final_ratio": defined[-1] if defined else None})
+    return RatioResult(m_thr, c, records, series)
 
 
 # --------------------------------------------------------------------------
@@ -503,29 +554,6 @@ class ZeroFullResult:
     records: list
 
 
-def _zero_full_sample(args):
-    f, psi, norm, point_class, t_split, t_max, seed, index = args
-    rng = np.random.default_rng(mix_seed(seed, index))
-    g = sample_sl(f.n, rng)
-    res = count_solutions(
-        CountQuery(
-            g=g,
-            f=f,
-            bound=psi,
-            norm=norm,
-            point_class=point_class,
-            t0=t_split,
-            t=t_max,
-            stop_after_first=True,
-        )
-    )
-    return {
-        "sample": index,
-        "hit": res.count > 0,
-        "witness": list(res.first_witness) if res.first_witness else None,
-    }
-
-
 def zero_full_experiment(
     f: TargetFunction,
     psi: ApproxFunction,
@@ -536,17 +564,26 @@ def zero_full_experiment(
     samples: int,
     seed: int,
     workers: int = 1,
+    group: str = "SL",
+    shift_bound: float = 0.0,
 ) -> ZeroFullResult:
     """Fraction of sampled g with a solution |f(g v)| <= psi(nu(v)) in the
     shell (T_split, T_max]; near 1 in the divergent regime, near 0 in the
     convergent one as the split grows."""
     if not t_split < t_max:
         raise ValueError(f"need T_split < T_max, got ({t_split}, {t_max})")
-    payloads = [
-        (f, psi, norm, point_class, float(t_split), float(t_max), seed, i)
-        for i in range(samples)
+    counts = _count_maps(
+        f, norm, point_class, [(psi, float(t_split), float(t_max))], samples, seed,
+        group, shift_bound, workers, stop_after_first=True,
+    )
+    records = [
+        {
+            "sample": i,
+            "hit": res.count > 0,
+            "witness": list(res.first_witness) if res.first_witness else None,
+        }
+        for i, (res,) in enumerate(counts)
     ]
-    records = _run_indexed(_zero_full_sample, payloads, workers)
     fraction = sum(1 for r in records if r["hit"]) / samples
     return ZeroFullResult(fraction, classify_series(f, psi, "asymptotic"), records)
 
@@ -562,34 +599,6 @@ class UniformResult:
     records: list
 
 
-def _uniform_sample(args):
-    f, psi, norm, point_class, ts, seed, index = args
-    rng = np.random.default_rng(mix_seed(seed, index))
-    g = sample_sl(f.n, rng)
-    successes = []
-    for t in ts:
-        eps = tuple(float(x) for x in psi(t))
-        res = count_solutions(
-            CountQuery(
-                g=g,
-                f=f,
-                bound=eps,
-                norm=norm,
-                point_class=point_class,
-                t0=0.0,
-                t=float(t),
-                stop_after_first=True,
-            )
-        )
-        successes.append(res.count > 0)
-    k_star = None
-    for k in range(len(ts), 0, -1):
-        if not successes[k - 1]:
-            break
-        k_star = k - 1
-    return {"sample": index, "successes": successes, "k_star": k_star}
-
-
 def uniform_approx_experiment(
     f: TargetFunction,
     psi: ApproxFunction,
@@ -599,6 +608,8 @@ def uniform_approx_experiment(
     samples: int,
     seed: int,
     workers: int = 1,
+    group: str = "SL",
+    shift_bound: float = 0.0,
 ) -> UniformResult:
     """Per sample and checkpoint t_k, checks whether some point of the class
     has nu(v) <= t_k and |f(g v)| <= psi(t_k) componentwise (a fixed
@@ -606,8 +617,17 @@ def uniform_approx_experiment(
     later check passes; a sample passes if k_star exists in the schedule.
     """
     ts = tuple(schedule.values())
-    payloads = [(f, psi, norm, point_class, ts, seed, i) for i in range(samples)]
-    records = _run_indexed(_uniform_sample, payloads, workers)
+    shells = [(tuple(float(x) for x in psi(t)), 0.0, float(t)) for t in ts]
+    counts = _count_maps(
+        f, norm, point_class, shells, samples, seed, group, shift_bound, workers,
+        stop_after_first=True,
+    )
+    records = []
+    for i, results in enumerate(counts):
+        successes = [res.count > 0 for res in results]
+        misses = [k for k, ok in enumerate(successes) if not ok]
+        start = misses[-1] + 1 if misses else 0  # of the trailing run of passes
+        records.append({"sample": i, "successes": successes, "k_star": start if start < len(ts) else None})
     passed = sum(1 for r in records if r["k_star"] is not None)
     checkpoints = [
         {
@@ -630,27 +650,6 @@ class KGSystemResult:
     records: list
 
 
-def _kg_sample(args):
-    f, bound, norm, point_class, ts, seed, index = args
-    rng = np.random.default_rng(mix_seed(seed, index))
-    g = sample_sl(f.n, rng)
-    counts = []
-    for t in ts:
-        res = count_solutions(
-            CountQuery(
-                g=g,
-                f=f,
-                bound=bound,
-                norm=norm,
-                point_class=point_class,
-                t0=0.0,
-                t=float(t),
-            )
-        )
-        counts.append(int(res.count))
-    return {"sample": index, "counts": counts}
-
-
 def kg_system_experiment(
     psis,
     n: int,
@@ -659,6 +658,8 @@ def kg_system_experiment(
     samples: int,
     seed: int,
     workers: int = 1,
+    group: str = "SL",
+    shift_bound: float = 0.0,
 ) -> KGSystemResult:
     """Componentwise simultaneous system |(g v)_i| <= psi_i(nu(v)) for
     i < len(psis), realized as a vector of single-coordinate bands; counts
@@ -672,8 +673,14 @@ def kg_system_experiment(
     norm = max_norm(n)
     verdict = classify_series(f, bound, "asymptotic")
     ts = tuple(schedule.values())
-    payloads = [(f, bound, norm, point_class, ts, seed, i) for i in range(samples)]
-    records = _run_indexed(_kg_sample, payloads, workers)
+    counts = _count_maps(
+        f, norm, point_class, [(bound, 0.0, float(t)) for t in ts], samples, seed,
+        group, shift_bound, workers,
+    )
+    records = [
+        {"sample": i, "counts": [int(res.count) for res in results]}
+        for i, results in enumerate(counts)
+    ]
     rows = []
     for k, t in enumerate(ts):
         summary = StatSummary.from_values([r["counts"][k] for r in records])

@@ -29,8 +29,12 @@ from genlat.core import (
     block_norm,
     lp_norm,
     max_norm,
+    mix_seed,
+    power_law,
 )
+from genlat.counting import CountQuery, count_solutions
 from genlat.experiments import ExperimentConfig
+from genlat.haar import sample_asl
 from genlat.volume import verification_matrix
 
 
@@ -319,16 +323,78 @@ def test_rerun_is_byte_identical(tmp_path):
     assert a == b
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    argv = [
+# one small run of each command that samples maps and counts on them
+_SPF = "spf:p=1,q=1,d=2"
+_SAMPLED_MAP_RUNS = {
+    "ratio": [
         "ratio", "--f", "spf:p=2,q=1,d=2", "--psi", "pl:C=1,s=0.5,j=0",
         "--schedule", "t0=1,ratio=2,k0=2,kmax=3", "--samples", 2, "--seed", 3,
-    ]
+    ],
+    "zerofull": [
+        "zerofull", "--f", _SPF, "--psi", "pl:C=1,s=0.5,j=0", "--t-split", 4, "--t-max", 32,
+        "--samples", 3, "--seed", 5,
+    ],
+    "uniform": [
+        "uniform", "--f", _SPF, "--psi", "pl:C=1,s=1,j=0", "--schedule", "t0=1,ratio=2,k0=1,kmax=4",
+        "--samples", 3, "--seed", 5,
+    ],
+    "kgsystem": [
+        "kgsystem", "--n", 2, "--psi", "pl:C=1,s=1,j=0", "--schedule", "t0=1,ratio=2,k0=1,kmax=4",
+        "--samples", 3, "--seed", 5,
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(_SAMPLED_MAP_RUNS))
+def test_worker_count_does_not_change_bytes(tmp_path, command):
+    argv = _SAMPLED_MAP_RUNS[command]
     assert _run(argv + ["--workers", 1, "--out", tmp_path / "w1"]) == 0
     assert _run(argv + ["--workers", 2, "--out", tmp_path / "w2"]) == 0
     a = Path(f"{tmp_path / 'w1'}.jsonl").read_bytes()
     b = Path(f"{tmp_path / 'w2'}.jsonl").read_bytes()
     assert a == b
+
+
+def test_affine_group_shifts_the_sampled_maps(tmp_path):
+    # map i is sample_asl(n, default_rng(mix_seed(5, i)), 1, norm); each record
+    # is recounted on it directly
+    f, ts = SignedPowerForm(1, 1, 2), (2.0, 4.0, 8.0, 16.0)
+    band = VectorOf((MaxPower((1.0,), 2, (0,)),))
+
+    def count(g, target, bound, norm, t0, t, early):
+        return count_solutions(CountQuery(g, target, bound, norm, PointClass.ALL_NONZERO, t0, t,
+                                          stop_after_first=early))
+
+    def expected(command, i):
+        norm = max_norm(2) if command == "kgsystem" else f.canonical_norm()
+        g = sample_asl(2, np.random.default_rng(mix_seed(5, i)), 1.0, norm)
+        if command == "zerofull":
+            res = count(g, f, power_law(1.0, 0.5, 0), norm, 4.0, 32.0, True)
+            return {"hit": res.count > 0, "witness": list(res.first_witness) if res.count else None}
+        if command == "uniform":
+            hits = [count(g, f, tuple(power_law()(t)), norm, 0.0, t, True).count > 0 for t in ts]
+            return {"successes": hits}
+        return {"counts": [count(g, band, power_law(), norm, 0.0, t, False).count for t in ts]}
+
+    for command in ("zerofull", "uniform", "kgsystem"):
+        argv = _SAMPLED_MAP_RUNS[command]
+        assert _run(argv + ["--out", tmp_path / "sl"]) == 0
+        assert _run(argv + ["--group", "ASL", "--shift-bound", 1, "--out", tmp_path / "asl"]) == 0
+        records = _read_jsonl(tmp_path / "asl")
+        assert records != _read_jsonl(tmp_path / "sl"), command
+        for i, rec in enumerate(records):
+            want = expected(command, i)
+            assert {key: rec[key] for key in want} == want, (command, i)
+
+
+@pytest.mark.parametrize("command", ["siegel", "rogers"])
+def test_group_selects_lattices_or_grids(tmp_path, command):
+    volume = "--volume" if command == "siegel" else "--volumes"
+    argv = [command, "--n", 2, volume, 9, "--samples", 5, "--seed", 4]
+    assert _run(argv + ["--out", tmp_path / "sl"]) == 0
+    assert _run(argv + ["--group", "ASL", "--out", tmp_path / "asl"]) == 0
+    assert all("nonzero" in rec and "all" not in rec for rec in _read_jsonl(tmp_path / "sl"))
+    assert all("all" in rec and "nonzero" not in rec for rec in _read_jsonl(tmp_path / "asl"))
 
 
 # --------------------------------------------------------------------------
@@ -388,6 +454,20 @@ def test_enormous_volume_fails_before_enumerating(tmp_path, capsys):
         rc = _run(["siegel", "--n", 3, "--volume", 1e70, "--samples", 2, "--out", tmp_path / "x"])
     assert rc == 2
     assert "too large" in _stderr_record(capsys)["message"]
+
+
+def test_emptyprob_rejects_affine_group(tmp_path, capsys):
+    argv = ["emptyprob", "--n", 2, "--volumes", "1,4", "--samples", 3, "--group", "ASL"]
+    assert _run(argv + ["--out", tmp_path / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == "group"
+    assert not list(tmp_path.iterdir())
+
+
+def test_volume_custom_row_uses_norm(tmp_path, capsys):
+    argv = ["volume", "--f", "prod:n=2", "--psi", "pl:C=1,s=1,j=0", "--t0", 2, "--t", 8]
+    assert _run(argv + ["--norm", "ld:2", "--out", tmp_path / "x"]) == 2
+    assert "family norm" in _stderr_record(capsys)["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_group_in_config_file_named(tmp_path, capsys):

@@ -501,6 +501,28 @@ _ROOT = Path(__file__).resolve().parents[1]
 _TEST_ORACLES = {("volume", "criterion_terms")}
 
 
+def _without_annotations(source: str) -> str:
+    """The source with every type annotation blanked: a name that only types
+    a parameter, a return value or a field has no caller there."""
+    tree = ast.parse(source)
+    spans = [
+        node.annotation if isinstance(node, (ast.arg, ast.AnnAssign)) else node.returns
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    # offsets count utf-8 bytes, so blank the encoded source
+    data = bytearray(source.encode())
+    starts = [0]
+    for line in data.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    for node in spans:
+        if node is not None:
+            lo = starts[node.lineno - 1] + node.col_offset
+            hi = starts[node.end_lineno - 1] + node.end_col_offset
+            data[lo:hi] = re.sub(rb"\S", b" ", bytes(data[lo:hi]))
+    return data.decode()
+
+
 @pytest.mark.parametrize("module", ["core", "haar", "volume", "counting", "experiments"])
 def test_public_names_have_callers_outside_tests(module):
     paths = [
@@ -508,7 +530,7 @@ def test_public_names_have_callers_outside_tests(module):
         *(p for p in (_ROOT / "scripts").rglob("*") if p.is_file()),
         *(_ROOT / "benchmark").glob("*.py"),
     ]
-    texts = [p.read_text() for p in paths]
+    texts = [_without_annotations(p.read_text()) if p.suffix == ".py" else p.read_text() for p in paths]
     uncalled = []
     for name in importlib.import_module(f"genlat.{module}").__all__:
         if (module, name) in _TEST_ORACLES:
@@ -536,3 +558,19 @@ def test_counting_tells_target_classes_apart_in_one_function():
                 if named & classes:
                     owners.add(fn.name)
     assert owners == {"_slot_solvers"}
+
+
+def test_dichotomy_experiments_draw_and_count_in_one_function_each():
+    """The dichotomy experiments share one map-draw rule and one counting
+    worker: a new experiment passes its shells to them instead of drawing
+    or counting on its own."""
+    tree = ast.parse((_ROOT / "src" / "genlat" / "experiments.py").read_text())
+    callers = {"count_solutions": set(), "sample_sl": set(), "sample_asl": set()}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(fn.name)
+    assert callers["count_solutions"] == {"_count_map"}
+    assert callers["sample_sl"] | callers["sample_asl"] == {"draw_map"}

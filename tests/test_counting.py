@@ -29,7 +29,6 @@ from genlat.core import (
 from genlat.counting import (
     CountQuery,
     CountResult,
-    IntegerBox,
     NormBall,
     _MAX_BLOCK,
     _REGION_ROWS,
@@ -473,7 +472,7 @@ def _stacked(maps):
 
 def _direct_region_scan(g, region):
     """Integer v with g(v) in the region, by one meshgrid over a padded box."""
-    reach = np.abs(g.inverse_h()) @ (region.cube_halfwidth() + np.abs(g.z))
+    reach = np.abs(g.inverse_h()) @ (region.radius + np.abs(g.z))
     axes = [np.arange(-b, b + 1) for b in np.ceil(reach).astype(int) + 1]
     vs = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
     return {tuple(v) for v in vs[region.contains(g.apply(vs.astype(float)))]}
@@ -525,7 +524,6 @@ class TestRegionStreaming:
         regions = [
             NormBall(max_norm(n), 3.0),
             NormBall(lp_norm(n, 2.0), 3.0),
-            IntegerBox((-2.5,) + (-1.0,) * (n - 1), (3.0,) + (2.2,) * (n - 1)),
         ]
         bases, shifts = _stacked(maps)
         for region in regions:
@@ -551,17 +549,9 @@ class TestRegionStreaming:
         for s, g in enumerate(maps):
             assert counts[s] == len(_direct_region_scan(g, ball)), s
 
-    def test_box_region(self):
-        box = IntegerBox((-1.5, -2.0), (2.5, 0.1))
-        _, vs, _ = lattice_points_in_region(np.eye(2)[None], np.zeros((1, 2)), box)
-        # v1 in {-1..2}, v2 in {-2..0}
-        assert len(vs) == 12
-
     def test_region_validation(self):
         with pytest.raises(ValueError, match="radius"):
             NormBall(max_norm(2), -1.0)
-        with pytest.raises(ValueError, match="corners"):
-            IntegerBox((0.0, 1.0), (1.0, 0.0))
         with pytest.raises(ValueError, match="too large"):
             lattice_points_in_region(np.eye(3)[None], np.zeros((1, 3)), NormBall(max_norm(3), 300.0))
 

@@ -39,7 +39,6 @@ from genlat.experiments import (
     wilson_interval,
     zero_full_experiment,
 )
-from genlat.haar import identity_map, sample_sl
 from genlat.volume import Verdict, zeta_fn
 
 
@@ -237,60 +236,61 @@ class TestEmptyProbability:
 
 class TestCountingRatio:
     def test_divergent_ratio_structure(self):
-        rng = np.random.default_rng(23)
-        g = sample_sl(3, rng)
         res = counting_ratio_experiment(
-            g,
             SignedPowerForm(2, 1, 2),
             power_law(1.0, 0.5, 0),
             block_norm(((2, 2), (1, 2))),
             PointClass.ALL_NONZERO,
             DyadicSchedule(1.0, 2.0, 4, 7),
+            samples=1,
+            seed=23,
         )
         assert res.threshold >= 1.0
-        assert len(res.rows) == 4
-        assert res.final_ratio is not None and res.final_ratio > 0
-        counts = [row["count"] for row in res.rows]
+        assert len(res.records) == 4
+        final = res.series[0]["final_ratio"]
+        assert final is not None and final > 0
+        counts = [row["count"] for row in res.records]
         assert counts == sorted(counts)
 
     def test_convergent_regime_rejected(self):
         with pytest.raises(ValueError, match="divergent"):
             counting_ratio_experiment(
-                identity_map(3),
                 SignedPowerForm(2, 1, 2),
                 power_law(1.0, 2.0, 0),
                 block_norm(((2, 2), (1, 2))),
                 PointClass.ALL_NONZERO,
                 DyadicSchedule(1.0, 2.0, 4, 6),
+                samples=1,
+                seed=0,
+                group="identity",
             )
 
     def test_checkpoints_below_threshold_report_missing_ratio(self):
-        rng = np.random.default_rng(3)
-        g = sample_sl(2, rng)
         # constant bound C = 8 crosses z^2 near 2.83, past the first checkpoints
         res = counting_ratio_experiment(
-            g,
             CoordinateProduct(2),
             ApproxFunction(((8.0, 0.0, 0),)),
             max_norm(2),
             PointClass.ALL_NONZERO,
             DyadicSchedule(1.0, 2.0, 0, 5),
+            samples=1,
+            seed=3,
         )
-        low_rows = [row for row in res.rows if row["t"] <= res.threshold]
+        low_rows = [row for row in res.records if row["t"] <= res.threshold]
         assert low_rows, "expected sub-threshold checkpoints"
         assert all(row["ratio"] is None and row["count"] == 0 for row in low_rows)
 
     def test_primitive_constant_applied(self):
-        rng = np.random.default_rng(29)
-        g = sample_sl(2, rng)
         kwargs = dict(
             f=SignedPowerForm(1, 1, 1),
             psi=power_law(1.0, 0.5, 0),
             norm=block_norm(((1, 1), (1, 1))),
             schedule=DyadicSchedule(1.0, 2.0, 3, 5),
+            samples=1,
+            seed=29,
         )
-        nz = counting_ratio_experiment(g, point_class=PointClass.ALL_NONZERO, **kwargs)
-        pr = counting_ratio_experiment(g, point_class=PointClass.PRIMITIVE, **kwargs)
+        nz = counting_ratio_experiment(point_class=PointClass.ALL_NONZERO, **kwargs)
+        pr = counting_ratio_experiment(point_class=PointClass.PRIMITIVE, **kwargs)
         assert pr.constant == pytest.approx(1.0 / zeta_fn(2.0))
         assert nz.constant == 1.0
 
