@@ -1,15 +1,15 @@
 """Command line surface: configuration, persistence, and seed management.
 
-Each subcommand resolves an ExperimentConfig (command line flags override
-config-file values), runs one experiment, and writes up to three artifacts
-under the --out prefix:
+Each subcommand resolves an ExperimentConfig from the model keys it reads
+(_COMMANDS; flags override config-file values, other keys are errors), runs
+one experiment, and writes up to three artifacts under the --out prefix:
 
   <out>.jsonl          one record per sample or per schedule point; every
                        record carries the master seed and its sample index
   <out>.csv            tidy summary columns (x, y, stderr style) for plotting
-  <out>.manifest.json  schema version, the fully resolved config, master
-                       seed, worker count, wall-clock timestamps, and a
-                       sha256 digest of each data file
+  <out>.manifest.json  schema version, the resolved model keys the command
+                       reads plus the master seed, worker count, wall-clock
+                       timestamps, and a sha256 digest of each data file
 
 Records never contain timestamps, so a rerun with the same master seed and
 worker count is byte identical; the wall clock lives in the manifest only.
@@ -27,6 +27,7 @@ import math
 import os
 import platform
 import sys
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -76,17 +77,18 @@ from .volume import (
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {
-    "n",
-    "f",
-    "psi",
-    "norm",
-    "pointClass",
-    "group",
-    "shiftBound",
-    "schedule",
-    "sampleCount",
-    "masterSeed",
+# model key (its config-file name, also its argparse dest) -> (flag, argparse
+# keywords); the common --seed sets the one other config key, masterSeed
+_MODEL_KEYS = {
+    "n": ("--n", {"type": int, "help": "ambient dimension"}),
+    "f": ("--f", {"help": "target spec, e.g. spf:p=2,q=1,d=2"}),
+    "psi": ("--psi", {"help": "bound spec, e.g. pl:C=1,s=1,j=0"}),
+    "norm": ("--norm", {"help": "norm spec (max, ld:<d>, block:...); defaults to the family norm"}),
+    "pointClass": ("--class", {"choices": ("nonzero", "primitive", "all")}),
+    "group": ("--group", {"choices": ("SL", "ASL")}),
+    "shiftBound": ("--shift-bound", {"type": float}),
+    "schedule": ("--schedule", {"help": "t0=..,ratio=..,k0=..,kmax=.."}),
+    "sampleCount": ("--samples", {"type": int, "help": "sample count (sampleCount)"}),
 }
 
 
@@ -126,7 +128,7 @@ def _schedule_dict(s: DyadicSchedule) -> dict:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build the resolved config, naming the offending key on any failure."""
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_MODEL_KEYS) - {"masterSeed"}
     if unknown:
         raise ConfigError(sorted(unknown)[0], f"unknown config key {sorted(unknown)[0]!r}")
     if "n" not in data or data["n"] is None:
@@ -194,9 +196,10 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file (if any) with flags; flags win."""
+    """Merge the config file (if any) with flags; flags win.  Both set only the command's keys."""
+    command = _COMMANDS[args.command]
     data: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError("config", f"config file not found: {path}")
@@ -206,21 +209,12 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("config", f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config", "config file must hold a JSON object")
-    overrides = {
-        "n": getattr(args, "n", None),
-        "f": getattr(args, "f", None),
-        "psi": getattr(args, "psi", None),
-        "norm": getattr(args, "norm", None),
-        "pointClass": getattr(args, "point_class", None),
-        "group": getattr(args, "group", None),
-        "shiftBound": getattr(args, "shift_bound", None),
-        "schedule": getattr(args, "schedule", None),
-        "sampleCount": getattr(args, "samples", None),
-        "masterSeed": getattr(args, "seed", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+        unread = sorted(set(data) - set(command.keys) - {"masterSeed"})
+        if unread:
+            raise ConfigError(unread[0], f"{args.command} does not read config key {unread[0]!r}")
+    for key in (*command.keys, "masterSeed"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     if data.get("n") is None:
         if data.get("f") is not None:
             spec = data["f"]
@@ -228,8 +222,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
                 data["n"] = spec.n if not isinstance(spec, str) else parse_target(spec).n
             except ValueError as exc:
                 raise ConfigError("f", f"f: {exc}") from None
-        elif getattr(args, "command", None) in ("volume", "selftest"):
-            data["n"] = 2  # placeholder; these commands carry their own dimensions
+        elif not command.needs_n:
+            data["n"] = 2  # placeholder; the command carries its own dimensions
     return config_from_dict(data)
 
 
@@ -299,7 +293,8 @@ def _emit(
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "command": args.command,
-        "config": serialize_config(cfg),
+        "config": {key: value for key, value in serialize_config(cfg).items()
+                   if key in _COMMANDS[args.command].keys or key == "masterSeed"},
         "masterSeed": cfg.master_seed,
         "workers": args.workers,
         "startedAt": started,
@@ -328,13 +323,22 @@ def _require(value, key: str):
     return value
 
 
+def _map_group(cfg: ExperimentConfig, args) -> str:
+    """--group, or "identity" under --identity: one map, no affine group or shift."""
+    if not getattr(args, "identity", False):
+        return cfg.group
+    for key, value, unset in (("group", cfg.group, "SL"), ("shiftBound", cfg.shift_bound, 0.0),
+                              ("sampleCount", cfg.sample_count, 1)):
+        if value != unset:
+            raise ConfigError(key, f"--identity uses one identity map, so {key} must be {unset}, got {value}")
+    return "identity"
+
+
 def _sampled_maps(cfg: ExperimentConfig, args) -> dict:
     """How a command draws its maps (``experiments.draw_map``): sampleCount
     maps of --group from the master seed, or one identity map under --identity."""
-    identity = getattr(args, "identity", False)
-    return {"samples": 1 if identity else cfg.sample_count, "seed": cfg.master_seed,
-            "workers": args.workers, "group": "identity" if identity else cfg.group,
-            "shift_bound": cfg.shift_bound}
+    return {"samples": cfg.sample_count, "seed": cfg.master_seed, "workers": args.workers,
+            "group": _map_group(cfg, args), "shift_bound": cfg.shift_bound}
 
 
 # the point set siegel and rogers sample: lattices under SL, affine grids
@@ -420,11 +424,13 @@ def _cmd_mc_volume(cfg: ExperimentConfig, args) -> tuple:
 def _cmd_count(cfg: ExperimentConfig, args) -> tuple:
     f = _require(cfg.f, "f")
     norm = _require(cfg.norm, "norm")
-    if args.eps is not None:
-        bound = tuple([float(args.eps)] * f.component_count)
-    else:
+    if args.eps is None:
         bound = _require(cfg.psi, "psi")
-    g = draw_map(cfg.n, cfg.master_seed, 0, "identity" if args.identity else cfg.group, cfg.shift_bound, cfg.norm)
+    elif cfg.psi is not None:
+        raise ConfigError("psi", "count takes a fixed --eps or a bound psi, not both")
+    else:
+        bound = tuple([float(args.eps)] * f.component_count)
+    g = draw_map(cfg.n, cfg.master_seed, 0, _map_group(cfg, args), cfg.shift_bound, cfg.norm)
     query = CountQuery(
         g=g,
         f=f,
@@ -503,8 +509,6 @@ def _cmd_rogers(cfg: ExperimentConfig, args) -> tuple:
 
 
 def _cmd_emptyprob(cfg: ExperimentConfig, args) -> tuple:
-    if cfg.group != "SL":
-        raise ConfigError("group", f"emptyprob samples lattices only (group SL), got {cfg.group}")
     volumes = _volume_list(_require(args.volumes, "volumes"), "volumes")
     res = empty_probability_experiment(
         cfg.n, volumes, cfg.sample_count, cfg.master_seed, r=args.r, workers=args.workers
@@ -735,41 +739,42 @@ def _cmd_selftest(cfg: ExperimentConfig, args) -> tuple:
 # argument parsing
 
 
-_HANDLERS = {
-    "volume": _cmd_volume,
-    "mc-volume": _cmd_mc_volume,
-    "count": _cmd_count,
-    "classify": _cmd_classify,
-    "siegel": _cmd_siegel,
-    "rogers": _cmd_rogers,
-    "emptyprob": _cmd_emptyprob,
-    "ratio": _cmd_ratio,
-    "zerofull": _cmd_zerofull,
-    "uniform": _cmd_uniform,
-    "kgsystem": _cmd_kgsystem,
-    "normcheck": _cmd_normcheck,
-    "selftest": _cmd_selftest,
+# a subcommand: its handler, help, the model keys the handler reads, and whether
+# it needs n (volume's built-in matrix and selftest carry their own dimensions)
+_Command = namedtuple("_Command", "handler help keys needs_n", defaults=(True,))
+
+_DICHOTOMY_KEYS = ("n", "f", "psi", "norm", "pointClass", "group", "shiftBound", "schedule", "sampleCount")
+
+_COMMANDS = {
+    "volume": _Command(_cmd_volume, "closed-form shell volumes (default: the 9-point verification matrix)",
+                       ("n", "f", "psi", "norm"), needs_n=False),
+    "mc-volume": _Command(_cmd_mc_volume, "Monte Carlo volume of a sublevel shell",
+                          ("n", "f", "psi", "norm", "sampleCount")),
+    "count": _Command(_cmd_count, "count lattice points in one sublevel shell",
+                      ("n", "f", "psi", "norm", "pointClass", "group", "shiftBound")),
+    "classify": _Command(_cmd_classify, "convergence/divergence of the family criterion", ("n", "f", "psi")),
+    "siegel": _Command(_cmd_siegel, "mean count vs c_P * volume", ("n", "group", "sampleCount")),
+    "rogers": _Command(_cmd_rogers, "count variance per region volume", ("n", "group", "sampleCount")),
+    "emptyprob": _Command(_cmd_emptyprob, "P(empty region) decay across a V grid", ("n", "sampleCount")),
+    "ratio": _Command(_cmd_ratio, "count over c_P * volume along a schedule", _DICHOTOMY_KEYS),
+    "zerofull": _Command(_cmd_zerofull, "fraction of sampled maps with a solution in a shell",
+                         tuple(key for key in _DICHOTOMY_KEYS if key != "schedule")),
+    "uniform": _Command(_cmd_uniform, "per-checkpoint uniform approximability checks", _DICHOTOMY_KEYS),
+    "kgsystem": _Command(_cmd_kgsystem, "componentwise simultaneous system counts",
+                         ("n", "psi", "pointClass", "group", "shiftBound", "schedule", "sampleCount")),
+    "normcheck": _Command(_cmd_normcheck, "norm independence of the finiteness dichotomy",
+                          ("n", "f", "psi", "norm", "sampleCount")),
+    "selftest": _Command(_cmd_selftest, "oracle equivalence and invariant suite", (), needs_n=False),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--seed", type=int, default=None, help="master seed (masterSeed)")
+    common.add_argument("--seed", dest="masterSeed", type=int, default=None, help="master seed (masterSeed)")
     common.add_argument("--workers", type=int, default=1, help="parallel sample workers")
     common.add_argument("--out", default="run", help="output path prefix")
     common.add_argument("--format", choices=("csv", "jsonl", "both"), default="both")
-
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--n", type=int, default=None, help="ambient dimension")
-    model.add_argument("--f", default=None, help="target spec, e.g. spf:p=2,q=1,d=2")
-    model.add_argument("--psi", default=None, help="bound spec, e.g. pl:C=1,s=1,j=0")
-    model.add_argument("--norm", default=None, help="norm spec (max, ld:<d>, block:...); defaults to the family norm")
-    model.add_argument("--class", dest="point_class", choices=("nonzero", "primitive", "all"), default=None)
-    model.add_argument("--group", choices=("SL", "ASL"), default=None)
-    model.add_argument("--shift-bound", type=float, default=None)
-    model.add_argument("--schedule", default=None, help="t0=..,ratio=..,k0=..,kmax=..")
-    model.add_argument("--samples", type=int, default=None, help="sample count (sampleCount)")
 
     parser = argparse.ArgumentParser(
         prog="genlat",
@@ -778,54 +783,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"genlat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each model flag is built once and shared, as parents= does (an add_argument per
+    # subparser costs ~1 ms a run); no prefix matching, or an unread --f passes as --format
+    model = argparse.ArgumentParser(add_help=False)
+    actions = {key: model.add_argument(flag, dest=key, **kwargs) for key, (flag, kwargs) in _MODEL_KEYS.items()}
+    p = {}
+    for name, command in _COMMANDS.items():
+        p[name] = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False)
+        for key in command.keys:
+            p[name]._add_action(actions[key])
 
-    p = sub.add_parser("volume", parents=[common, model], help="closed-form shell volumes (default: the 9-point verification matrix)")
-    p.add_argument("--t0", type=float, default=None, help="shell start (custom row)")
-    p.add_argument("--t", type=float, default=None, help="shell end (custom row)")
+    p["volume"].add_argument("--t0", type=float, default=None, help="shell start (custom row)")
+    p["volume"].add_argument("--t", type=float, default=None, help="shell end (custom row)")
 
-    p = sub.add_parser("mc-volume", parents=[common, model], help="Monte Carlo volume of a sublevel shell")
-    p.add_argument("--outer", type=float, required=True)
-    p.add_argument("--inner", type=float, default=0.0)
+    p["mc-volume"].add_argument("--outer", type=float, required=True)
+    p["mc-volume"].add_argument("--inner", type=float, default=0.0)
 
-    p = sub.add_parser("count", parents=[common, model], help="count lattice points in one sublevel shell")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=None, help="shell radius (required)")
-    p.add_argument("--space", choices=("v", "w"), default="v", help="measure the radius on v or on w = g(v)")
-    p.add_argument("--eps", type=float, default=None, help="fixed tolerance instead of --psi")
-    p.add_argument("--identity", action="store_true", help="use the identity map (non-generic)")
-    p.add_argument("--stop-after-first", action="store_true")
+    p["count"].add_argument("--t0", type=float, default=0.0)
+    p["count"].add_argument("--t", type=float, default=None, help="shell radius (required)")
+    p["count"].add_argument("--space", choices=("v", "w"), default="v", help="measure the radius on v or on w = g(v)")
+    p["count"].add_argument("--eps", type=float, default=None, help="fixed tolerance instead of --psi")
+    p["count"].add_argument("--identity", action="store_true", help="use the identity map (non-generic)")
+    p["count"].add_argument("--stop-after-first", action="store_true")
 
-    p = sub.add_parser("classify", parents=[common, model], help="convergence/divergence of the family criterion")
-    p.add_argument("--criterion", choices=("asymptotic", "uniform"), default="asymptotic")
-    p.add_argument("--r", type=float, default=2.0)
+    p["classify"].add_argument("--criterion", choices=("asymptotic", "uniform"), default="asymptotic")
+    p["classify"].add_argument("--r", type=float, default=2.0)
 
-    p = sub.add_parser("siegel", parents=[common, model], help="mean count vs c_P * volume")
-    p.add_argument("--volume", type=float, default=None, required=False)
+    p["siegel"].add_argument("--volume", type=float, default=None, required=False)
 
-    p = sub.add_parser("rogers", parents=[common, model], help="count variance per region volume")
-    p.add_argument("--volumes", default=None, help="comma separated V grid")
-    p.add_argument("--ceiling", type=float, default=None)
+    p["rogers"].add_argument("--volumes", default=None, help="comma separated V grid")
+    p["rogers"].add_argument("--ceiling", type=float, default=None)
 
-    p = sub.add_parser("emptyprob", parents=[common, model], help="P(empty region) decay across a V grid")
-    p.add_argument("--volumes", default=None, help="comma separated V grid")
-    p.add_argument("--r", type=float, default=2.0)
+    p["emptyprob"].add_argument("--volumes", default=None, help="comma separated V grid")
+    p["emptyprob"].add_argument("--r", type=float, default=2.0)
 
-    p = sub.add_parser("ratio", parents=[common, model], help="count over c_P * volume along a schedule")
-    p.add_argument("--identity", action="store_true", help="use the identity map (non-generic)")
+    p["ratio"].add_argument("--identity", action="store_true", help="use the identity map (non-generic)")
 
-    p = sub.add_parser("zerofull", parents=[common, model], help="fraction of sampled maps with a solution in a shell")
-    p.add_argument("--t-split", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
+    p["zerofull"].add_argument("--t-split", type=float, default=None)
+    p["zerofull"].add_argument("--t-max", type=float, default=None)
 
-    sub.add_parser("uniform", parents=[common, model], help="per-checkpoint uniform approximability checks")
-
-    sub.add_parser("kgsystem", parents=[common, model], help="componentwise simultaneous system counts")
-
-    p = sub.add_parser("normcheck", parents=[common, model], help="norm independence of the finiteness dichotomy")
-    p.add_argument("--norm-b", default=None, help="second norm spec")
-    p.add_argument("--scales", default="2,4,8", help="comma separated shell scales")
-
-    sub.add_parser("selftest", parents=[common, model], help="oracle equivalence and invariant suite")
+    p["normcheck"].add_argument("--norm-b", default=None, help="second norm spec")
+    p["normcheck"].add_argument("--scales", default="2,4,8", help="comma separated shell scales")
     return parser
 
 
@@ -835,7 +833,7 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = parse_config(args)
-        records, header, rows, extras = _HANDLERS[args.command](cfg, args)
+        records, header, rows, extras = _COMMANDS[args.command].handler(cfg, args)
         _emit(args, cfg, records, header, rows, extras, started)
     except ConfigError as exc:
         sys.stderr.write(_json_line({"error": "config", "key": exc.key, "message": str(exc)}) + "\n")

@@ -5,10 +5,13 @@ these tests exercise exactly what a shell user gets, including exit codes and
 the JSON error records on stderr.
 """
 
+import argparse
 import csv
 import hashlib
 import json
 import platform
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genlat.cli import ConfigError, config_from_dict, main, serialize_config
+from genlat.cli import ConfigError, build_parser, config_from_dict, main, parse_config, serialize_config
 from genlat.core import (
     ApproxFunction,
     CoordinateProduct,
@@ -426,7 +429,7 @@ def test_zero_samples_names_sample_count(tmp_path, capsys):
 
 
 def test_negative_shift_bound_names_key(tmp_path, capsys):
-    argv = ["siegel", "--n", 2, "--volume", 4, "--shift-bound", -1]
+    argv = ["zerofull", "--n", 2, "--shift-bound", -1]
     rc = _run(argv + ["--out", tmp_path / "x"])
     assert rc == 2
     assert _stderr_record(capsys)["key"] == "shiftBound"
@@ -457,10 +460,12 @@ def test_enormous_volume_fails_before_enumerating(tmp_path, capsys):
 
 
 def test_emptyprob_rejects_affine_group(tmp_path, capsys):
-    argv = ["emptyprob", "--n", 2, "--volumes", "1,4", "--samples", 3, "--group", "ASL"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "ASL"}))
+    argv = ["emptyprob", "--n", 2, "--volumes", "1,4", "--samples", 3, "--config", cfg]
     assert _run(argv + ["--out", tmp_path / "x"]) == 2
     assert _stderr_record(capsys)["key"] == "group"
-    assert not list(tmp_path.iterdir())
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_volume_custom_row_uses_norm(tmp_path, capsys):
@@ -476,6 +481,45 @@ def test_bad_group_in_config_file_named(tmp_path, capsys):
     rc = _run(["volume", "--config", cfg, "--out", tmp_path / "x"])
     assert rc == 2
     assert _stderr_record(capsys)["key"] == "group"
+
+
+def test_bad_group_value_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "group": "GL"}))
+    rc = _run(["siegel", "--volume", 4, "--config", cfg, "--out", tmp_path / "x"])
+    assert rc == 2
+    assert _stderr_record(capsys)["key"] == "group"
+
+
+def test_count_rejects_eps_with_psi(tmp_path, capsys):
+    argv = ["count", "--f", "spf:p=1,q=1,d=2", "--eps", 0.5, "--t", 4]
+    assert _run(argv + ["--psi", "pl:C=1,s=0.5,j=0", "--out", tmp_path / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == "psi"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"psi": "pl:C=1,s=0.5,j=0"}))
+    assert _run(argv + ["--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == "psi"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+_IDENTITY_RUNS = {
+    "count": ["count", "--f", "spf:p=1,q=1,d=2", "--eps", 0.5, "--t", 4, "--identity"],
+    "ratio": ["ratio", "--f", "spf:p=2,q=1,d=2", "--psi", "pl:C=1,s=0.5,j=0",
+              "--schedule", "t0=1,ratio=2,k0=2,kmax=3", "--identity"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, model, key",
+    [(command, model, key) for command in ("count", "ratio")
+     for model, key in ((["--group", "ASL"], "group"), (["--shift-bound", 1], "shiftBound"),
+                        (["--group", "ASL", "--shift-bound", 1], "group"))]
+    + [("ratio", ["--samples", 2], "sampleCount")],
+)
+def test_identity_rejects_affine_group_shift_or_samples(tmp_path, capsys, command, model, key):
+    assert _run(_IDENTITY_RUNS[command] + [*model, "--out", tmp_path / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == key
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_config_file_key_named(tmp_path, capsys):
@@ -528,3 +572,115 @@ def test_flags_override_config_file(tmp_path):
     assert manifest["masterSeed"] == 9
     assert manifest["config"]["masterSeed"] == 9
     assert manifest["config"]["f"] == "prod:n=2"
+
+
+# --------------------------------------------------------------------------
+# each subcommand takes exactly the model keys it reads
+
+
+_ALL_MODEL_KEYS = {"n", "f", "psi", "norm", "pointClass", "group", "shiftBound", "schedule", "sampleCount"}
+_READS = {
+    "volume": {"n", "f", "psi", "norm"},
+    "mc-volume": {"n", "f", "psi", "norm", "sampleCount"},
+    "count": {"n", "f", "psi", "norm", "pointClass", "group", "shiftBound"},
+    "classify": {"n", "f", "psi"},
+    "siegel": {"n", "group", "sampleCount"},
+    "rogers": {"n", "group", "sampleCount"},
+    "emptyprob": {"n", "sampleCount"},
+    "ratio": _ALL_MODEL_KEYS,
+    "zerofull": _ALL_MODEL_KEYS - {"schedule"},
+    "uniform": _ALL_MODEL_KEYS,
+    "kgsystem": {"n", "psi", "pointClass", "group", "shiftBound", "schedule", "sampleCount"},
+    "normcheck": {"n", "f", "psi", "norm", "sampleCount"},
+    "selftest": set(),
+}
+# model key -> (flag, flag value, config-file value)
+_MODEL_FLAGS = {
+    "n": ("--n", "2", 2),
+    "f": ("--f", "prod:n=2", "prod:n=2"),
+    "psi": ("--psi", "pl:C=1,s=1,j=0", "pl:C=1,s=1,j=0"),
+    "norm": ("--norm", "max", "max"),
+    "pointClass": ("--class", "primitive", "primitive"),
+    "group": ("--group", "ASL", "ASL"),
+    "shiftBound": ("--shift-bound", "1", 1),
+    "schedule": ("--schedule", "t0=1,ratio=2,k0=0,kmax=1", "t0=1,ratio=2,k0=0,kmax=1"),
+    "sampleCount": ("--samples", "3", 3),
+}
+_REQUIRED = {"mc-volume": ["--outer", "4"]}
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_model_key_table():
+    assert set(_subparsers()) == set(_READS)
+    assert sum(map(len, _READS.values())) == 65
+
+
+@pytest.mark.parametrize("key", sorted(_MODEL_FLAGS))
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_command_takes_only_the_model_keys_it_reads(tmp_path, capsys, command, key):
+    flag, text, value = _MODEL_FLAGS[key]
+    argv = [command, *_REQUIRED.get(command, [])]
+    cfg = tmp_path / "cfg.json"
+    assert (flag in _subparsers()[command]._option_string_actions) == (key in _READS[command])
+    if key in _READS[command]:
+        # the flag and the config-file key resolve to the same config
+        cfg.write_text(json.dumps({"n": 2, key: value}))
+        from_file = parse_config(build_parser().parse_args(argv + ["--config", str(cfg)]))
+        assert from_file == parse_config(build_parser().parse_args(argv + ["--n", "2", flag, text]))
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + [flag, text])
+    assert exc.value.code == 2
+    cfg.write_text(json.dumps({key: value}))
+    assert _run(argv + ["--config", cfg, "--out", tmp_path / "out" / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == key
+    assert not (tmp_path / "out").exists()
+
+
+def test_unread_model_flag_is_not_taken_as_a_prefix(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["siegel", "--n", "2", "--f", "csv"])  # --format csv by prefix
+    assert exc.value.code == 2
+
+
+def test_manifest_records_only_the_keys_read(tmp_path):
+    assert _run(["siegel", "--n", 2, "--volume", 4, "--samples", 3, "--seed", 2, "--out", tmp_path / "s"]) == 0
+    assert _read_manifest(tmp_path / "s")["config"] == {"n": 2, "group": "SL", "sampleCount": 3, "masterSeed": 2}
+
+
+# --------------------------------------------------------------------------
+# every documented command line parses
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+def _documented_command_lines() -> dict:
+    """``genlat ...`` lines of scripts/*.sh and README's sh blocks, by file;
+    continuation lines joined, shell variables replaced by a placeholder."""
+    readme = (_REPO / "README.md").read_text()
+    sources = {path.name: path.read_text() for path in sorted((_REPO / "scripts").glob("*.sh"))}
+    sources["README.md"] = "\n".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    return {
+        name: [re.sub(r"\$\{?\w+\}?", "1", line.strip())
+               for line in text.replace("\\\n", " ").splitlines() if line.strip().startswith("genlat ")]
+        for name, text in sources.items()
+    }
+
+
+def test_documented_command_lines_found():
+    lines = _documented_command_lines()
+    assert set(lines) == {"README.md", "run_dichotomy_experiments.sh", "run_lattice_statistics.sh"}
+    assert all(lines.values())
+
+
+@pytest.mark.parametrize(
+    "line", [pytest.param(line, id=f"{name}:{i}")
+             for name, lines in _documented_command_lines().items() for i, line in enumerate(lines)]
+)
+def test_documented_command_line_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])
