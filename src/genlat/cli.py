@@ -215,15 +215,18 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in (*command.keys, "masterSeed"):
         if getattr(args, key) is not None:
             data[key] = getattr(args, key)
-    if data.get("n") is None:
-        if data.get("f") is not None:
-            spec = data["f"]
-            try:
-                data["n"] = spec.n if not isinstance(spec, str) else parse_target(spec).n
-            except ValueError as exc:
-                raise ConfigError("f", f"f: {exc}") from None
-        elif not command.needs_n:
-            data["n"] = 2  # placeholder; the command carries its own dimensions
+    if not command.needs_n and data.get("f") is None:
+        # without f the command runs its own built-in cases and reads no model key
+        given = [key for key in command.keys if data.get(key) is not None]
+        if given:
+            raise ConfigError(given[0], f"{args.command} without f does not read {given[0]!r}")
+        data["n"] = 2  # placeholder; the cases carry their own dimensions
+    elif data.get("n") is None and data.get("f") is not None:
+        spec = data["f"]
+        try:
+            data["n"] = spec.n if not isinstance(spec, str) else parse_target(spec).n
+        except ValueError as exc:
+            raise ConfigError("f", f"f: {exc}") from None
     return config_from_dict(data)
 
 

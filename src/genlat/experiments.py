@@ -168,8 +168,9 @@ class WeightedMean:
         return cls(mean, se, ess, len(xs))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion."""
+def wilson_interval(successes: float, trials: float, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score confidence interval for a binomial proportion; weighted
+    runs pass their effective trial count and successes at that scale."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"bad counts ({successes}, {trials})")
     p = successes / trials
@@ -260,9 +261,11 @@ _RANGE_POINTS = 16384
 
 
 def _siegel_sample(args):
-    """Records of samples start..stop-1, each drawn from its own stream in
-    index order, all counted in one region enumeration."""
-    n, volume, ensemble, seed, start, stop = args
+    """Per volume, the records of samples start..stop-1.  Each sample is
+    drawn once from its own stream in index order; one region enumeration
+    at the largest sup-norm ball finds the points of all of them, and each
+    volume counts the points inside its own ball."""
+    n, volumes, ensemble, seed, start, stop = args
     size = stop - start
     bases, shifts, weights = np.zeros((size, n, n)), np.zeros((size, n)), np.zeros(size)
     for k in range(size):
@@ -272,16 +275,43 @@ def _siegel_sample(args):
         else:
             g, weights[k] = sample_grid_exact(n, rng)
             bases[k], shifts[k] = g.h, g.z
-    ball = NormBall(max_norm(n), 0.5 * volume ** (1.0 / n))  # sup norm: volume (2r)^n
-    owner, vs, _ = lattice_points_in_region(bases, shifts, ball)
+    sup = max_norm(n)
+    radii = [0.5 * volume ** (1.0 / n) for volume in volumes]  # sup norm: volume (2r)^n
+    top = max(radii)
+    owner, vs, ws = lattice_points_in_region(bases, shifts, NormBall(sup, top))
+    # every point found lies in the top ball; a smaller one takes NormBall.contains's test
+    norms = sup.eval_many(ws) if min(radii) < top else None
     classes = {"all": np.ones(len(vs), dtype=bool)}
     if ensemble == "lattice":
         classes = {"nonzero": (vs != 0).any(axis=1), "primitive": np.gcd.reduce(np.abs(vs), axis=1) == 1}
-    counts = {key: np.bincount(owner[mask], minlength=size) for key, mask in classes.items()}
-    return [
-        {"sample": start + k, "weight": float(weights[k]), **{key: int(c[k]) for key, c in counts.items()}}
-        for k in range(size)
-    ]
+    out = []
+    for radius in radii:
+        inside = classes if radius == top else {key: mask & (norms <= radius) for key, mask in classes.items()}
+        counts = {key: np.bincount(owner[mask], minlength=size) for key, mask in inside.items()}
+        out.append([
+            {"sample": start + k, "weight": float(weights[k]), **{key: int(c[k]) for key, c in counts.items()}}
+            for k in range(size)
+        ])
+    return out
+
+
+def _sample_records(n, volumes, samples, seed, ensemble, workers) -> list:
+    """Per volume, the records of samples 0..samples-1 (``_siegel_sample``),
+    run over contiguous index ranges, at least one per worker; the records
+    do not depend on the ranges."""
+    if ensemble not in ("lattice", "grid"):
+        raise ValueError(f"ensemble must be lattice or grid, got {ensemble!r}")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    for volume in volumes:
+        if not volume >= 0:
+            raise ValueError(f"volume must be >= 0, got {volume}")
+    per_range = max(1, int(_RANGE_POINTS // max(*volumes, 1.0)))
+    parts = max(-(-samples // per_range), min(workers, samples))
+    edges = [samples * k // parts for k in range(parts + 1)]
+    payloads = [(n, tuple(volumes), ensemble, seed, a, b) for a, b in zip(edges, edges[1:])]
+    ranges = _run_indexed(_siegel_sample, payloads, workers)
+    return [[r for part in ranges for r in part[vi]] for vi in range(len(volumes))]
 
 
 def siegel_mean_experiment(
@@ -298,18 +328,7 @@ def siegel_mean_experiment(
     samples; the grid ensemble counts all grid points.  References:
     c = 1 for nonzero and grid counts, 1/zeta(n) for primitive ones.
     """
-    if ensemble not in ("lattice", "grid"):
-        raise ValueError(f"ensemble must be lattice or grid, got {ensemble!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if not volume >= 0:
-        raise ValueError(f"volume must be >= 0, got {volume}")
-    # contiguous index ranges, at least one per worker
-    per_range = max(1, int(_RANGE_POINTS // max(volume, 1.0)))
-    parts = max(-(-samples // per_range), min(workers, samples))
-    edges = [samples * k // parts for k in range(parts + 1)]
-    payloads = [(n, volume, ensemble, seed, a, b) for a, b in zip(edges, edges[1:])]
-    records = [r for part in _run_indexed(_siegel_sample, payloads, workers) for r in part]
+    (records,) = _sample_records(n, (volume,), samples, seed, ensemble, workers)
     weights = [r["weight"] for r in records]
     classes = ("nonzero", "primitive") if ensemble == "lattice" else ("all",)
     estimates, references, summaries = {}, {}, {}
@@ -396,32 +415,37 @@ def empty_probability_experiment(
 ) -> EmptyProbResult:
     """Empirical P(no nonzero lattice point in the volume-V ball) per V.
 
-    Wilson intervals per row; the log-log slope across the grid is fit
-    with zero frequencies clamped to 0.5/samples, and compared against
-    the bound shape V^(1-r) with half a unit of slack.
+    Each sample is drawn once and counted in every ball, from the streams
+    mix_seed(mix_seed(seed, 0), i).  The balls are nested, so the rows are
+    correlated and, for increasing volumes, their frequencies cannot
+    increase.  Frequencies are self-normalized weighted means (the exact
+    sampler is importance weighted for n >= 3), with Wilson intervals at the
+    effective sample size (sum w)^2 / sum w^2.  The log-log slope across the
+    grid is fit with zero frequencies clamped to 0.5/samples, and compared
+    against the bound shape V^(1-r) with half a unit of slack.
     """
     if len(volumes) < 2:
         raise ValueError("need at least two volumes for the decay fit")
+    volumes = [float(volume) for volume in volumes]
+    per_volume = _sample_records(n, volumes, samples, mix_seed(seed, 0), "lattice", workers)
+    weights = np.asarray([rec["weight"] for rec in per_volume[0]])
+    total, square = weights.sum(), (weights * weights).sum()
+    ess = float(total * total / square)
     rows, records = [], []
-    for vi, volume in enumerate(volumes):
-        sub = siegel_mean_experiment(
-            n, float(volume), samples, mix_seed(seed, vi), "lattice", workers
-        )
-        empties = [1 if rec["nonzero"] == 0 else 0 for rec in sub.records]
-        k = int(sum(empties))
-        lo, hi = wilson_interval(k, samples)
+    for volume, recs in zip(volumes, per_volume):
+        empty = np.asarray([rec["nonzero"] == 0 for rec in recs])
+        # weighted successes at the effective size: k and samples for equal weights
+        successes = float(weights[empty].sum() * total / square)
+        lo, hi = wilson_interval(successes, ess)
         rows.append(
             {
-                "volume": float(volume),
-                "empty_frequency": k / samples,
+                "volume": volume,
+                "empty_frequency": successes / ess,
                 "wilson_low": lo,
                 "wilson_high": hi,
             }
         )
-        for rec, e in zip(sub.records, empties):
-            records.append(
-                {"volume": float(volume), "sample": rec["sample"], "empty": bool(e)}
-            )
+        records += [{"volume": volume, "sample": rec["sample"], "empty": bool(e)} for rec, e in zip(recs, empty)]
     # least-squares slope in log2-log2 coordinates, zero rows clamped
     clamp = 0.5 / samples
     xs = np.log2([row["volume"] for row in rows])

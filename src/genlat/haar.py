@@ -18,10 +18,15 @@ x^2 + y^2 >= 1, density proportional to dx dy / y^2).  Higher dimensions
 disintegrate along a marked primitive vector: the marked vector is proposed
 from a centered Gaussian, the orthogonal complement carries an exact sample
 one dimension down plus uniform torus phases, and the proposal/target
-discrepancy is returned as an importance weight (the reciprocal of the
-total Gaussian mass on the lattice's primitive vectors).  Estimators must
-use self-normalized weighted means; the (basis, weight) return type keeps
-that contract visible.
+discrepancy is returned as an importance weight: the reciprocal of the
+total Gaussian mass on the lattice's primitive vectors.  That mass comes by
+Mobius inversion from Gaussian sums over the multiples kL, each taken over
+the lattice itself or, by Poisson summation, over its dual, whichever needs
+the smaller ball; no ball has radius above about 3.3 at the default
+sigma = 1.5, and the dropped terms carry a stated relative bound (see
+``_primitive_gaussian_mass``).  Estimators must use self-normalized
+weighted means; the (basis, weight) return type keeps that contract
+visible.
 
 All samplers take an explicit NumPy generator and never touch global state.
 """
@@ -152,37 +157,48 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
 
     Returns a basis of the same lattice with near-orthogonal, short columns;
     used to keep enumeration boxes small.  delta close to 1 gives the
-    strongest reduction the algorithm supports.
+    strongest reduction the algorithm supports.  The Gram-Schmidt data are
+    computed once and then updated in place after each size reduction and
+    swap (Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    2.6.3); each column is size reduced in full before its Lovasz test.
     """
-    b = np.array(basis, dtype=float)
-    n = b.shape[1]
     if not 0.25 < delta < 1.0:
         raise ValueError(f"delta must be in (1/4, 1), got {delta}")
-
-    def gso(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bs = b.copy()
-        mu = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i):
-                mu[i, j] = (b[:, i] @ bs[:, j]) / (bs[:, j] @ bs[:, j])
-                bs[:, i] -= mu[i, j] * bs[:, j]
-        return bs, mu
-
-    bs, mu = gso(b)
+    rows = np.array(basis, dtype=float).T.copy()  # rows[i] is column i of the basis
+    n = len(rows)
+    # mu[i][j] = <b_i, b*_j> / |b*_j|^2 and bb[i] = |b*_i|^2, as Python floats
+    gram = (rows @ rows.T).tolist()
+    mu = [[0.0] * n for _ in range(n)]
+    bb = [0.0] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][l] * mu[i][l] * bb[l] for l in range(j))) / bb[j]
+        bb[i] = gram[i][i] - sum(mu[i][l] * mu[i][l] * bb[l] for l in range(i))
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mu[k][j])
             if q != 0:
-                b[:, k] -= q * b[:, j]
-                bs, mu = gso(b)
-        if bs[:, k] @ bs[:, k] >= (delta - mu[k, k - 1] ** 2) * (bs[:, k - 1] @ bs[:, k - 1]):
+                rows[k] -= q * rows[j]
+                for l in range(j):
+                    mu[k][l] -= q * mu[j][l]
+                mu[k][j] -= q
+        m = mu[k][k - 1]
+        if bb[k] >= (delta - m * m) * bb[k - 1]:
             k += 1
-        else:
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
-            bs, mu = gso(b)
-            k = max(k - 1, 1)
-    return b
+            continue
+        rows[[k - 1, k]] = rows[[k, k - 1]]
+        mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+        new = bb[k] + m * m * bb[k - 1]
+        mu[k][k - 1] = m * bb[k - 1] / new
+        bb[k] = bb[k - 1] * bb[k] / new
+        bb[k - 1] = new
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    return np.ascontiguousarray(rows.T)
 
 
 # --------------------------------------------------------------------------
@@ -227,30 +243,91 @@ def _rotation_to_first_axis(v: np.ndarray) -> np.ndarray:
     return refl @ fix
 
 
-def _primitive_gaussian_mass(basis: np.ndarray, sigma: float) -> float:
-    """Total N(0, sigma^2 I) density mass on the lattice's primitive vectors
-    inside the 8 sigma ball (the tail beyond is ~e^{-32}, negligible)."""
-    n = basis.shape[0]
-    radius = 8.0 * sigma
-    hinv = np.linalg.inv(basis)
-    # on the ball |c_i| = |hinv_i . x| <= |hinv_i| radius; the slack keeps
+# A Gaussian sum drops its terms below e^{-_TAIL} times its largest term;
+# e^{-_TAIL} = 2^-53 is the unit roundoff of a double.
+_TAIL = 53.0 * math.log(2.0)
+
+
+def _half_ball(basis: np.ndarray, inverse: np.ndarray, radius: float) -> np.ndarray:
+    """Sorted squared lengths of the lattice points x = basis c, c != 0, with
+    |x| <= radius, one of each pair +-x; ``inverse`` is basis^-1."""
+    # on the ball |c_i| = |inverse_i . x| <= |inverse_i| radius; the slack keeps
     # rounding from cutting a boundary row (points past the ball drop below)
-    box = np.floor(np.linalg.norm(hinv, axis=1) * radius * (1.0 + 1e-9)).astype(int)
-    ranges = [np.arange(-b, b + 1) for b in box]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=1)
-    # the ranges are symmetric, so the origin is the middle row
-    mid = len(coeffs) // 2
-    coeffs = np.concatenate((coeffs[:mid], coeffs[mid + 1 :]))
-    pts = coeffs @ basis.T
+    box = np.floor(np.linalg.norm(inverse, axis=1) * radius * (1.0 + 1e-9)).astype(int)
+    coeffs = np.indices(2 * box + 1).reshape(len(box), -1).T - box
+    # the ranges are symmetric, so row i and row len-1-i hold c and -c, and
+    # the rows after the middle one (the origin) hold one of each pair
+    pts = coeffs[len(coeffs) // 2 + 1 :] @ basis.T
     sq = (pts * pts).sum(axis=1)
-    # test primitivity only inside the ball: the same points in the same
-    # order as a mask over the whole box, so the same sum
-    inside = sq <= radius * radius
-    sq = sq[inside]
-    primitive = np.gcd.reduce(np.abs(coeffs[inside]), axis=1) == 1
-    norm_const = (2.0 * math.pi * sigma * sigma) ** (n / 2.0)
-    return float(np.exp(-sq[primitive] / (2.0 * sigma * sigma)).sum() / norm_const)
+    return np.sort(sq[sq <= radius * radius])
+
+
+def _mobius(m: int) -> np.ndarray:
+    """mu(0..m), with mu(0) = 0."""
+    mu = np.ones(m + 1, dtype=np.int64)
+    mu[0] = 0
+    rest = np.arange(m + 1)  # k with its prime factors up to sqrt(m) divided out once
+    for p in range(2, math.isqrt(m) + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            rest[p::p] //= p
+    mu[rest > 1] *= -1  # a squarefree k <= m has at most one prime factor above sqrt(m)
+    return mu
+
+
+def _primitive_gaussian_mass(basis: np.ndarray, sigma: float) -> float:
+    """Total N(0, sigma^2 I) density mass rho on the lattice's primitive vectors.
+
+    Mobius inversion over the content k of a lattice vector gives
+    rho_prim(L) = sum_k mu(k) T(k), with T(k) the mass of kL minus the
+    origin.  Each T(k) is a Gaussian sum over the primal or, by Poisson
+    summation, the dual lattice,
+
+        T(k) = k^{-n} / det L * sum_{u in L*} exp(-2 pi^2 sigma^2 |u|^2 / k^2) - rho(0),
+
+    and each sum keeps its terms of at least e^{-c} times its largest, with
+    c = _TAIL.  The primal sum for T(k) then needs the ball of radius
+    R / k, R = sigma sqrt(2c), and the dual sum the ball of radius
+    k R / (2 pi sigma^2); the dual ball is the smaller one for
+    k < sqrt(2 pi) sigma.  So the dual side gives T(k) below that crossover
+    and one primal ball, at the first k past it, gives every larger T(k) by
+    masking.  T(k) has no term left once k lambda_1 > R, so the Mobius table
+    runs to K = max(floor(R / lambda_1), last dual k), with lambda_1 read
+    off the primal ball.
+
+    Tail bound.  By Banaszczyk's lemma (Math. Ann. 296 (1993), Lemma
+    1.5), the terms of one such sum over a lattice of rank n that lie
+    below e^{-c} times the largest add up to less than
+    beta = (2 e c / n)^{n/2} e^{-c} (for c >= n/2, so n <= 73) times the
+    whole sum, and each whole sum is rho(kL) <= rho(L), the lattice's total
+    mass with the origin (a dual sum is rho(kL) by Poisson summation).
+    With at most K truncated sums, and the dropped tail
+    sum_{k > K} T(k) <= (1 + (K + 1) / (2c)) beta rho(L), the result is off
+    by less than (K + 1)(1 + 1/(2c)) beta rho(L), before rounding.
+    """
+    n = basis.shape[0]
+    two_var = 2.0 * sigma * sigma
+    rho0 = (math.pi * two_var) ** (-n / 2.0)  # rho at the origin
+    reach = math.sqrt(_TAIL * two_var)
+    last_dual = math.ceil(math.sqrt(math.pi * two_var)) - 1
+    inverse = np.linalg.inv(basis)
+    primal = _half_ball(basis, inverse, reach / (last_dual + 1))
+    top = last_dual if len(primal) == 0 else max(last_dual, int(reach / math.sqrt(primal[0])))
+    mu = _mobius(top)
+    # dual side: every dual point in the largest dual ball serves each k
+    kd = np.arange(1, last_dual + 1, dtype=float)
+    dual = _half_ball(inverse.T, basis.T, last_dual * reach / (math.pi * two_var))
+    theta = 1.0 + 2.0 * np.exp(np.outer(-(math.pi * math.pi * two_var) / (kd * kd), dual)).sum(axis=1)
+    det = abs(np.linalg.det(basis))
+    mass = float((mu[1 : last_dual + 1] * (theta / (kd**n * det) - rho0)).sum())
+    # primal side: T(k) over the points with k |x| <= R, a prefix of the sorted ball
+    ks = np.flatnonzero(mu[last_dual + 1 :]) + last_dual + 1
+    counts = np.searchsorted(primal, (reach / ks) ** 2, side="right")
+    kk = np.repeat(ks, counts)
+    idx = np.arange(len(kk)) - np.repeat(np.cumsum(counts) - counts, counts)
+    terms = mu[kk] * np.exp(-(kk * kk) * primal[idx] / two_var)
+    return mass + 2.0 * rho0 * float(terms.sum())
 
 
 def sample_lattice_exact(

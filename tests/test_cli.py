@@ -475,6 +475,19 @@ def test_volume_custom_row_uses_norm(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key", ["n", "psi", "norm"])
+def test_volume_matrix_rejects_model_keys(tmp_path, capsys, key):
+    # without --f, volume runs its built-in matrix, which reads none of them
+    flag, text, value = _MODEL_FLAGS[key]
+    assert _run(["volume", flag, text, "--out", tmp_path / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert _run(["volume", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == key
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_bad_group_in_config_file_named(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "group": "GL"}))
@@ -606,7 +619,8 @@ _MODEL_FLAGS = {
     "schedule": ("--schedule", "t0=1,ratio=2,k0=0,kmax=1", "t0=1,ratio=2,k0=0,kmax=1"),
     "sampleCount": ("--samples", "3", 3),
 }
-_REQUIRED = {"mc-volume": ["--outer", "4"]}
+# volume reads its model keys only for the custom row that --f selects
+_REQUIRED = {"mc-volume": ["--outer", "4"], "volume": ["--f", "prod:n=2"]}
 
 
 def _subparsers() -> dict:

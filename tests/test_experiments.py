@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genlat import experiments
 from genlat.core import (
     ApproxFunction,
     CoordinateProduct,
@@ -22,8 +23,10 @@ from genlat.core import (
     block_norm,
     lp_norm,
     max_norm,
+    mix_seed,
     power_law,
 )
+from genlat.counting import NormBall, lattice_points_in_region
 from genlat.experiments import (
     ExperimentConfig,
     StatSummary,
@@ -39,6 +42,7 @@ from genlat.experiments import (
     wilson_interval,
     zero_full_experiment,
 )
+from genlat.haar import sample_grid_exact, sample_lattice_exact
 from genlat.volume import Verdict, zeta_fn
 
 
@@ -164,9 +168,37 @@ class TestSiegelMean:
         # at volume 400 a range holds 16384 // 400 = 40 samples, so 50 samples
         # run as two enumerations; one range over all of them gives the same
         res = siegel_mean_experiment(2, 400.0, samples=50, seed=3)
-        assert res.records == _siegel_sample((2, 400.0, "lattice", 3, 0, 50))
+        assert [res.records] == _siegel_sample((2, (400.0,), "lattice", 3, 0, 50))
         grid = siegel_mean_experiment(2, 400.0, samples=50, seed=3, ensemble="grid")
-        assert grid.records == _siegel_sample((2, 400.0, "grid", 3, 0, 50))
+        assert [grid.records] == _siegel_sample((2, (400.0,), "grid", 3, 0, 50))
+
+    @pytest.mark.parametrize("n, ensemble", [(2, "lattice"), (2, "grid"), (3, "lattice")])
+    def test_nested_counts_match_one_ball_each(self, n, ensemble):
+        # one draw and one enumeration at the largest ball serve every
+        # volume; each volume's counts equal a separate one-ball count of
+        # the same draws
+        volumes, samples, seed = (0.5, 3.0, 12.0, 40.0), 30, 21
+        per_volume = _siegel_sample((n, volumes, ensemble, seed, 0, samples))
+        bases, shifts = np.zeros((samples, n, n)), np.zeros((samples, n))
+        for k in range(samples):
+            rng = np.random.default_rng(mix_seed(seed, k))
+            if ensemble == "lattice":
+                bases[k] = sample_lattice_exact(n, rng)[0]
+            else:
+                g = sample_grid_exact(n, rng)[0]
+                bases[k], shifts[k] = g.h, g.z
+        for volume, records in zip(volumes, per_volume):
+            ball = NormBall(max_norm(n), 0.5 * volume ** (1.0 / n))
+            owner, vs, _ = lattice_points_in_region(bases, shifts, ball)
+            if ensemble == "lattice":
+                keep = {"nonzero": (vs != 0).any(axis=1), "primitive": np.gcd.reduce(np.abs(vs), axis=1) == 1}
+            else:
+                keep = {"all": np.ones(len(vs), dtype=bool)}
+            for key, mask in keep.items():
+                assert [r[key] for r in records] == np.bincount(owner[mask], minlength=samples).tolist()
+        counts = [[r[key] for r in records] for records in per_volume]
+        assert sum(map(sum, counts)) > 0
+        assert all(a <= b for lo, hi in zip(counts, counts[1:]) for a, b in zip(lo, hi))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ensemble"):
@@ -228,6 +260,39 @@ class TestEmptyProbability:
         two = empty_probability_experiment(2, [1.0, 4.0, 16.0], samples=45, seed=8, workers=2)
         assert one.records == two.records
         assert one.rows == two.rows
+
+    def test_first_volume_keeps_its_draws(self):
+        # every volume counts the draws that volume 0 used when each volume
+        # drew its own: siegel at seed mix_seed(seed, 0)
+        res = empty_probability_experiment(2, [1.0, 4.0, 16.0], samples=60, seed=8)
+        first = siegel_mean_experiment(2, 1.0, samples=60, seed=mix_seed(8, 0))
+        assert [r["empty"] for r in res.records[:60]] == [r["nonzero"] == 0 for r in first.records]
+        k = sum(r["nonzero"] == 0 for r in first.records)
+        assert res.rows[0]["empty_frequency"] == k / 60
+        assert (res.rows[0]["wilson_low"], res.rows[0]["wilson_high"]) == wilson_interval(k, 60)
+
+    def test_weighted_frequency(self, monkeypatch):
+        # hand-weighted records: samples 0 and 2 are empty in the small
+        # ball, sample 0 in the large one; weights 1, 3, 2, 2
+        weights, nonzero = (1.0, 3.0, 2.0, 2.0), ((0, 1, 0, 4), (0, 2, 1, 6))
+
+        def worker(args):
+            start, stop = args[4], args[5]
+            return [
+                [{"sample": k, "weight": weights[k], "nonzero": counts[k], "primitive": 0}
+                 for k in range(start, stop)]
+                for counts in nonzero
+            ]
+
+        monkeypatch.setattr(experiments, "_siegel_sample", worker)
+        res = empty_probability_experiment(3, [1.0, 2.0], samples=4, seed=0)
+        ess = 8.0**2 / 18.0
+        for row, empty in zip(res.rows, (3.0, 1.0)):
+            assert row["empty_frequency"] == pytest.approx(empty / 8.0, rel=1e-15)
+            lo, hi = wilson_interval(empty / 8.0 * ess, ess)
+            assert row["wilson_low"] == pytest.approx(lo, rel=1e-14)
+            assert row["wilson_high"] == pytest.approx(hi, rel=1e-14)
+        assert [r["empty"] for r in res.records] == [True, False, True, False, True, False, False, False]
 
     def test_needs_two_volumes(self):
         with pytest.raises(ValueError, match="two volumes"):

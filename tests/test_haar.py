@@ -16,7 +16,7 @@ from genlat.haar import (
     sample_lattice_exact,
     sample_sl,
 )
-from genlat.haar import _primitive_gaussian_mass
+from genlat.haar import _TAIL, _primitive_gaussian_mass
 
 
 class TestUnimodularMap:
@@ -153,6 +153,24 @@ class TestLLL:
     def test_identity_fixed(self):
         assert np.allclose(lll_reduce(np.eye(3)), np.eye(3))
 
+    def test_output_is_size_reduced_and_lovasz(self):
+        # 200 seeded bases, n = 2..5, skewed by unimodular integer matrices;
+        # the Gram-Schmidt data of each output are recomputed independently
+        rng = np.random.default_rng(29)
+        for i in range(200):
+            n = 2 + i % 4
+            upper = np.triu(rng.integers(-6, 7, (n, n)), 1) + np.eye(n)
+            lower = np.tril(rng.integers(-6, 7, (n, n)), -1) + np.eye(n)
+            basis = sample_sl(n, rng).h @ upper @ lower
+            red = lll_reduce(basis)
+            assert self.lattice_equal(basis, red)
+            r = np.linalg.qr(red, mode="r")
+            mu = (r / np.diag(r)[:, None]).T  # mu[i, j] = <b_i, b*_j> / |b*_j|^2
+            bb = np.diag(r) ** 2
+            assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + 1e-9)
+            for k in range(1, n):
+                assert bb[k] >= (0.99 - mu[k, k - 1] ** 2) * bb[k - 1] * (1.0 - 1e-9)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             lll_reduce(np.eye(2), delta=1.5)
@@ -256,25 +274,61 @@ class TestExactSamplers:
             sample_lattice_exact(1, np.random.default_rng(0))
 
     def test_primitive_mass_matches_abs_row_sum_box(self):
-        # reference: mask the box bounded by the absolute row sums of h^{-1}
-        # (a superset of the norm-bounded box); same points in the same
-        # order, so the sums agree bit for bit
-        def reference(basis, sigma):
-            radius = 8.0 * sigma
-            box = np.floor(np.abs(np.linalg.inv(basis)).sum(axis=1) * radius).astype(int)
-            grids = np.meshgrid(*[np.arange(-b, b + 1) for b in box], indexing="ij")
-            coeffs = np.stack([g.ravel() for g in grids], axis=1)
-            coeffs = coeffs[(coeffs != 0).any(axis=1)]
-            pts = coeffs @ basis.T
-            sq = (pts * pts).sum(axis=1)
-            keep = (np.gcd.reduce(np.abs(coeffs), axis=1) == 1) & (sq <= radius * radius)
-            norm_const = (2.0 * math.pi * sigma * sigma) ** (basis.shape[0] / 2.0)
-            return float(np.exp(-sq[keep] / (2.0 * sigma * sigma)).sum() / norm_const)
-
+        # oracle: the masses of the 8 sigma ball's points, from a box that
+        # covers the ball; the two sums drop different terms, so they agree
+        # within the written tail bounds of both
         rng = np.random.default_rng(23)
         bases = [sample_lattice_exact(3, rng)[0] for _ in range(20)]
         bases.append(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
         bases.append(sample_lattice_exact(2, rng)[0])
+        bases += [sample_lattice_exact(4, rng)[0] for _ in range(3)]
         for basis in bases:
             for sigma in (1.0, 1.5):
-                assert _primitive_gaussian_mass(basis, sigma) == reference(basis, sigma)
+                mass, tol = box_mass_and_tolerance(basis, sigma)
+                assert abs(_primitive_gaussian_mass(basis, sigma) - mass) <= tol
+
+    def test_primitive_mass_with_a_very_short_vector(self):
+        # lambda_1 = 0.035 puts T(k) terms up to k = R / lambda_1, about 367
+        # at sigma = 1.5, past any fixed Mobius table of 200 entries
+        s = 1.0 / math.sqrt(0.035)
+        basis = np.array([[0.035, 0.3, 0.1], [0.0, s, 0.2 * s], [0.0, 0.0, s]])
+        for sigma in (1.0, 1.5):
+            mass, tol = box_mass_and_tolerance(basis, sigma)
+            assert abs(_primitive_gaussian_mass(basis, sigma) - mass) <= tol
+
+
+def _banaszczyk(n: int, c: float) -> float:
+    """Relative mass of a lattice Gaussian sum's terms below e^{-c} times
+    its largest (Banaszczyk 1993, Lemma 1.5), for c >= n/2."""
+    return (2.0 * math.e * c / n) ** (n / 2.0) * math.exp(-c)
+
+
+def box_mass_and_tolerance(basis: np.ndarray, sigma: float) -> tuple[float, float]:
+    """Primitive mass of the 8 sigma ball by direct summation, and the sum of
+    its tail bound and the one written for ``_primitive_gaussian_mass``.
+    Test-local on purpose: it shares no code with the method under test."""
+    n = basis.shape[0]
+    radius = 8.0 * sigma
+    hinv = np.linalg.inv(basis)
+    box = np.floor(np.abs(hinv).sum(axis=1) * radius).astype(int)
+    primitive, total, shortest = 0.0, 0.0, math.inf
+    for first in range(-box[0], box[0] + 1):  # one slab at a time keeps n = 4 small
+        grids = np.meshgrid(*[np.arange(-b, b + 1) for b in box[1:]], indexing="ij")
+        coeffs = np.stack([np.full(grids[0].size, first)] + [g.ravel() for g in grids], axis=1)
+        coeffs = coeffs[(coeffs != 0).any(axis=1)]
+        pts = coeffs @ basis.T
+        sq = (pts * pts).sum(axis=1)
+        keep = sq <= radius * radius
+        gauss = np.exp(-sq / (2.0 * sigma * sigma))
+        total += gauss[keep].sum()
+        primitive += gauss[keep & (np.gcd.reduce(np.abs(coeffs), axis=1) == 1)].sum()
+        shortest = min(shortest, math.sqrt(sq.min()))
+    norm_const = (2.0 * math.pi * sigma * sigma) ** (n / 2.0)
+    whole = (1.0 + total) / norm_const  # rho(L), the origin included
+    # _primitive_gaussian_mass's bound: (K + 1)(1 + 1/(2c)) beta rho(L)
+    c = _TAIL
+    reach = sigma * math.sqrt(2.0 * c)
+    top = max(int(reach / shortest), math.ceil(math.sqrt(2.0 * math.pi) * sigma) - 1)
+    bound = (top + 1) * (1.0 + 0.5 / c) * _banaszczyk(n, c)
+    # the box drops the points past 8 sigma, below e^{-32} times the largest
+    return primitive / norm_const, (bound + _banaszczyk(n, 32.0)) * whole
