@@ -43,6 +43,17 @@ an empty search soon runs at full block size; an exhaustive query runs at
 then t, for every target and both modes, so it does not depend on where
 block edges fall: an early-exit search returns the exhaustive run's first
 witness.
+
+A map without a shift (z = 0) sends -v to -w, and every target has
+|f(-w)| = |f(w)| and every norm is even, so its solution set is symmetric
+under v -> -v.  Such a query enumerates one prefix of each pair {p, -p}:
+the zero prefix, with its whole t range, and the prefixes whose first
+nonzero coordinate is positive.  A hit off the zero prefix counts twice;
+floating point is mirror-exact here (the affine coefficients, the slots and
+their integer ranges all negate exactly), so the two halves would have made
+the same exact-refilter decisions.  In centered order a prefix of the half
+comes before its mirror, so the first witness is the full order's, and an
+early exit stops at the same point.  A shifted query enumerates every prefix.
 """
 
 from __future__ import annotations
@@ -112,7 +123,7 @@ class CountResult:
     count: int
     # first hit in prefix order, then t, for every target and both modes
     first_witness: tuple[int, ...] | None
-    visited: int  # prefixes examined plus integer candidates tested
+    visited: int  # prefixes enumerated (one of each +-p pair without a shift) plus candidates tested
     full_scan: bool = False  # some part was solved by scanning its window
 
     def __post_init__(self) -> None:
@@ -514,12 +525,13 @@ def _integer_range(los: np.ndarray, his: np.ndarray, work: dict) -> tuple[np.nda
     root-finding error cannot drop a boundary candidate; the exact refilter
     discards any extras.
     """
-    start, stop, pad = (_buffer(work, key, len(los)) for key in ("start", "stop", "pad"))
+    start, stop = _buffer(work, "start", len(los)), _buffer(work, "stop", len(los))
     with np.errstate(invalid="ignore"):  # infinite ends of empty intervals
-        np.multiply(_EXPAND, np.add(1.0, np.abs(los, out=pad), out=pad), out=pad)
-        np.ceil(np.subtract(los, pad, out=start), out=start)
-        np.multiply(_EXPAND, np.add(1.0, np.abs(his, out=pad), out=pad), out=pad)
-        np.floor(np.add(his, pad, out=stop), out=stop)
+        # each end's pad is built in its own output array
+        np.multiply(_EXPAND, np.add(1.0, np.abs(los, out=start), out=start), out=start)
+        np.ceil(np.subtract(los, start, out=start), out=start)
+        np.multiply(_EXPAND, np.add(1.0, np.abs(his, out=stop), out=stop), out=stop)
+        np.floor(np.add(his, stop, out=stop), out=stop)
     return start, stop
 
 
@@ -591,13 +603,11 @@ def count_solutions(q: CountQuery) -> CountResult:
 
 def _count_core(q: CountQuery) -> CountResult:
     n = q.f.n
-    h = q.g.h
-    sol = _solved_index(h)
+    sol = _solved_index(q.g.h)
     prefix_cols = [i for i in range(n) if i != sol]
-    box = _prefix_box(q)
-    beta = h[:, sol]
-
     solvers, full_scan = _slot_solvers(q, _coarse_tolerance(q))
+    # without a shift the solution set is symmetric under v -> -v
+    half = not q.g.z.any()
     work: dict = {}
 
     count = 0
@@ -605,31 +615,44 @@ def _count_core(q: CountQuery) -> CountResult:
     visited = 0
 
     first_block = 256 if q.stop_after_first else _MAX_BLOCK
-    for prefix_block in _prefix_blocks(box, prefix_cols, first_block):
+    for prefix_block in _prefix_blocks(_prefix_box(q), prefix_cols, first_block, half):
         visited += len(prefix_block)
-        block = _buffer(work, "block", *prefix_block.shape)
-        np.copyto(block, prefix_block)
-        alphas = np.matmul(block, h[:, prefix_cols].T, out=_buffer(work, "alphas", len(block), n))
-        alphas += q.g.z
-        wlo, whi = _window_arrays(q, alphas, beta, work)
-        slots = [solve(alphas, beta, wlo, whi) for solve in solvers]
-        rows, ts = _candidates(slots, work)
-        if len(ts) == 0:
+        vs = _block_candidates(q, solvers, prefix_block, prefix_cols, sol, work)
+        if len(vs) == 0:
             continue
-        visited += len(ts)
-        vs = np.empty((len(ts), n), dtype=np.int64)
-        vs[:, prefix_cols] = prefix_block[rows]
-        vs[:, sol] = ts
+        visited += len(vs)
         mask = _exact_mask(q, vs)
         hits = int(mask.sum())
         if hits and witness is None:
             # candidates come in prefix order, then t
             witness = tuple(int(x) for x in vs[mask.argmax()])
         count += hits
+        if half:
+            # every hit off the zero prefix stands for its mirror too
+            count += int((mask & vs[:, prefix_cols].any(axis=1)).sum())
         if q.stop_after_first and count > 0:
             # truncated search: the count reports the witness, not the total
             return CountResult(1, witness, visited, full_scan)
     return CountResult(count, witness, visited, full_scan)
+
+
+def _block_candidates(q: CountQuery, solvers, prefix_block, prefix_cols, sol, work) -> np.ndarray:
+    """Candidate vectors of one prefix block, in prefix order, then t.
+
+    The solvers' slots are views of their workspaces; they die on return,
+    so a workspace that grows for the next block is never held twice.
+    """
+    h = q.g.h
+    beta = h[:, sol]
+    alphas = _buffer(work, "alphas", len(prefix_block), q.f.n)
+    np.matmul(prefix_block, h[:, prefix_cols].T, out=alphas)
+    alphas += q.g.z
+    wlo, whi = _window_arrays(q, alphas, beta, work)
+    rows, ts = _candidates([solve(alphas, beta, wlo, whi) for solve in solvers], work)
+    vs = np.empty((len(ts), q.f.n), dtype=np.int64)
+    vs[:, prefix_cols] = prefix_block[rows]
+    vs[:, sol] = ts
+    return vs
 
 
 # prefix rows per block once the block schedule has grown
@@ -637,17 +660,24 @@ _MAX_BLOCK = 1 << 14
 
 
 def _prefix_blocks(
-    box: np.ndarray, prefix_cols: list[int], first_block: int
+    box: np.ndarray, prefix_cols: list[int], first_block: int, half: bool = False
 ) -> Iterator[np.ndarray]:
-    """Integer prefix assignments in centered order, in contiguous blocks.
+    """Integer prefix assignments in centered order, in contiguous blocks of
+    floats, so a block enters the matrix product without a copy.
 
     The first prefix coordinate advances slowest (centered 0, 1, -1, ...);
     the remaining coordinates are fully expanded per slab so blocks stay
     vectorizable.  A block closes once it holds ``first_block`` rows; the
     target doubles after every block, up to ``_MAX_BLOCK``.
+
+    With ``half`` only one prefix of each pair {p, -p} comes: the zero
+    prefix and those whose first nonzero coordinate is positive, which in
+    centered order come before their mirrors.  The half slab of lead 0 does
+    not count toward the first block's target, so no later block outgrows
+    the first one at full block size.
     """
     if not prefix_cols:
-        yield np.zeros((1, 0), dtype=np.int64)
+        yield np.zeros((1, 0))
         return
     lead = _centered(int(box[prefix_cols[0]]))
     rest = [_centered(int(box[c])) for c in prefix_cols[1:]]
@@ -658,19 +688,32 @@ def _prefix_blocks(
         tail = np.stack([g.ravel() for g in grids], axis=1)
     else:
         tail = np.zeros((1, 0), dtype=np.int64)
+    if half:
+        lead = lead[lead >= 0]
     target = first_block
     for v1 in lead:
-        block = np.empty((len(tail), len(prefix_cols)), dtype=np.int64)
-        block[:, 0] = v1
-        block[:, 1:] = tail
-        slab.append(block)
-        slab_rows += len(block)
+        rows = _positive_half(tail) if half and v1 == 0 else tail
+        part = np.empty((len(rows), len(prefix_cols)))
+        part[:, 0] = v1
+        part[:, 1:] = rows
+        slab.append(part)
+        if rows is tail:
+            slab_rows += len(part)
         if slab_rows >= target:
-            yield np.concatenate(slab, axis=0)
-            slab, slab_rows = [], 0
+            # the slab list goes before the yield: the block is its only copy
+            block, slab, slab_rows = np.concatenate(slab, axis=0), [], 0
             target = min(2 * target, _MAX_BLOCK)
+            yield block
     if slab:
         yield np.concatenate(slab, axis=0)
+
+
+def _positive_half(rows: np.ndarray) -> np.ndarray:
+    """The rows that are zero or whose first nonzero entry is positive."""
+    lead_sign = np.zeros(len(rows), dtype=np.int64)
+    for col in np.sign(rows).T[::-1]:
+        lead_sign = np.where(col != 0, col, lead_sign)
+    return rows[lead_sign >= 0]
 
 
 # --------------------------------------------------------------------------

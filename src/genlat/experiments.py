@@ -119,25 +119,6 @@ class StatSummary:
         var = float(xs.var(ddof=1)) if m > 1 else 0.0
         return cls(mean, var, math.sqrt(var / m), m, float(xs.min()), float(xs.max()))
 
-    def merge(self, other: "StatSummary") -> "StatSummary":
-        """Associative combine; equals from_values on the concatenation."""
-        m1, m2 = self.sample_count, other.sample_count
-        m = m1 + m2
-        delta = other.mean - self.mean
-        mean = self.mean + delta * m2 / m
-        ss1 = self.variance * max(m1 - 1, 0)
-        ss2 = other.variance * max(m2 - 1, 0)
-        ss = ss1 + ss2 + delta * delta * m1 * m2 / m
-        var = ss / (m - 1) if m > 1 else 0.0
-        return StatSummary(
-            mean,
-            var,
-            math.sqrt(var / m),
-            m,
-            min(self.min, other.min),
-            max(self.max, other.max),
-        )
-
 
 @dataclass(frozen=True)
 class WeightedMean:

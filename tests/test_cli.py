@@ -310,7 +310,7 @@ def test_selftest_passes(tmp_path):
     assert _run(["selftest", "--out", out]) == 0
     result = _read_manifest(out)["result"]
     assert result["failed"] == 0
-    assert result["checks"] == 6
+    assert result["checks"] == 5
 
 
 # --------------------------------------------------------------------------
@@ -664,6 +664,14 @@ def test_unread_model_flag_is_not_taken_as_a_prefix(capsys):
 def test_manifest_records_only_the_keys_read(tmp_path):
     assert _run(["siegel", "--n", 2, "--volume", 4, "--samples", 3, "--seed", 2, "--out", tmp_path / "s"]) == 0
     assert _read_manifest(tmp_path / "s")["config"] == {"n": 2, "group": "SL", "sampleCount": 3, "masterSeed": 2}
+
+
+def test_volume_matrix_manifest_records_no_model_key(tmp_path):
+    assert _run(["volume", "--seed", 4, "--out", tmp_path / "m"]) == 0
+    assert _read_manifest(tmp_path / "m")["config"] == {"masterSeed": 4}
+    custom = ["volume", "--f", "prod:n=2", "--psi", "pl:C=1,s=1,j=1", "--t0", 2, "--t", 8]
+    assert _run([*custom, "--out", tmp_path / "c"]) == 0
+    assert _read_manifest(tmp_path / "c")["config"]["n"] == 2
 
 
 # --------------------------------------------------------------------------

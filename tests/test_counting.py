@@ -380,6 +380,22 @@ class TestScalingIdentity:
         assert split == total
 
 
+def _first_in_prefix_order(q):
+    """The hit that comes first in centered prefix order, then t, by a
+    full scan of the v-space box."""
+    n = q.f.n
+    sol = _solved_index(q.g.h)
+    lim = int(q.t)
+    axes = np.meshgrid(*[np.arange(-lim, lim + 1)] * n, indexing="ij")
+    vs = np.stack([a.ravel() for a in axes], axis=1)
+    hits = vs[_exact_mask(q, vs)]
+    if len(hits) == 0:
+        return None
+    rank = np.abs(2 * hits) - (hits > 0)  # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+    keys = [hits[:, sol]] + [rank[:, c] for c in reversed(range(n)) if c != sol]
+    return tuple(int(x) for x in hits[np.lexsort(keys)[0]])
+
+
 class TestEarlyExit:
     def test_stop_after_first_returns_single_witness(self, counting_tools):
         q = _query(stop_after_first=True)
@@ -418,22 +434,6 @@ class TestEarlyExit:
         for order in orders:
             assert np.array_equal(order, centered)
 
-    @staticmethod
-    def _first_in_prefix_order(q):
-        """The hit that comes first in centered prefix order, then t, by a
-        full scan of the v-space box."""
-        n = q.f.n
-        sol = _solved_index(q.g.h)
-        lim = int(q.t)
-        axes = np.meshgrid(*[np.arange(-lim, lim + 1)] * n, indexing="ij")
-        vs = np.stack([a.ravel() for a in axes], axis=1)
-        hits = vs[_exact_mask(q, vs)]
-        if len(hits) == 0:
-            return None
-        rank = np.abs(2 * hits) - (hits > 0)  # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
-        keys = [hits[:, sol]] + [rank[:, c] for c in reversed(range(n)) if c != sol]
-        return tuple(int(x) for x in hits[np.lexsort(keys)[0]])
-
     def test_witness_does_not_depend_on_blocks(self, counting_tools):
         """The early-exit witness is the exhaustive run's first witness:
         the first hit in prefix order, then t, in every engine."""
@@ -461,9 +461,142 @@ class TestEarlyExit:
             assert early.first_witness == full.first_witness, q
             counting_tools.assert_valid_witness(q, early)
             if q.shell_space == "v" and q.t <= 40.0:
-                assert full.first_witness == self._first_in_prefix_order(q), q
+                assert full.first_witness == _first_in_prefix_order(q), q
             hits += full.count > 0
         assert hits >= 50
+
+
+def _first_nonzero_positive(v) -> bool:
+    return next((x > 0 for x in v if x != 0), True)  # the zero prefix counts as its own half
+
+
+class TestHalfSpace:
+    """A map without a shift enumerates one prefix of each pair {p, -p} and
+    counts the hits off the zero prefix twice; counts and first witnesses
+    are those of the full enumeration."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            SignedPowerForm(2, 1, 2),
+            SignedPowerForm(2, 1, 3),
+            SignedPowerForm(1, 2, 2.5),
+            CoordinateProduct(3),
+            MaxPower((2.0, 1.0), 3),
+            VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((2.0,), 3, (2,)))),
+            VectorOf((SignedPowerForm(1, 2, 4), CoordinateProduct(3))),
+        ],
+        ids=lambda f: f.spec(),
+    )
+    def test_targets_are_even_bitwise(self, f):
+        ws = np.random.default_rng(77).normal(0.0, 40.0, size=(2000, 3))
+        assert np.array_equal(np.abs(f.evaluate_many(-ws)), np.abs(f.evaluate_many(ws)))
+
+    @pytest.mark.parametrize(
+        "norm",
+        [max_norm(3), lp_norm(3, 1.0), lp_norm(3, 2.0), lp_norm(3, 2.5), block_norm(((2, 2), (1, None))),
+         block_norm(((1, 3), (2, 1)))],
+    )
+    def test_norms_are_even_bitwise(self, norm):
+        ws = np.random.default_rng(78).normal(0.0, 40.0, size=(2000, 3))
+        assert np.array_equal(norm.eval_many(-ws), norm.eval_many(ws))
+
+    @pytest.mark.parametrize(
+        "box, prefix_cols",
+        [((9, 4), [1]), ((40, 3, 9), [0, 2]), ((2, 500), [1, 0]), ((7, 0, 5, 2), [0, 1, 3]),
+         ((3, 6, 2, 4), [2, 0, 1])],
+    )
+    def test_half_generator_is_the_positive_subsequence(self, box, prefix_cols):
+        box = np.asarray(box)
+        full = np.concatenate(list(_prefix_blocks(box, prefix_cols, _MAX_BLOCK)))
+        keep = np.asarray([_first_nonzero_positive(row) for row in full])
+        for first in (1, 5, 256, _MAX_BLOCK):
+            blocks = list(_prefix_blocks(box, prefix_cols, first, half=True))
+            half = np.concatenate(blocks)
+            assert np.array_equal(half, full[keep])
+            # with their mirrors they cover the box, meeting only at 0
+            rows = {tuple(r) for r in half}
+            mirrors = {tuple(-r) for r in half}
+            assert rows | mirrors == {tuple(r) for r in full}
+            assert rows & mirrors == {(0,) * len(prefix_cols)}
+            assert not half[0].any()
+
+    def test_half_slab_does_not_count_toward_the_target(self):
+        # slabs of 33 rows, 16384 = 496 * 33 + 16: counted toward the target,
+        # the half slab of 17 rows would close the first block at 16385 rows,
+        # and every solver buffer would grow again at the next block
+        sizes = [len(b) for b in _prefix_blocks(np.asarray((1600, 16)), [0, 1], _MAX_BLOCK, half=True)]
+        assert len(sizes) > 2
+        assert sizes[0] == 17 + 497 * 33
+        assert max(sizes[1:]) == 497 * 33
+
+    @pytest.mark.parametrize("space", ["v", "w"])
+    @pytest.mark.parametrize("point_class", list(PointClass))
+    def test_counts_match_brute_force(self, space, point_class, counting_tools):
+        rng = np.random.default_rng(7171)
+        maps = [identity_map(3), sample_sl(3, rng), sample_sl(3, rng)]
+        targets = [
+            (SignedPowerForm(2, 1, 2), (1.5,)),
+            (CoordinateProduct(3), power_law(2.0, 0.5, 0)),
+            (MaxPower((2.0, 1.0), 3), (0.7,)),
+            (VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((2.0,), 3, (1,)))), (0.5, 3.0)),
+            (SignedPowerForm(1, 2, 3), (2.0,)),
+        ]
+        for g in maps:
+            for f, bound in targets:
+                q = CountQuery(g=g, f=f, bound=bound, norm=f.canonical_norm(), point_class=point_class,
+                               t0=0.0, t=7.5, shell_space=space)
+                slow = brute_force_count(q)
+                fast = count_solutions(q)
+                assert fast.count == slow.count, q
+                counting_tools.assert_valid_witness(q, fast)
+                early = count_solutions(replace(q, stop_after_first=True))
+                assert early.first_witness == fast.first_witness, q
+
+    def test_axis_hits_on_the_zero_prefix_count_once(self):
+        # the identity map's product vanishes off the open octants: 9^3 - 8^3
+        # points of the box minus the origin; the zero prefix holds (t, 0, 0)
+        # and its mirror (-t, 0, 0) for t = 1..4
+        f = CoordinateProduct(3)
+        q = CountQuery(g=identity_map(3), f=f, bound=(0.0,), norm=max_norm(3),
+                       point_class=PointClass.ALL_NONZERO, t0=0.0, t=4.0)
+        assert _solved_index(q.g.h) == 0
+        assert count_solutions(q).count == brute_force_count(q).count == 9**3 - 8**3 - 1
+
+    def test_only_a_shifted_query_visits_the_whole_prefix_box(self):
+        # v-space: the prefix box is (2 * 10 + 1)^2 rows, and a band system at
+        # a tiny tolerance has few candidates
+        rng = np.random.default_rng(4343)
+        f = MaxPower((2.0, 1.0), 3)
+        for _ in range(4):
+            g = sample_asl(3, rng, shift_bound=0.8)
+            shifted = CountQuery(g=g, f=f, bound=(1e-3,), norm=max_norm(3),
+                                 point_class=PointClass.ALL_INTEGER, t0=0.0, t=10.0)
+            linear = replace(shifted, g=UnimodularMap(g.h, np.zeros(3)))
+            for q in (shifted, linear):
+                res = count_solutions(q)
+                assert res.count == brute_force_count(q).count
+            assert count_solutions(shifted).visited >= 21 * 21
+            assert (21 * 21 + 1) // 2 <= count_solutions(linear).visited < 21 * 21
+
+    def test_first_witness_is_the_first_hit_in_prefix_order(self, counting_tools):
+        rng = np.random.default_rng(9191)
+        qs = []
+        for i in range(40):
+            f = [SignedPowerForm(2, 1, 2), CoordinateProduct(3), MaxPower((2.0, 1.0), 3),
+                 SignedPowerForm(1, 1, 3)][i % 4]
+            n = f.n
+            g = identity_map(n) if i % 5 == 0 else sample_sl(n, rng)
+            qs.append(CountQuery(g=g, f=f, bound=power_law(1.0, (0.5, 1.0)[i % 2], 0),
+                                 norm=f.canonical_norm(), point_class=list(PointClass)[i % 3],
+                                 t0=float(i % 3), t=(8.0, 12.0)[i % 2]))
+        hits = 0
+        for q in qs:
+            oracle = _first_in_prefix_order(q)
+            assert count_solutions(q).first_witness == oracle, q
+            assert count_solutions(replace(q, stop_after_first=True)).first_witness == oracle, q
+            hits += oracle is not None
+        assert hits >= 30
 
 
 def _stacked(maps):

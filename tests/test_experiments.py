@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from genlat import experiments
 from genlat.core import (
@@ -60,26 +58,6 @@ class TestSummaries:
             StatSummary(1.0, 4.0, 99.0, 4, 0.0, 2.0)
         with pytest.raises(ValueError, match="variance"):
             StatSummary(1.0, -1.0, 0.5, 4, 0.0, 2.0)
-
-    @given(
-        st.lists(st.floats(-50, 50), min_size=1, max_size=30),
-        st.lists(st.floats(-50, 50), min_size=1, max_size=30),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_matches_concatenation(self, a, b):
-        merged = StatSummary.from_values(a).merge(StatSummary.from_values(b))
-        direct = StatSummary.from_values(a + b)
-        assert merged.mean == pytest.approx(direct.mean, abs=1e-9)
-        assert merged.variance == pytest.approx(direct.variance, abs=1e-9)
-        assert merged.sample_count == direct.sample_count
-        assert merged.min == direct.min and merged.max == direct.max
-
-    def test_merge_associative(self):
-        parts = [StatSummary.from_values(v) for v in ([1.0, 2.0], [5.0], [3.0, 9.0, 4.0])]
-        left = parts[0].merge(parts[1]).merge(parts[2])
-        right = parts[0].merge(parts[1].merge(parts[2]))
-        assert left.mean == pytest.approx(right.mean)
-        assert left.variance == pytest.approx(right.variance)
 
     def test_weighted_mean_equal_weights_is_plain_mean(self):
         xs = [2.0, 4.0, 9.0, 1.0]
