@@ -44,6 +44,16 @@ then t, for every target and both modes, so it does not depend on where
 block edges fall: an early-exit search returns the exhaustive run's first
 witness.
 
+A block is never written out as prefix rows.  It is a run of lead values
+(the first prefix coordinate) times the shared tail rows (the other prefix
+coordinates, in centered order); a lead's slab of tail rows larger than a
+block (n >= 4) is cut into contiguous tail slices instead.  The tail's share
+of the affine part, h[:, tail] @ tail + z, is an (n, R) table built once per
+query (once per block for a slice), and a block's alpha = h p + z is the
+column-major (n, m) array lead * h[:, lead] + table, one broadcast add; the
+solvers read its contiguous rows.  A candidate's prefix is rebuilt from its
+row index alone.
+
 A map without a shift (z = 0) sends -v to -w, and every target has
 |f(-w)| = |f(w)| and every norm is even, so its solution set is symmetric
 under v -> -v.  Such a query enumerates one prefix of each pair {p, -p}:
@@ -277,21 +287,21 @@ def _band_solver(bands, eps_vec, work, alphas, beta, wlo, whi) -> tuple[np.ndarr
 
 
 def _band_slots(alphas, beta, coords, radii, work: dict) -> tuple[np.ndarray, ...]:
-    """Intersection over bands |alpha_c + beta_c t| <= r of the columns c in
-    coords with radii r, as one slot per row in workspace arrays."""
-    m = len(alphas)
+    """Intersection over bands |alpha_c + beta_c t| <= r of the coordinates c
+    in coords with radii r, as one slot per row in workspace arrays."""
+    m = alphas.shape[1]
     lo, hi, x, y = (_buffer(work, key, m) for key in ("lo", "hi", "x", "y"))
     lo.fill(-np.inf)
     hi.fill(np.inf)
     for c, r in zip(coords, radii):
         if abs(beta[c]) > 1e-12:
-            np.divide(np.subtract(-r, alphas[:, c], out=x), beta[c], out=x)
-            np.divide(np.subtract(r, alphas[:, c], out=y), beta[c], out=y)
+            np.divide(np.subtract(-r, alphas[c], out=x), beta[c], out=x)
+            np.divide(np.subtract(r, alphas[c], out=y), beta[c], out=y)
             # x <= y exactly when beta_c > 0
             np.maximum(lo, x if beta[c] > 0 else y, out=lo)
             np.minimum(hi, y if beta[c] > 0 else x, out=hi)
         else:
-            dead = np.abs(alphas[:, c]) > r
+            dead = np.abs(alphas[c]) > r
             lo[dead] = np.inf
             hi[dead] = -np.inf
     betas = beta[coords]
@@ -301,7 +311,7 @@ def _band_slots(alphas, beta, coords, radii, work: dict) -> tuple[np.ndarray, ..
         # two such centres apart; any integer solution is the nearest integer
         # to the steepest pinned band's centre, and the exact refilter decides
         steep = int(np.argmax(np.where(pinned, np.abs(betas), 0.0)))
-        centre = np.rint(-alphas[:, coords[steep]] / betas[steep])
+        centre = np.rint(-alphas[coords[steep]] / betas[steep])
         live = lo < np.inf  # lo is +inf only where a flat band ruled the row out
         lo = np.where(live, centre, np.inf)
         hi = np.where(live, centre, -np.inf)
@@ -314,7 +324,13 @@ def _quadratic_solver(part, eps: float, work, alphas, beta, wlo, whi) -> tuple[n
     hole (in_lo, in_hi).  At a zero tolerance rounding can push a double
     root's discriminant below 0, or split the root off its integer, so the
     nearest integer to -b/2a is a third, point slot, and the exact refilter
-    decides."""
+    decides.
+
+    Q/a = t^2 + 2 B t + C has B = b/2a and C = c/a, one product each of a
+    fixed weight vector with the alpha columns; B is odd and C even in alpha,
+    so a mirrored prefix gets mirrored slots bit for bit.  Both root pairs
+    are -B -/+ sqrt(B^2 - C +/- eps/a), from one discriminant.
+    """
     signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
     a = float(signs @ (beta * beta))
     if abs(a) < 1e-12:
@@ -322,27 +338,25 @@ def _quadratic_solver(part, eps: float, work, alphas, beta, wlo, whi) -> tuple[n
         return _poly_solver(partial(_power_pieces, part), eps, alphas, beta, wlo, whi)
     if a < 0:
         a, signs = -a, -signs  # |Q| = |-Q|
-    m = len(alphas)
-    prod = np.multiply(alphas, beta, out=_buffer(work, "prod", *alphas.shape))
-    prod *= 2.0
-    b = np.matmul(prod, signs, out=_buffer(work, "b", m))
-    c = np.matmul(np.multiply(alphas, alphas, out=prod), signs, out=_buffer(work, "c", m))
+    m = alphas.shape[1]
+    half_b = np.matmul(signs * beta / a, alphas, out=_buffer(work, "b", m))
+    sq = np.multiply(alphas, alphas, out=_buffer(work, "sq", *alphas.shape))
+    disc = np.matmul(signs / a, sq, out=_buffer(work, "disc", m))
+    np.subtract(np.multiply(half_b, half_b, out=sq[0]), disc, out=disc)
     k = 3 if eps == 0.0 else 2
     lo, hi = _buffer(work, "lo", k, m), _buffer(work, "hi", k, m)
-    in_lo, in_hi = _buffer(work, "in_lo", m), _buffer(work, "in_hi", m)
     with np.errstate(invalid="ignore"):
         # outer set {Q <= eps}: between the roots; the closed comparison keeps
         # tangency points so eps = 0 solution sets survive
-        _quadratic_roots(a, b, c, eps, lo[0], hi[0], work)
+        _root_pair(half_b, disc, eps / a, lo[0], hi[1], sq[0])
         # inner hole {Q < -eps}: strictly between its roots
-        _quadratic_roots(a, b, c, -eps, in_lo, in_hi, work)
+        _root_pair(half_b, disc, -eps / a, hi[0], lo[1], sq[0])
     # the hole splits the outer slot in two; where there is no hole its nan
     # roots leave slot 0 whole (fmin) and slot 1 empty (maximum)
-    np.maximum(lo[0], in_hi, out=lo[1])
-    hi[1] = hi[0]
-    np.fmin(hi[0], in_lo, out=hi[0])
+    np.maximum(lo[1], lo[0], out=lo[1])
+    np.fmin(hi[0], hi[1], out=hi[0])
     if k == 3:
-        np.rint(np.divide(b, -2.0 * a, out=lo[2]), out=lo[2])
+        np.rint(np.negative(half_b, out=lo[2]), out=lo[2])
         hi[2] = lo[2]
     np.maximum(lo, wlo, out=lo)
     np.minimum(hi, whi, out=hi)
@@ -351,14 +365,12 @@ def _quadratic_solver(part, eps: float, work, alphas, beta, wlo, whi) -> tuple[n
     return rows.ravel(), lo.ravel(), hi.ravel()
 
 
-def _quadratic_roots(a: float, b, c, shift: float, r_lo, r_hi, work) -> None:
-    """Roots r_lo <= r_hi of a t^2 + b t + c - shift, a > 0; nan where the
-    discriminant is negative."""
-    root = _buffer(work, "root", len(b))
-    np.multiply(4.0 * a, np.subtract(c, shift, out=root), out=root)
-    np.sqrt(np.subtract(np.multiply(b, b, out=r_lo), root, out=root), out=root)
-    np.divide(np.subtract(np.negative(b, out=r_lo), root, out=r_lo), 2.0 * a, out=r_lo)
-    np.divide(np.add(np.negative(b, out=r_hi), root, out=r_hi), 2.0 * a, out=r_hi)
+def _root_pair(half_b, disc, shift: float, r_lo, r_hi, root) -> None:
+    """Roots r_lo <= r_hi of t^2 + 2 B t + C - shift, from B and the
+    discriminant B^2 - C; nan where it falls below -shift."""
+    np.sqrt(np.add(disc, shift, out=root), out=root)
+    np.subtract(np.negative(half_b, out=r_lo), root, out=r_lo)
+    np.add(np.negative(half_b, out=r_hi), root, out=r_hi)
 
 
 # prefix rows whose polynomials are solved together; bounds the
@@ -373,7 +385,7 @@ def _poly_solver(pieces, eps: float, alphas, beta, wlo, whi) -> tuple[np.ndarray
     out = [(live[:0], wlo[:0], whi[:0])]
     for s in range(0, len(live), _ROW_CHUNK):
         sub = live[s : s + _ROW_CHUNK]
-        rows, lo, hi = _poly_slots(*pieces(alphas[sub], beta, wlo[sub], whi[sub]), eps)
+        rows, lo, hi = _poly_slots(*pieces(alphas[:, sub].T, beta, wlo[sub], whi[sub]), eps)
         out.append((sub[rows], lo, hi))
     return tuple(np.concatenate(x) for x in zip(*out))
 
@@ -540,7 +552,7 @@ def _window_arrays(q: CountQuery, alphas, beta, work: dict) -> tuple[np.ndarray,
     n = q.f.n
     if q.shell_space == "v":
         lim = math.floor(q.t)
-        lo, hi = _buffer(work, "lo", len(alphas)), _buffer(work, "hi", len(alphas))
+        lo, hi = _buffer(work, "lo", alphas.shape[1]), _buffer(work, "hi", alphas.shape[1])
         lo.fill(-lim)
         hi.fill(lim)
         return lo, hi
@@ -615,9 +627,9 @@ def _count_core(q: CountQuery) -> CountResult:
     visited = 0
 
     first_block = 256 if q.stop_after_first else _MAX_BLOCK
-    for prefix_block in _prefix_blocks(_prefix_box(q), prefix_cols, first_block, half):
-        visited += len(prefix_block)
-        vs = _block_candidates(q, solvers, prefix_block, prefix_cols, sol, work)
+    for block in _prefix_blocks(_prefix_box(q), prefix_cols, first_block, half):
+        visited += sum(len(leads) * len(tail) for leads, tail in block)
+        vs = _block_candidates(q, solvers, block, prefix_cols, sol, work)
         if len(vs) == 0:
             continue
         visited += len(vs)
@@ -636,23 +648,66 @@ def _count_core(q: CountQuery) -> CountResult:
     return CountResult(count, witness, visited, full_scan)
 
 
-def _block_candidates(q: CountQuery, solvers, prefix_block, prefix_cols, sol, work) -> np.ndarray:
+def _block_candidates(q: CountQuery, solvers, block, prefix_cols, sol, work) -> np.ndarray:
     """Candidate vectors of one prefix block, in prefix order, then t.
 
-    The solvers' slots are views of their workspaces; they die on return,
-    so a workspace that grows for the next block is never held twice.
+    The block's affine parts alpha = h p + z are built column-major, one
+    (n, m) array whose row c is contiguous: for each run of leads times a
+    tail, the lead column of h times each lead plus the tail's table.  The
+    solvers' slots are views of their workspaces; they die on return, so a
+    workspace that grows for the next block is never held twice.
     """
     h = q.g.h
+    n = q.f.n
     beta = h[:, sol]
-    alphas = _buffer(work, "alphas", len(prefix_block), q.f.n)
-    np.matmul(prefix_block, h[:, prefix_cols].T, out=alphas)
-    alphas += q.g.z
+    lead_h = h[:, prefix_cols[0]] if prefix_cols else np.zeros(n)
+    m = sum(len(leads) * len(tail) for leads, tail in block)
+    alphas = _buffer(work, "alphas", n, m)
+    start = 0
+    for leads, tail in block:
+        stop = start + len(leads) * len(tail)
+        # a view: within each row of alphas the run's columns are contiguous
+        run = alphas[:, start:stop].reshape(n, len(leads), len(tail))
+        table = _tail_table(q, tail, prefix_cols[1:], work)
+        np.add(np.multiply.outer(lead_h, leads)[:, :, None], table[:, None, :], out=run)
+        start = stop
     wlo, whi = _window_arrays(q, alphas, beta, work)
     rows, ts = _candidates([solve(alphas, beta, wlo, whi) for solve in solvers], work)
-    vs = np.empty((len(ts), q.f.n), dtype=np.int64)
-    vs[:, prefix_cols] = prefix_block[rows]
+    vs = np.empty((len(ts), n), dtype=np.int64)
+    vs[:, prefix_cols] = _block_rows(block, rows, len(prefix_cols))
     vs[:, sol] = ts
     return vs
+
+
+def _tail_table(q: CountQuery, tail, tail_cols, work: dict) -> np.ndarray:
+    """The tail rows' share of alpha, h[:, tail_cols] @ tail.T + z, as an
+    (n, R) table.  It is kept for the tail array it was built from, so a tail
+    that every block shares is tabled once per query, and a tail slice once
+    per block."""
+    kept = work.get("tail")
+    if kept is not None and kept[0] is tail:
+        return kept[1]
+    table = _buffer(work, "table", q.f.n, len(tail))
+    np.matmul(q.g.h[:, tail_cols], tail.T.astype(float), out=table)
+    table += q.g.z[:, None]
+    work["tail"] = (tail, table)
+    return table
+
+
+def _block_rows(block, rows: np.ndarray, width: int) -> np.ndarray:
+    """The prefixes at the block's (ascending) row indexes: row r of a run
+    of leads times a tail of R rows is (leads[r // R], tail[r % R]).  Without
+    prefix coordinates (n = 1) the width is 0 and the zero lead drops out."""
+    out = np.empty((len(rows), width), dtype=np.int64)
+    start = 0
+    for leads, tail in block:
+        stop = start + len(leads) * len(tail)
+        a, b = np.searchsorted(rows, (start, stop))
+        local = rows[a:b] - start
+        out[a:b, :1] = leads[local // len(tail), None]
+        out[a:b, 1:] = tail[local % len(tail)]
+        start = stop
+    return out
 
 
 # prefix rows per block once the block schedule has grown
@@ -661,51 +716,55 @@ _MAX_BLOCK = 1 << 14
 
 def _prefix_blocks(
     box: np.ndarray, prefix_cols: list[int], first_block: int, half: bool = False
-) -> Iterator[np.ndarray]:
-    """Integer prefix assignments in centered order, in contiguous blocks of
-    floats, so a block enters the matrix product without a copy.
+) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+    """Integer prefix assignments in centered order, in blocks.
 
-    The first prefix coordinate advances slowest (centered 0, 1, -1, ...);
-    the remaining coordinates are fully expanded per slab so blocks stay
-    vectorizable.  A block closes once it holds ``first_block`` rows; the
-    target doubles after every block, up to ``_MAX_BLOCK``.
+    A block is a list of runs (leads, tail): every lead value (the first
+    prefix coordinate, centered 0, 1, -1, ..., advancing slowest) times every
+    row of ``tail`` (the remaining coordinates, fully expanded in centered
+    order), one slab of tail rows per lead.  A block closes once it holds
+    ``first_block`` rows; the target doubles after every block, up to
+    ``_MAX_BLOCK``.  A slab larger than ``_MAX_BLOCK`` (n >= 4) is cut
+    instead into contiguous tail slices of the target size, one per block.
 
     With ``half`` only one prefix of each pair {p, -p} comes: the zero
     prefix and those whose first nonzero coordinate is positive, which in
-    centered order come before their mirrors.  The half slab of lead 0 does
-    not count toward the first block's target, so no later block outgrows
-    the first one at full block size.
+    centered order come before their mirrors.  The half slab of lead 0 is a
+    run of its own in the first block and does not count toward its target,
+    so no later block outgrows the first one at full block size (cut into
+    slices, it is sliced like any other slab).
     """
     if not prefix_cols:
-        yield np.zeros((1, 0))
+        yield [(np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
         return
     lead = _centered(int(box[prefix_cols[0]]))
     rest = [_centered(int(box[c])) for c in prefix_cols[1:]]
-    slab: list[np.ndarray] = []
-    slab_rows = 0
     if rest:
         grids = np.meshgrid(*rest, indexing="ij")
         tail = np.stack([g.ravel() for g in grids], axis=1)
     else:
         tail = np.zeros((1, 0), dtype=np.int64)
+    head = []  # the half slab of lead 0
     if half:
-        lead = lead[lead >= 0]
+        head = [(lead[:1], _positive_half(tail))]
+        lead = lead[lead > 0]
     target = first_block
-    for v1 in lead:
-        rows = _positive_half(tail) if half and v1 == 0 else tail
-        part = np.empty((len(rows), len(prefix_cols)))
-        part[:, 0] = v1
-        part[:, 1:] = rows
-        slab.append(part)
-        if rows is tail:
-            slab_rows += len(part)
-        if slab_rows >= target:
-            # the slab list goes before the yield: the block is its only copy
-            block, slab, slab_rows = np.concatenate(slab, axis=0), [], 0
-            target = min(2 * target, _MAX_BLOCK)
-            yield block
-    if slab:
-        yield np.concatenate(slab, axis=0)
+    if len(tail) > _MAX_BLOCK:
+        for leads, rows in head + [(lead[i : i + 1], tail) for i in range(len(lead))]:
+            start = 0
+            while start < len(rows):
+                yield [(leads, rows[start : start + target])]
+                start += target
+                target = min(2 * target, _MAX_BLOCK)
+        return
+    pos = 0
+    while pos < len(lead):
+        k = -(-target // len(tail))  # slabs that reach the target
+        yield head + [(lead[pos : pos + k], tail)]
+        head, pos = [], pos + k
+        target = min(2 * target, _MAX_BLOCK)
+    if head:
+        yield head
 
 
 def _positive_half(rows: np.ndarray) -> np.ndarray:

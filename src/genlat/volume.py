@@ -212,7 +212,8 @@ def threshold_M(f: TargetFunction, psi: ApproxFunction, z_cap: float = 2.0**200)
 
     d_i are the componentwise degrees of f.  Found by doubling scan and
     bisection (psi_i nonincreasing and z^d increasing make the crossing
-    unique), padded by a 1.01 safety factor and clamped to at least 1.
+    unique) down to adjacent doubles, padded by a 1.01 safety factor and
+    clamped to at least 1.
     """
     if psi.component_count != f.component_count:
         raise ValueError(
@@ -230,8 +231,9 @@ def threshold_M(f: TargetFunction, psi: ApproxFunction, z_cap: float = 2.0**200)
         lo, hi = hi, hi * 2.0
         if hi > z_cap:
             raise ValueError("bound function exceeds the power shell at every radius")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # once lo and hi are adjacent doubles, mid rounds onto one of them and
+    # no further step moves either
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if clear(mid):
             hi = mid
         else:

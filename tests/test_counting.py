@@ -26,6 +26,7 @@ from genlat.core import (
     max_norm,
     power_law,
 )
+from genlat import counting
 from genlat.counting import (
     CountQuery,
     CountResult,
@@ -396,6 +397,19 @@ def _first_in_prefix_order(q):
     return tuple(int(x) for x in hits[np.lexsort(keys)[0]])
 
 
+def _expand(block) -> np.ndarray:
+    """The prefix rows of a block of runs (leads, tail): each lead, slowest,
+    times every tail row."""
+    return np.concatenate(
+        [np.column_stack((np.repeat(leads, len(tail)), np.tile(tail, (len(leads), 1))))
+         for leads, tail in block]
+    )
+
+
+def _blocks(*args, **kw) -> list[np.ndarray]:
+    return [_expand(block) for block in _prefix_blocks(*args, **kw)]
+
+
 class TestEarlyExit:
     def test_stop_after_first_returns_single_witness(self, counting_tools):
         q = _query(stop_after_first=True)
@@ -420,7 +434,7 @@ class TestEarlyExit:
         slab = int(np.prod([2 * box[c] + 1 for c in prefix_cols[1:]]))
         orders = []
         for first in (1, 5, 256, _MAX_BLOCK):
-            blocks = list(_prefix_blocks(box, prefix_cols, first))
+            blocks = _blocks(box, prefix_cols, first)
             orders.append(np.concatenate(blocks))
             sizes = [len(b) for b in blocks]
             for i, size in enumerate(sizes[:-1]):
@@ -433,6 +447,23 @@ class TestEarlyExit:
         centered = np.stack([g.ravel() for g in grids], axis=1)
         for order in orders:
             assert np.array_equal(order, centered)
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_a_slab_past_the_cap_is_cut_into_tail_slices(self, half):
+        # slabs of 301^2 = 90601 rows, more than one block holds
+        box, prefix_cols = np.asarray((2, 150, 150)), [0, 1, 2]
+        assert 301 * 301 > _MAX_BLOCK
+        grids = np.meshgrid(*[_centered(int(box[c])) for c in prefix_cols], indexing="ij")
+        centered = np.stack([g.ravel() for g in grids], axis=1)
+        keep = np.asarray([_first_nonzero_positive(row) for row in centered])
+        for first in (1, 256, _MAX_BLOCK):
+            raw = list(_prefix_blocks(box, prefix_cols, first, half=half))
+            # every block is one slice of one lead's slab
+            assert all(len(block) == 1 and len(block[0][0]) == 1 for block in raw)
+            blocks = [_expand(block) for block in raw]
+            assert max(len(b) for b in blocks) <= _MAX_BLOCK
+            order = np.concatenate(blocks)
+            assert np.array_equal(order, centered[keep] if half else centered)
 
     def test_witness_does_not_depend_on_blocks(self, counting_tools):
         """The early-exit witness is the exhaustive run's first witness:
@@ -508,10 +539,10 @@ class TestHalfSpace:
     )
     def test_half_generator_is_the_positive_subsequence(self, box, prefix_cols):
         box = np.asarray(box)
-        full = np.concatenate(list(_prefix_blocks(box, prefix_cols, _MAX_BLOCK)))
+        full = np.concatenate(_blocks(box, prefix_cols, _MAX_BLOCK))
         keep = np.asarray([_first_nonzero_positive(row) for row in full])
         for first in (1, 5, 256, _MAX_BLOCK):
-            blocks = list(_prefix_blocks(box, prefix_cols, first, half=True))
+            blocks = _blocks(box, prefix_cols, first, half=True)
             half = np.concatenate(blocks)
             assert np.array_equal(half, full[keep])
             # with their mirrors they cover the box, meeting only at 0
@@ -525,7 +556,7 @@ class TestHalfSpace:
         # slabs of 33 rows, 16384 = 496 * 33 + 16: counted toward the target,
         # the half slab of 17 rows would close the first block at 16385 rows,
         # and every solver buffer would grow again at the next block
-        sizes = [len(b) for b in _prefix_blocks(np.asarray((1600, 16)), [0, 1], _MAX_BLOCK, half=True)]
+        sizes = [len(b) for b in _blocks(np.asarray((1600, 16)), [0, 1], _MAX_BLOCK, half=True)]
         assert len(sizes) > 2
         assert sizes[0] == 17 + 497 * 33
         assert max(sizes[1:]) == 497 * 33
@@ -961,3 +992,39 @@ class TestQuadraticOracleReach:
         assert early.count == 1
         assert early.first_witness == full.first_witness
         assert early.visited <= full.visited
+
+
+class TestFourDimensions:
+    """Every solver kind at n = 4 against brute force: the quadratic engine,
+    a band system and the polynomial engine (products, odd degree).  Each
+    target runs one v-space and one w-space query, one of them shifted, at
+    the default block cap and at a cap below the tail slab, so that every
+    block is a tail slice."""
+
+    @pytest.mark.parametrize(
+        "i, f, bound",
+        [
+            (0, SignedPowerForm(2, 2, 2), power_law(1.0, 0.5, 0)),
+            (1, MaxPower((2.0, 1.0, 1.0), 4), power_law(1.0, 0.5, 0)),
+            (2, CoordinateProduct(4), power_law(2.0, 0.5, 0)),
+            (3, SignedPowerForm(3, 1, 3), power_law(2.0, 0.5, 0)),
+        ],
+        ids=lambda x: x.spec() if hasattr(x, "spec") else None,
+    )
+    def test_counts_match_brute_force(self, i, f, bound, counting_tools, monkeypatch):
+        rng = np.random.default_rng(4040 + i)
+        for space, shifted in (("v", i % 2 == 0), ("w", i % 2 == 1)):
+            g = sample_asl(4, rng, shift_bound=0.8) if shifted else sample_sl(4, rng)
+            q = CountQuery(g=g, f=f, bound=bound, norm=f.canonical_norm(),
+                           point_class=list(PointClass)[i % 3], t0=0.0, t=12.0, shell_space=space)
+            slow = brute_force_count(q)
+            fast = count_solutions(q)
+            assert fast.count == slow.count > 0, q
+            counting_tools.assert_valid_witness(q, fast)
+            with monkeypatch.context() as m:
+                m.setattr(counting, "_MAX_BLOCK", 256)  # every tail slab here holds >= 25^2 rows
+                sliced = count_solutions(q)
+                early = count_solutions(replace(q, stop_after_first=True))
+            assert (sliced.count, sliced.first_witness, sliced.visited) == (
+                fast.count, fast.first_witness, fast.visited)
+            assert early.first_witness == fast.first_witness, q

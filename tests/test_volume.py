@@ -196,6 +196,39 @@ class TestThresholdRadius:
         with pytest.raises(ValueError):
             threshold_M(MaxPower((1.0,), 2), power_law(2.0**250, 0.0, 0))
 
+    @pytest.mark.parametrize(
+        "f, psi",
+        [
+            (SignedPowerForm(2, 1, 2), power_law(1.0, 0.5, 0)),
+            (SignedPowerForm(2, 1, 2.5), power_law(3.0, 0.5, 0)),
+            (SignedPowerForm(1, 2, 3), power_law(100.0, 1.0, 0)),
+            (CoordinateProduct(2), power_law(5.0, 0.5, 0)),
+            (CoordinateProduct(3), power_law(7.0, 0.25, 2)),
+            (MaxPower((2.0, 1.0), 3), power_law(40.0, 0.1, 1)),
+            (VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((2.0,), 3, (1,)))),
+             ApproxFunction(((50.0, 0.0, 0), (0.5, 0.0, 0)))),
+        ],
+        ids=["spf-d2", "spf-d2.5", "spf-d3", "prod-n2", "prod-n3-log", "maxpow-log", "bands"],
+    )
+    def test_bisection_stops_at_adjacent_doubles(self, f, psi):
+        """The result is the one a fixed 200-step bisection gives, bit for bit."""
+        degrees = np.asarray(f.degrees)
+
+        def clear(z):
+            return bool(np.all(psi(z) < z**degrees))
+
+        assert not clear(1.0)
+        lo, hi = 1.0, 2.0
+        while not clear(hi):
+            lo, hi = hi, hi * 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if clear(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert threshold_M(f, psi) == max(1.0, hi * 1.01)
+
 
 # --------------------------------------------------------------------------
 # the product-family kernel
