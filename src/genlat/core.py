@@ -159,7 +159,16 @@ class ApproxFunction:
         return len(self.components)
 
     def __call__(self, z: float) -> np.ndarray:
-        return self.eval_many(np.asarray([z], dtype=float))[0]
+        # eval_many's ufuncs on a one-element array, bit for bit, without
+        # its validation and stacking passes
+        zs = np.array([z], dtype=float)
+        if zs[0] < 0:
+            raise ValueError("bound functions are defined on z >= 0")
+        zc = np.maximum(zs, 1.0)
+        out = np.empty(len(self.components))
+        for i, (coeff, s, j) in enumerate(self.components):
+            out[i] = (coeff * np.log(math.e + zc) ** j * zc ** (-s))[0]
+        return out
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Shape (m, l) array of component values at each z; z < 1 plateaus."""

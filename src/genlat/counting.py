@@ -13,17 +13,25 @@ natural space for lattice-point counting against region volumes).
 Strategy: enumerate integer prefixes (every coordinate but one solved
 coordinate t) over the shell's bounding box.  For each prefix w is affine in
 t, so |f(w)| <= eps*, with eps* the tolerance's maximum over the shell, cuts
-out a few t-intervals (slots).  Every integer in them is re-filtered against
-the exact predicate.  Double precision plus the interval expansion margin is
-the correctness contract; counts are exact wherever f values at integer
-points are not within 1e-9 of the tolerance boundary.
+out a few t-intervals (slots), clipped to the prefix's window of t in the
+shell's box.  A solver returns only the slots that can hold an integer, and
+every integer in them is re-filtered against the exact predicate.  Double
+precision plus the interval expansion margin is the correctness contract;
+counts are exact wherever f values at integer points are not within 1e-9 of
+the tolerance boundary.
 
 Slots come from one solver per part of the target, picked once per query
-and run on whole blocks of prefixes:
+and run on whole blocks of prefixes; a solver asks for the windows only at
+the rows it has not ruled out:
 
 - a band system (a max power, or a vector of single bands) is one solver
-  that intersects all its bands into one slot per prefix;
-- a degree-2 signed power form has two closed-form slots per prefix;
+  that intersects all its bands into one slot per prefix, at the prefixes
+  where they meet;
+- a degree-2 signed power form has two closed-form slots per prefix, each
+  ending at an outer root x of Q = +eps* and at most 2e/s wide (s the
+  outer roots' half distance, e = eps*/a), so only the rows with
+  dist(x, Z) s <= 4e at one of the two outer roots, plus a rounding margin,
+  are solved: most rows hold no integer and fail this one test;
 - a coordinate product or an integer-degree form is a polynomial P in t,
   piecewise for odd degrees: stacked companion matrices give the roots of
   P -/+ eps* for every row at once, the cells between roots whose midpoint
@@ -31,9 +39,11 @@ and run on whole blocks of prefixes:
 - a non-integer degree has no slots of its own: its window is scanned, and
   the result says so.
 
-The candidates are the integers in a slot of every solver.  At a zero
-tolerance the closed-form solvers add a point slot at the nearest integer
-to a double root or to a zero-radius band's centre.
+The candidates are the integers in a slot of every solver; empty slots are
+dropped before their integer ranges are taken.  At a zero tolerance the
+closed-form solvers add a point slot at the nearest integer to a double
+root or to a zero-radius band's centre, and the quadratic solver keeps
+every row.
 
 Prefixes come in centered order (small coordinates first), in blocks whose
 row target doubles after every block up to 16384 rows.  An early-exit query
@@ -186,7 +196,7 @@ def _coarse_tolerance(q: CountQuery) -> np.ndarray:
                 for c, s, j in q.bound.components
             ]
         )
-    return bound_values(q.bound, np.asarray([q.t0]), q.f.component_count)[0]
+    return np.asarray(q.bound, dtype=float)  # validated with the query
 
 
 # --------------------------------------------------------------------------
@@ -246,23 +256,28 @@ def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> tuple[list, bool]:
     a band system is one solver over all its bands; every other target has
     one solver per part.
 
-    A solver maps a prefix block (alphas, beta) and the solved coordinate's
-    windows [wlo, whi] to slots (rows, lo, hi): intervals of t, each tied to
-    a row of the block and clipped to its window, whose integers hold every
-    solution of its part.  A slot is empty unless lo <= hi.
+    A solver ``solve(alphas, beta, window)`` maps a prefix block (alphas,
+    beta) to slots (rows, lo, hi): intervals of t, each tied to a row of the
+    block and clipped to that row's window, whose integers hold every
+    solution of its part.  ``window(rows)`` gives the solved coordinate's
+    bounds (wlo, whi) at the block rows ``rows`` (every row for None), so a
+    solver that can rule rows out first asks only at the rest.  A slot is
+    empty unless lo <= hi, and a solver may leave out rows whose slots hold
+    no integer.
     """
     bands = band_system(q.f)
     if bands is not None:
         return [partial(_band_solver, bands, eps_vec, {})], False
     parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
+    beta = q.g.h[:, _solved_index(q.g.h)]
     solvers = []
     for part, eps in zip(parts, eps_vec):
         if (bands := band_system(part)) is not None:
             solvers.append(partial(_band_solver, bands, [eps], {}))
         elif isinstance(part, CoordinateProduct):
             solvers.append(partial(_poly_solver, _product_pieces, eps))
-        elif part.d == 2:
-            solvers.append(partial(_quadratic_solver, part, eps, {}))
+        elif part.d == 2 and (weights := _quadratic_weights(part, beta)) is not None:
+            solvers.append(partial(_quadratic_solver, *weights, eps, {}))
         elif part.d == int(part.d):
             solvers.append(partial(_poly_solver, partial(_power_pieces, part), eps))
         else:
@@ -270,20 +285,21 @@ def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> tuple[list, bool]:
     return solvers, _window_solver in solvers
 
 
-def _window_solver(alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+def _window_solver(alphas, beta, window) -> tuple[np.ndarray, ...]:
     """The whole window: a non-integer degree has no closed-form slots."""
+    wlo, whi = window()
     return np.arange(len(wlo)), wlo, whi
 
 
-def _band_solver(bands, eps_vec, work, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+def _band_solver(bands, eps_vec, work, alphas, beta, window) -> tuple[np.ndarray, ...]:
     """One slot per row for the bands |alpha_c + beta_c t|^a <= eps_k of a
-    band system's (c, a, k) triples."""
+    band system's (c, a, k) triples, at the rows where they meet."""
     coords = [c for c, _, _ in bands]
     radii = np.asarray([float(eps_vec[k]) ** (1.0 / a) for _, a, k in bands])
     lo, hi = _band_slots(alphas, beta, coords, radii, work)
-    np.maximum(lo, wlo, out=lo)
-    np.minimum(hi, whi, out=hi)
-    return np.arange(len(lo)), lo, hi
+    rows = np.nonzero(lo <= hi)[0]
+    wlo, whi = window(rows)
+    return rows, np.maximum(lo[rows], wlo), np.minimum(hi[rows], whi)
 
 
 def _band_slots(alphas, beta, coords, radii, work: dict) -> tuple[np.ndarray, ...]:
@@ -318,7 +334,21 @@ def _band_slots(alphas, beta, coords, radii, work: dict) -> tuple[np.ndarray, ..
     return lo, hi
 
 
-def _quadratic_solver(part, eps: float, work, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+def _quadratic_weights(part, beta) -> tuple | None:
+    """(a, w_b, w_c) for a degree-2 form along the solved column beta, with
+    Q(t) / a = t^2 + 2 B t + C, B = w_b . alpha and C = w_c . alpha^2 at the
+    affine part alpha; a > 0, as |Q| = |-Q|.  None when a is about 0: then
+    Q is linear in t along this column, with no closed form to take."""
+    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
+    a = float(signs @ (beta * beta))
+    if abs(a) < 1e-12:
+        return None
+    if a < 0:
+        a, signs = -a, -signs
+    return a, signs * beta / a, signs / a
+
+
+def _quadratic_solver(a, w_b, w_c, eps: float, work, alphas, beta, window) -> tuple[np.ndarray, ...]:
     """Slots of |Q(t)| <= eps, Q(t) = a t^2 + b t + c the degree-2 form at
     alpha + beta t: two per row in closed form, [out_lo, out_hi] minus the
     hole (in_lo, in_hi).  At a zero tolerance rounding can push a double
@@ -326,51 +356,78 @@ def _quadratic_solver(part, eps: float, work, alphas, beta, wlo, whi) -> tuple[n
     nearest integer to -b/2a is a third, point slot, and the exact refilter
     decides.
 
-    Q/a = t^2 + 2 B t + C has B = b/2a and C = c/a, one product each of a
-    fixed weight vector with the alpha columns; B is odd and C even in alpha,
+    B = b/2a and C = c/a are one product each of a fixed weight vector with
+    the alpha columns (``_quadratic_weights``); B is odd and C even in alpha,
     so a mirrored prefix gets mirrored slots bit for bit.  Both root pairs
-    are -B -/+ sqrt(B^2 - C +/- eps/a), from one discriminant.
+    are -B -/+ sqrt(D +/- e), e = eps/a, from one discriminant D = B^2 - C.
+
+    At eps > 0 only the rows that ``_near_integer_rows`` keeps are solved,
+    and only they ask for their windows.  Each slot ends at an outer root
+    x = -B -/+ s, s = sqrt(D + e), and is narrow: with a hole (D >= e) it
+    runs from x inward by s - sqrt(D - e) = 2e / (s + sqrt(D - e)) <= 2e/s;
+    without one it is the whole [-B - s, -B + s], whose integers lie within
+    s of an end, and s^2 = D + e < 2e.  Either way an integer in a slot has
+    dist(x, Z) s <= 2e for one of its ends, so a row with dist(x, Z) s > 4e,
+    plus a margin, at both outer roots holds no integer.  A row with
+    D + e < 0 has nan roots and no slots at all.
     """
-    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
-    a = float(signs @ (beta * beta))
-    if abs(a) < 1e-12:
-        # Q is linear in t along this column: no closed form to take
-        return _poly_solver(partial(_power_pieces, part), eps, alphas, beta, wlo, whi)
-    if a < 0:
-        a, signs = -a, -signs  # |Q| = |-Q|
     m = alphas.shape[1]
-    half_b = np.matmul(signs * beta / a, alphas, out=_buffer(work, "b", m))
+    e = eps / a
+    half_b = np.matmul(w_b, alphas, out=_buffer(work, "b", m))
     sq = np.multiply(alphas, alphas, out=_buffer(work, "sq", *alphas.shape))
-    disc = np.matmul(signs / a, sq, out=_buffer(work, "disc", m))
+    disc = np.matmul(w_c, sq, out=_buffer(work, "disc", m))
     np.subtract(np.multiply(half_b, half_b, out=sq[0]), disc, out=disc)
-    k = 3 if eps == 0.0 else 2
-    lo, hi = _buffer(work, "lo", k, m), _buffer(work, "hi", k, m)
-    with np.errstate(invalid="ignore"):
-        # outer set {Q <= eps}: between the roots; the closed comparison keeps
-        # tangency points so eps = 0 solution sets survive
-        _root_pair(half_b, disc, eps / a, lo[0], hi[1], sq[0])
-        # inner hole {Q < -eps}: strictly between its roots
-        _root_pair(half_b, disc, -eps / a, hi[0], lo[1], sq[0])
-    # the hole splits the outer slot in two; where there is no hole its nan
-    # roots leave slot 0 whole (fmin) and slot 1 empty (maximum)
+    with np.errstate(invalid="ignore"):  # nan roots where there are none
+        outer = np.sqrt(np.add(disc, e, out=sq[0]), out=sq[0])
+        if eps == 0.0:
+            k, rows = 3, np.arange(m)
+            wlo, whi = window()
+        else:
+            k, rows = 2, _near_integer_rows(half_b, outer, e, work)
+            if len(rows) == 0:
+                return rows, disc[:0], disc[:0]
+            half_b, disc, outer = half_b[rows], disc[rows], outer[rows]
+            wlo, whi = window(rows)
+        lo, hi = _buffer(work, "lo", k, len(rows)), _buffer(work, "hi", k, len(rows))
+        neg_b = np.negative(half_b, out=_buffer(work, "neg_b", len(rows)))
+        inner = np.sqrt(np.add(disc, -e, out=disc), out=disc)
+    # outer set {Q <= eps}: between its roots; the closed comparison keeps
+    # tangency points so eps = 0 solution sets survive.  Inner hole
+    # {Q < -eps}: strictly between its roots, which split the outer slot in
+    # two; where there is no hole its nan roots leave slot 0 whole (fmin)
+    # and slot 1 empty (maximum)
+    np.subtract(neg_b, outer, out=lo[0])
+    np.add(neg_b, outer, out=hi[1])
+    np.subtract(neg_b, inner, out=hi[0])
+    np.add(neg_b, inner, out=lo[1])
     np.maximum(lo[1], lo[0], out=lo[1])
     np.fmin(hi[0], hi[1], out=hi[0])
     if k == 3:
-        np.rint(np.negative(half_b, out=lo[2]), out=lo[2])
+        np.rint(neg_b, out=lo[2])
         hi[2] = lo[2]
     np.maximum(lo, wlo, out=lo)
     np.minimum(hi, whi, out=hi)
-    rows = _buffer(work, "rows", k, m, dtype=np.int64)
-    rows[:] = np.arange(m)
-    return rows.ravel(), lo.ravel(), hi.ravel()
+    return np.concatenate((rows,) * k), lo.ravel(), hi.ravel()
 
 
-def _root_pair(half_b, disc, shift: float, r_lo, r_hi, root) -> None:
-    """Roots r_lo <= r_hi of t^2 + 2 B t + C - shift, from B and the
-    discriminant B^2 - C; nan where it falls below -shift."""
-    np.sqrt(np.add(disc, shift, out=root), out=root)
-    np.subtract(np.negative(half_b, out=r_lo), root, out=r_lo)
-    np.add(np.negative(half_b, out=r_hi), root, out=r_hi)
+def _near_integer_rows(half_b, outer, e: float, work) -> np.ndarray:
+    """The rows where an outer root is near an integer: dist(x, Z) s <= 4e
+    plus a slack, for x = s - B or s + B and s = sqrt(D + e) (``outer``).
+
+    x is the outer roots' own arithmetic, so it is a root, up to sign, bit
+    for bit.  The slack s * 2e-9 (1 + max |x|) covers the pads of
+    1e-9 (1 + |end|) that ``_integer_range`` adds at slot ends, which lie
+    within the roots' span, and the rounding of D +/- e, of the roots and of
+    this test, all far below 1e-9 of the same scale."""
+    m = len(half_b)
+    x, near = _buffer(work, "x", 2, m), _buffer(work, "near", 2, m)
+    np.subtract(outer, half_b, out=x[0])
+    np.add(outer, half_b, out=x[1])
+    reach = max(np.fmax.reduce(x, axis=None), -np.fmin.reduce(x, axis=None))
+    np.abs(np.subtract(x, np.rint(x, out=near), out=near), out=near)
+    dist = np.minimum(near[0], near[1], out=near[0])
+    np.multiply(np.subtract(dist, 2e-9 * (1.0 + reach), out=dist), outer, out=dist)
+    return np.nonzero(dist <= 4.0 * e)[0]
 
 
 # prefix rows whose polynomials are solved together; bounds the
@@ -378,9 +435,10 @@ def _root_pair(half_b, disc, shift: float, r_lo, r_hi, root) -> None:
 _ROW_CHUNK = 4096
 
 
-def _poly_solver(pieces, eps: float, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
+def _poly_solver(pieces, eps: float, alphas, beta, window) -> tuple[np.ndarray, ...]:
     """Slots of |P(t)| <= eps for the row polynomials P that ``pieces``
     writes on each nonempty window, ``_ROW_CHUNK`` rows at a time."""
+    wlo, whi = window()
     live = np.nonzero(wlo <= whi)[0]
     out = [(live[:0], wlo[:0], whi[:0])]
     for s in range(0, len(live), _ROW_CHUNK):
@@ -501,8 +559,10 @@ def _candidates(slots, work: dict) -> tuple[np.ndarray, np.ndarray]:
     """
     ranges = []
     for rows, lo, hi in slots:
+        ok = np.nonzero(lo <= hi)[0]
+        rows, lo, hi = rows[ok], lo[ok], hi[ok]
         start, stop = _integer_range(lo, hi, work)
-        ok = np.nonzero((lo <= hi) & (start <= stop))[0]
+        ok = np.nonzero(start <= stop)[0]
         ranges.append((rows[ok], start[ok].astype(np.int64), stop[ok].astype(np.int64)))
     ranges.sort(key=lambda r: int((r[2] - r[1] + 1).sum()))
     rows, start, stop = ranges[0]
@@ -524,14 +584,16 @@ def _candidates(slots, work: dict) -> tuple[np.ndarray, np.ndarray]:
         at = np.searchsorted(key_lo[order], keys, side="right") - 1
         keys = keys[(at >= 0) & (keys <= ends[np.maximum(at, 0)])]
     keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) > 0]  # keys are >= 0
-    return keys // span, keys % span + tmin
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    rows, ts = np.divmod(keys[fresh], span)
+    return rows, ts + tmin
 
 
 def _integer_range(los: np.ndarray, his: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
     """First and last integer of per-row intervals with lo <= hi, as floats
-    in workspace arrays; stop < start when an interval holds none.  Other
-    rows get meaningless values.
+    in workspace arrays; stop < start when an interval holds none.
 
     Endpoints are expanded by 1e-9 * (1 + |endpoint|) before rounding so
     root-finding error cannot drop a boundary candidate; the exact refilter
@@ -547,17 +609,35 @@ def _integer_range(los: np.ndarray, his: np.ndarray, work: dict) -> tuple[np.nda
     return start, stop
 
 
-def _window_arrays(q: CountQuery, alphas, beta, work: dict) -> tuple[np.ndarray, ...]:
-    """Per-prefix bounds on the solved coordinate from the shell's box."""
+def _window(q: CountQuery, alphas, beta, work: dict):
+    """The block's per-prefix bounds on the solved coordinate from the
+    shell's box, as ``window(rows)``: (wlo, whi) at the block rows ``rows``,
+    in arrays valid until the next such call, or at every row for None,
+    built once per block.  They are +-floor(T) in v-space and the w-cube's
+    band slot in w-space."""
     n = q.f.n
-    if q.shell_space == "v":
-        lim = math.floor(q.t)
-        lo, hi = _buffer(work, "lo", alphas.shape[1]), _buffer(work, "hi", alphas.shape[1])
-        lo.fill(-lim)
-        hi.fill(lim)
+    lim = math.floor(q.t)
+    radii = np.full(n, q.t)
+    whole = []
+
+    def window(rows=None):
+        if rows is None and whole:
+            return whole
+        out = work if rows is None else work.setdefault("window", {})
+        if q.shell_space == "v":
+            k = alphas.shape[1] if rows is None else len(rows)
+            lo, hi = _buffer(out, "lo", k), _buffer(out, "hi", k)
+            lo.fill(-lim)
+            hi.fill(lim)
+        else:
+            # w-cube: every |alpha_j + beta_j t| <= T
+            cols = alphas if rows is None else alphas[:, rows]
+            lo, hi = _band_slots(cols, beta, range(n), radii, out)
+        if rows is None:
+            whole.extend((lo, hi))
         return lo, hi
-    # w-cube: every |alpha_j + beta_j t| <= T
-    return _band_slots(alphas, beta, range(n), np.full(n, q.t), work)
+
+    return window
 
 
 def _reduce_for_w(q: CountQuery) -> tuple[CountQuery, np.ndarray | None]:
@@ -671,8 +751,8 @@ def _block_candidates(q: CountQuery, solvers, block, prefix_cols, sol, work) -> 
         table = _tail_table(q, tail, prefix_cols[1:], work)
         np.add(np.multiply.outer(lead_h, leads)[:, :, None], table[:, None, :], out=run)
         start = stop
-    wlo, whi = _window_arrays(q, alphas, beta, work)
-    rows, ts = _candidates([solve(alphas, beta, wlo, whi) for solve in solvers], work)
+    window = _window(q, alphas, beta, work)
+    rows, ts = _candidates([solve(alphas, beta, window) for solve in solvers], work)
     vs = np.empty((len(ts), n), dtype=np.int64)
     vs[:, prefix_cols] = _block_rows(block, rows, len(prefix_cols))
     vs[:, sol] = ts
@@ -725,7 +805,8 @@ def _prefix_blocks(
     order), one slab of tail rows per lead.  A block closes once it holds
     ``first_block`` rows; the target doubles after every block, up to
     ``_MAX_BLOCK``.  A slab larger than ``_MAX_BLOCK`` (n >= 4) is cut
-    instead into contiguous tail slices of the target size, one per block.
+    instead into contiguous tail slices of the target size, one per block,
+    each decoded from its positions alone, so the whole slab is never held.
 
     With ``half`` only one prefix of each pair {p, -p} comes: the zero
     prefix and those whose first nonzero coordinate is positive, which in
@@ -738,25 +819,28 @@ def _prefix_blocks(
         yield [(np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
         return
     lead = _centered(int(box[prefix_cols[0]]))
-    rest = [_centered(int(box[c])) for c in prefix_cols[1:]]
-    if rest:
-        grids = np.meshgrid(*rest, indexing="ij")
-        tail = np.stack([g.ravel() for g in grids], axis=1)
-    else:
-        tail = np.zeros((1, 0), dtype=np.int64)
-    head = []  # the half slab of lead 0
+    axes = [_centered(int(box[c])) for c in prefix_cols[1:]]
+    slab = math.prod(len(a) for a in axes)
+    zero = lead[:1]
     if half:
-        head = [(lead[:1], _positive_half(tail))]
         lead = lead[lead > 0]
     target = first_block
-    if len(tail) > _MAX_BLOCK:
-        for leads, rows in head + [(lead[i : i + 1], tail) for i in range(len(lead))]:
+    if slab > _MAX_BLOCK:
+        # (leads, whether the slab is the half slab of lead 0)
+        slabs = [(lead[i : i + 1], False) for i in range(len(lead))]
+        for leads, halved in ([(zero, True)] if half else []) + slabs:
+            count = (slab + 1) // 2 if halved else slab
             start = 0
-            while start < len(rows):
-                yield [(leads, rows[start : start + target])]
+            while start < count:
+                at = np.arange(start, min(start + target, count))
+                yield [(leads, _centered_rows(axes, _half_positions(axes, at) if halved else at))]
                 start += target
                 target = min(2 * target, _MAX_BLOCK)
         return
+    tail = _centered_rows(axes, np.arange(slab))
+    head = []  # the half slab of lead 0
+    if half:
+        head = [(zero, _centered_rows(axes, _half_positions(axes, np.arange((slab + 1) // 2))))]
     pos = 0
     while pos < len(lead):
         k = -(-target // len(tail))  # slabs that reach the target
@@ -767,12 +851,32 @@ def _prefix_blocks(
         yield head
 
 
-def _positive_half(rows: np.ndarray) -> np.ndarray:
-    """The rows that are zero or whose first nonzero entry is positive."""
-    lead_sign = np.zeros(len(rows), dtype=np.int64)
-    for col in np.sign(rows).T[::-1]:
-        lead_sign = np.where(col != 0, col, lead_sign)
-    return rows[lead_sign >= 0]
+def _centered_rows(axes: list[np.ndarray], at: np.ndarray) -> np.ndarray:
+    """Rows at positions ``at`` of the product of the centered ``axes`` in
+    order, the first axis slowest."""
+    out = np.empty((len(at), len(axes)), dtype=np.int64)
+    for j in reversed(range(len(axes))):
+        at, digit = np.divmod(at, len(axes[j]))
+        out[:, j] = axes[j][digit]
+    return out
+
+
+def _half_positions(axes: list[np.ndarray], at: np.ndarray) -> np.ndarray:
+    """Positions in the product of the centered ``axes`` of the rows at
+    positions ``at`` of its half: the rows that are zero or whose first
+    nonzero entry is positive, in order.
+
+    The half of a product of R rows starts with the half of its trailing
+    axes (H = (R' + 1) // 2 rows of R') under a zero first entry; position
+    H + k past them is row k of the trailing product under the (k // R' + 1)th
+    positive first entry, which sits at every other position from 1.  The
+    first axis that applies is the outermost with ``at >= H``."""
+    out = np.zeros_like(at)  # the zero row stays at position 0
+    for j in reversed(range(len(axes))):
+        rest = math.prod(len(a) for a in axes[j + 1 :])
+        k = at - (rest + 1) // 2
+        np.copyto(out, k + (k // rest + 1) * rest, where=k >= 0)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -1028,3 +1028,183 @@ class TestFourDimensions:
             assert (sliced.count, sliced.first_witness, sliced.visited) == (
                 fast.count, fast.first_witness, fast.visited)
             assert early.first_witness == fast.first_witness, q
+
+
+def _pre_filter_slots(weights, eps, alphas, wlo, whi):
+    """Both slots of every row, (2, m) arrays lo and hi, by the two root
+    pairs of the closed-form quadratic solver as it ran on every row before
+    the near-integer test: -B -/+ sqrt(D +/- eps/a), merged and clipped."""
+    a, w_b, w_c = weights
+    half_b = np.matmul(w_b, alphas)
+    disc = half_b * half_b - np.matmul(w_c, alphas * alphas)
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(disc + eps / a)
+        lo0, hi1 = -half_b - root, -half_b + root
+        root = np.sqrt(disc + -eps / a)
+        hi0, lo1 = -half_b - root, -half_b + root
+    lo1 = np.maximum(lo1, lo0)
+    hi0 = np.fmin(hi0, hi1)
+    return np.maximum(np.stack([lo0, lo1]), wlo), np.minimum(np.stack([hi0, hi1]), whi)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def _quadratic_block(rng, part, beta, e, shift):
+    """Affine parts (n, m) of a synthetic prefix block along ``beta``: rows
+    of every scale up to |B| = 1e4, and rows alpha = lam beta + mu gamma with
+    B = lam and D = -mu^2 (w_c . gamma^2) set on purpose: D within 1e-3 e of
+    +e and of -e, D + e < 0, and rows whose only integer k sits at the far
+    end of a narrow slot, just inside the inner root -B -/+ sqrt(D - e) (or
+    at the centre of a hole-free slot, s^2 just under 2e)."""
+    n = len(beta)
+    _, w_b, w_c = counting._quadratic_weights(part, beta)
+    cols = [rng.normal(size=(n, 400)) * 10.0 ** rng.uniform(-2, 4, size=400)]
+    gammas = []
+    for _ in range(64):
+        x = rng.normal(size=n)
+        gamma = x - (w_b @ x) * beta  # w_b . beta = 1, so w_b . gamma = 0
+        if abs(w_c @ (gamma * gamma)) > 1e-3:
+            gammas.append(gamma)
+    for gamma in gammas:
+        g = w_c @ (gamma * gamma)  # D = -mu^2 g
+        for _ in range(12):
+            small = rng.random() < 0.5
+            k = float(rng.integers(-20, 21) if small else rng.integers(-10**4, 10**4))
+            kind = rng.integers(4)
+            if kind == 0:  # D within 1e-3 e of +-e, or below -e
+                d = e * rng.choice([1.0, -1.0, -3.0]) * (1.0 + rng.uniform(-1e-3, 1e-3))
+                lam = -k + rng.uniform(-1.0, 1.0)
+            elif kind == 1:  # hole: k just inside the inner root of slot 1 or 0
+                d = e * (1.0 + 10.0 ** rng.uniform(-3, 3))
+                r, s = math.sqrt(d - e), math.sqrt(d + e)
+                inside = rng.uniform(0.0, 0.2) * (s - r)
+                lam = r - k + inside if rng.random() < 0.5 else -r - k - inside
+            elif kind == 2:  # no hole: k at the centre, s^2 = D + e just under 2e
+                d = e * (1.0 - rng.uniform(0.0, 1e-3))
+                lam = -k
+            else:  # k near an outer root
+                d = e * 10.0 ** rng.uniform(-3, 3)
+                lam = math.sqrt(d + e) - k + rng.uniform(-1e-3, 1e-3)
+            if d * g >= 0:
+                continue  # this gamma cannot give D of that sign
+            mu = math.sqrt(-d / g)
+            cols.append((lam * beta + mu * gamma)[:, None])
+    alphas = np.concatenate(cols, axis=1)
+    if shift:
+        alphas = alphas + rng.normal(size=(n, 1)) * 1e-3
+    return np.ascontiguousarray(alphas)
+
+
+class TestNearIntegerPrefilter:
+    """The quadratic solver solves only rows where an outer root is near an
+    integer.  On synthetic blocks it must keep every row whose slots, as the
+    pre-filter formula gives them on every row, hold an integer, and the
+    kept rows' slots must be that formula's bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("space", ["v", "w"])
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_kept_rows_are_a_superset_with_the_same_slots(self, n, space, shift):
+        rng = np.random.default_rng(1500 + 10 * n + 2 * (space == "w") + shift)
+        targeted_hits = 0
+        for p in range(1, n + 1):
+            part = SignedPowerForm(p, n - p, 2)
+            beta = rng.normal(size=n)
+            weights = counting._quadratic_weights(part, beta)
+            for eps in (1e-8, 1e-5, 1e-2, 0.7, 10.0):
+                alphas = _quadratic_block(rng, part, beta, eps / weights[0], shift)
+                m = alphas.shape[1]
+                t = float(rng.choice([30.0, 3e3, 3e4]))
+                q = _query(f=part, g=identity_map(n), norm=max_norm(n), t=t, shell_space=space)
+                window = counting._window(q, alphas, beta, {})
+                wlo, whi = (np.array(x) for x in window())
+                ref_lo, ref_hi = _pre_filter_slots(weights, eps, alphas, wlo, whi)
+                start, stop = counting._integer_range(ref_lo.ravel(), ref_hi.ravel(), {})
+                holds = ((ref_lo.ravel() <= ref_hi.ravel()) & (start <= stop)).reshape(2, m).any(axis=0)
+                rows, lo, hi = counting._quadratic_solver(*weights, eps, {}, alphas, beta, window)
+                kept = rows[: len(rows) // 2]
+                assert np.array_equal(rows, np.concatenate([kept, kept]))
+                assert set(np.nonzero(holds)[0]) <= set(kept.tolist()), (p, eps)
+                assert np.array_equal(_bits(lo), _bits(ref_lo[:, kept].ravel()))
+                assert np.array_equal(_bits(hi), _bits(ref_hi[:, kept].ravel()))
+                assert len(kept) < m  # the filter drops rows
+                targeted_hits += int(holds[400:].sum())  # past the 400 random rows
+        assert targeted_hits > 0
+
+    def test_window_is_asked_only_at_kept_rows(self):
+        rng = np.random.default_rng(15)
+        part, beta = SignedPowerForm(2, 1, 2), rng.normal(size=3)
+        alphas = np.ascontiguousarray(rng.normal(size=(3, 5000)) * 50.0)
+        for space in ("v", "w"):
+            q = _query(f=part, g=identity_map(3), norm=max_norm(3), t=200.0, shell_space=space)
+            window = counting._window(q, alphas, beta, {})
+            asked = []
+
+            def spy(rows=None):
+                asked.append(rows)
+                return window(rows)
+
+            rows, _, _ = counting._quadratic_solver(*counting._quadratic_weights(part, beta), 1.0,
+                                                    {}, alphas, beta, spy)
+            assert 0 < len(rows) < 2 * alphas.shape[1]
+            assert len(asked) == 1 and asked[0] is not None
+            assert np.array_equal(asked[0], rows[: len(rows) // 2])
+            # at the asked rows the window is the whole block's, row for row
+            wlo, whi = (np.array(x) for x in window())
+            sub_lo, sub_hi = window(asked[0])
+            assert np.array_equal(sub_lo, wlo[asked[0]]) and np.array_equal(sub_hi, whi[asked[0]])
+
+    def test_band_solver_returns_only_rows_whose_bands_meet(self):
+        rng = np.random.default_rng(16)
+        f = MaxPower((2.0, 1.0), 3)
+        beta = rng.normal(size=3)
+        alphas = np.ascontiguousarray(rng.normal(size=(3, 4000)) * 40.0)
+        q = _query(f=f, g=identity_map(3), norm=max_norm(3), t=100.0, shell_space="w")
+        window = counting._window(q, alphas, beta, {})
+        bands = counting.band_system(f)
+        solve = counting._slot_solvers(replace(q, bound=power_law(1.0, 0.5, 0)), np.asarray([0.5]))[0][0]
+        rows, lo, hi = solve(alphas, beta, window)
+        radii = np.asarray([0.5 ** (1.0 / a) for _, a, _ in bands])
+        blo, bhi = counting._band_slots(alphas, beta, [c for c, _, _ in bands], radii, {})
+        assert np.array_equal(rows, np.nonzero(blo <= bhi)[0])
+        wlo, whi = (np.array(x) for x in window())
+        assert np.array_equal(lo, np.maximum(blo[rows], wlo[rows]))
+        assert np.array_equal(hi, np.minimum(bhi[rows], whi[rows]))
+
+    def test_candidates_skip_empty_and_nan_slots(self):
+        nan = np.nan
+        rows = np.array([0, 1, 2, 3, 4, 5])
+        lo = np.array([0.5, 3.0, nan, 1.0, -2.9, 7.0])
+        hi = np.array([2.5, 2.0, 4.0, nan, -2.2, 7.0])
+        got_rows, ts = _candidates([(rows, lo, hi)], {})
+        # row 1 is empty (lo > hi), rows 2 and 3 have a nan end, row 4 holds
+        # no integer
+        assert got_rows.tolist() == [0, 0, 5] and ts.tolist() == [1, 2, 7]
+
+
+class TestBlockMemory:
+    @pytest.mark.parametrize("half", [False, True])
+    def test_first_early_exit_block_at_n4_is_small(self, half):
+        """At n = 4, T = 512 a lead's slab holds 1025^2 rows (8.4 MB as one
+        int64 pair per row; the whole tail grid peaked at 69 MB).  The first
+        256-row block decodes its tail slice from positions alone and stays
+        under 1 MB."""
+        import tracemalloc
+
+        box = np.full(4, 512)
+        tracemalloc.start()
+        try:
+            block = next(iter(_prefix_blocks(box, [0, 1, 2], 256, half=half)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        (leads, tail), = block
+        assert leads.tolist() == [0] and len(tail) == 256
+        grids = np.meshgrid(_centered(512)[:3], _centered(512), indexing="ij")
+        rows = np.stack([g.ravel() for g in grids], axis=1)
+        if half:
+            rows = rows[[_first_nonzero_positive(r) for r in rows]]
+        assert np.array_equal(tail, rows[:256])
