@@ -587,10 +587,8 @@ def _cmd_uniform(cfg: ExperimentConfig, args) -> tuple:
 
 
 def _cmd_kgsystem(cfg: ExperimentConfig, args) -> tuple:
-    psi = _require(cfg.psi, "psi")
-    psis = [ApproxFunction((comp,)) for comp in psi.components]
     res = kg_system_experiment(
-        psis,
+        _require(cfg.psi, "psi"),
         cfg.n,
         cfg.point_class,
         _require(cfg.schedule, "schedule"),

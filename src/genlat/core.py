@@ -182,12 +182,6 @@ class ApproxFunction:
             cols.append(v)
         return np.stack(cols, axis=1)
 
-    def scalar(self) -> tuple[float, float, int]:
-        """The single (C, s, j) triple; raises if the bound is vector-valued."""
-        if len(self.components) != 1:
-            raise ValueError("expected a scalar bound function")
-        return self.components[0]
-
 
 def power_law(coeff: float = 1.0, s: float = 1.0, j: int = 0) -> ApproxFunction:
     return ApproxFunction(((float(coeff), float(s), int(j)),))
@@ -430,6 +424,16 @@ class PointClass(Enum):
     ALL_NONZERO = "nonzero"
     PRIMITIVE = "primitive"
     ALL_INTEGER = "all"
+
+    def contains(self, vs: np.ndarray) -> np.ndarray:
+        """Boolean mask of the rows of the integer matrix ``vs`` in the class:
+        nonzero rows, rows whose coordinates have gcd 1 (so never the zero
+        row), or every row."""
+        if self is PointClass.ALL_NONZERO:
+            return (vs != 0).any(axis=1)
+        if self is PointClass.PRIMITIVE:
+            return np.gcd.reduce(np.abs(vs), axis=1) == 1
+        return np.ones(len(vs), dtype=bool)
 
 
 @dataclass(frozen=True)

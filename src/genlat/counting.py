@@ -125,8 +125,8 @@ class CountQuery:
     stop_after_first: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.t0 < self.t:
-            raise ValueError(f"need 0 <= T0 < T, got ({self.t0}, {self.t})")
+        if not 0.0 <= self.t0 < self.t < math.inf:
+            raise ValueError(f"need 0 <= T0 < T < inf, got ({self.t0}, {self.t})")
         n = self.f.n
         if self.g.n != n or self.norm.dim != n:
             raise ValueError(
@@ -153,8 +153,7 @@ class CountResult:
 
 def is_primitive(v) -> bool:
     """gcd of all coordinates is 1; the zero vector is not primitive."""
-    arr = np.abs(np.asarray(v, dtype=np.int64))
-    return int(np.gcd.reduce(arr)) == 1
+    return bool(PointClass.PRIMITIVE.contains(np.asarray(v, dtype=np.int64)[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -167,11 +166,7 @@ def _exact_mask(q: CountQuery, vs: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     ws = q.g.apply(vs.astype(float))
     radii = q.norm.eval_many(vs.astype(float) if q.shell_space == "v" else ws)
-    mask = (radii > q.t0) & (radii <= q.t)
-    if q.point_class is PointClass.ALL_NONZERO:
-        mask &= (vs != 0).any(axis=1)
-    elif q.point_class is PointClass.PRIMITIVE:
-        mask &= np.gcd.reduce(np.abs(vs), axis=1) == 1
+    mask = (radii > q.t0) & (radii <= q.t) & q.point_class.contains(vs)
     if not mask.any():
         return mask
     idx = mask.nonzero()[0]
@@ -215,14 +210,15 @@ def _centered(limit: int) -> np.ndarray:
 
 
 def _prefix_box(q: CountQuery) -> np.ndarray:
-    """Per-coordinate integer bounds |v_i| <= b_i covering all solutions."""
+    """Per-coordinate integer bounds |v_i| <= b_i covering all solutions,
+    as floats, so a box too large for an int is still measured."""
     n = q.f.n
     if q.shell_space == "v":
         # block norms dominate the sup norm
-        return np.full(n, math.floor(q.t), dtype=np.int64)
+        return np.full(n, np.floor(q.t))
     hinv = q.g.inverse_h()
     reach = np.abs(hinv) @ (q.t + np.abs(q.g.z))
-    return np.floor(reach + _EXPAND).astype(np.int64)
+    return np.floor(reach + _EXPAND)
 
 
 def _solved_index(h: np.ndarray) -> int:
@@ -640,56 +636,52 @@ def _window(q: CountQuery, alphas, beta, work: dict):
     return window
 
 
-def _reduce_for_w(q: CountQuery) -> tuple[CountQuery, np.ndarray | None]:
-    """Rewrite a w-space query in a reduced basis of the same w-lattice.
+def _in_reduced_basis(q: CountQuery, core) -> CountResult:
+    """``core(q)``, run on a w-space query in an LLL-reduced basis of the
+    same w-lattice, with the witness mapped back to the original integer
+    coordinates.
 
     v-space radii depend on the integer coordinates themselves, but a
-    w-space query only sees the image points, so v = change @ v' turns the
-    query into one over a shorter basis with a far smaller scan box (the
-    point classes are preserved by the unimodular change).  Returns the
-    rewritten query and the change matrix, or (q, None) when reduction
-    does not certify or does not help.
+    w-space query only sees the image points, so v = change @ v', with
+    h @ change the reduced basis, turns the query into one over a shorter
+    basis with a far smaller scan box (the point classes are preserved by
+    the unimodular change).  The query runs as given in v-space, when the
+    change does not round to an integer matrix of determinant +-1, and
+    when reduction leaves the basis as it was.
     """
-    reduced = _certified_reduction(q.g.h)
-    if reduced is None or np.allclose(reduced[0], q.g.h):
-        return q, None
-    basis, change = reduced
-    if np.linalg.det(basis) < 0:
-        basis = basis.copy()
-        basis[:, 0] = -basis[:, 0]
-        change = change.copy()
-        change[:, 0] = -change[:, 0]
-    return replace(q, g=UnimodularMap(basis, q.g.z)), change
-
-
-def _certified_reduction(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """LLL-reduced basis of the columns of h with its integer change of basis
-    (h @ change = basis), or None when the change does not round to an
-    integer matrix of determinant +-1."""
-    basis = lll_reduce(h)
-    u = np.linalg.inv(h) @ basis
+    if q.shell_space != "w":
+        return core(q)
+    basis = lll_reduce(q.g.h)
+    u = np.linalg.inv(q.g.h) @ basis
     change = np.round(u).astype(np.int64)
-    if np.max(np.abs(u - change)) > 1e-6 or abs(abs(np.linalg.det(u)) - 1.0) > 1e-6:
-        return None
-    return basis, change
+    uncertified = np.max(np.abs(u - change)) > 1e-6 or abs(abs(np.linalg.det(u)) - 1.0) > 1e-6
+    if uncertified or np.allclose(basis, q.g.h):
+        return core(q)
+    if np.linalg.det(basis) < 0:
+        basis[:, 0] = -basis[:, 0]
+        change[:, 0] = -change[:, 0]
+    res = core(replace(q, g=UnimodularMap(basis, q.g.z)))
+    if res.first_witness is None:
+        return res
+    mapped = tuple(int(x) for x in change @ np.asarray(res.first_witness))
+    return CountResult(res.count, mapped, res.visited, res.full_scan)
 
 
-def _in_reduced_basis(q: CountQuery, core) -> CountResult:
-    """``core(q)``, run on a w-space query in its reduced basis, with the
-    witness mapped back to the original integer coordinates."""
-    if q.shell_space == "w":
-        q2, change = _reduce_for_w(q)
-        if change is not None:
-            res = core(q2)
-            if res.first_witness is None:
-                return res
-            mapped = tuple(int(x) for x in change @ np.asarray(res.first_witness))
-            return CountResult(res.count, mapped, res.visited, res.full_scan)
-    return core(q)
+# the most prefixes an exhaustive count may enumerate: about 700 times the
+# largest box the commands, scripts and tests count (6e6 prefixes, n = 3 at
+# T = 512 in w-space), while a count past it would run for minutes at tens of
+# nanoseconds a prefix
+_MAX_PREFIXES = 2.0**32
 
 
 def count_solutions(q: CountQuery) -> CountResult:
-    """Exact shell count; see the module docstring for the contract."""
+    """Exact shell count; see the module docstring for the contract.
+
+    An exhaustive count whose prefix box holds more than ``_MAX_PREFIXES``
+    prefixes raises ValueError before it enumerates any.  An early-exit
+    query (``stop_after_first``) is exempt: its cost depends on where the
+    first witness lies, not on the size of the box.
+    """
     return _in_reduced_basis(q, _count_core)
 
 
@@ -697,6 +689,13 @@ def _count_core(q: CountQuery) -> CountResult:
     n = q.f.n
     sol = _solved_index(q.g.h)
     prefix_cols = [i for i in range(n) if i != sol]
+    box = _prefix_box(q)
+    prefixes = math.prod(2.0 * float(box[c]) + 1.0 for c in prefix_cols)
+    if not q.stop_after_first and not prefixes <= _MAX_PREFIXES:
+        raise ValueError(
+            f"an exhaustive count over {prefixes:.4g} prefixes exceeds the cap of "
+            f"{_MAX_PREFIXES:.4g}"
+        )
     solvers, full_scan = _slot_solvers(q, _coarse_tolerance(q))
     # without a shift the solution set is symmetric under v -> -v
     half = not q.g.z.any()
@@ -707,7 +706,7 @@ def _count_core(q: CountQuery) -> CountResult:
     visited = 0
 
     first_block = 256 if q.stop_after_first else _MAX_BLOCK
-    for block in _prefix_blocks(_prefix_box(q), prefix_cols, first_block, half):
+    for block in _prefix_blocks(box, prefix_cols, first_block, half):
         visited += sum(len(leads) * len(tail) for leads, tail in block)
         vs = _block_candidates(q, solvers, block, prefix_cols, sol, work)
         if len(vs) == 0:
@@ -940,6 +939,8 @@ class NormBall:
 
 # rows of one enumeration chunk; a map with a larger box runs alone
 _REGION_ROWS = 4096
+# box cells one enumeration call may hold, over all its maps together
+_REGION_CELLS = 1e8
 
 
 def lattice_points_in_region(
@@ -955,8 +956,12 @@ def lattice_points_in_region(
     reach = np.einsum("sij,sj->si", np.abs(np.linalg.inv(bases)), half)
     sizes = 2.0 * np.floor(reach + _EXPAND) + 1.0
     # in floating point, so an infinite or nan box fails before any int cast
-    if not np.all(np.prod(sizes, axis=1) <= 1e8):
-        raise ValueError("region enumeration box too large")
+    cells = float(np.prod(sizes, axis=1).sum())
+    if not cells <= _REGION_CELLS:
+        raise ValueError(
+            f"region enumeration box too large: {cells:.4g} cells over {len(sizes)} maps, "
+            f"above the cap of {_REGION_CELLS:.4g}"
+        )
     sizes = sizes.astype(np.int64)
     edges = np.concatenate(([0], np.cumsum(np.prod(sizes, axis=1))))  # map s: rows edges[s:s+2]
     strides = np.ones_like(sizes)  # meshgrid "ij" order: the last coordinate runs fastest

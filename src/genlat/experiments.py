@@ -62,7 +62,6 @@ from .volume import (
 )
 
 __all__ = [
-    "StatSummary",
     "WeightedMean",
     "ConfigError",
     "ExperimentConfig",
@@ -89,35 +88,6 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # summaries
-
-
-@dataclass(frozen=True)
-class StatSummary:
-    """Plain moments of a sample; stderr = sqrt(variance / sample_count)."""
-
-    mean: float
-    variance: float
-    stderr: float
-    sample_count: int
-    min: float
-    max: float
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError("summary needs at least one value")
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-        expected = math.sqrt(self.variance / self.sample_count)
-        if not math.isclose(self.stderr, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("stderr must equal sqrt(variance/sample_count)")
-
-    @classmethod
-    def from_values(cls, values) -> "StatSummary":
-        xs = np.asarray(values, dtype=float)
-        m = len(xs)
-        mean = float(xs.mean())
-        var = float(xs.var(ddof=1)) if m > 1 else 0.0
-        return cls(mean, var, math.sqrt(var / m), m, float(xs.min()), float(xs.max()))
 
 
 @dataclass(frozen=True)
@@ -149,11 +119,17 @@ class WeightedMean:
         return cls(mean, se, ess, len(xs))
 
 
-def wilson_interval(successes: float, trials: float, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion; weighted
-    runs pass their effective trial count and successes at that scale."""
+# the normal quantile of a two-sided 95% interval
+_WILSON_Z = 1.96
+
+
+def wilson_interval(successes: float, trials: float) -> tuple[float, float]:
+    """95% Wilson score confidence interval for a binomial proportion;
+    weighted runs pass their effective trial count and successes at that
+    scale."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"bad counts ({successes}, {trials})")
+    z = _WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -229,10 +205,8 @@ _SIEGEL_CONSTANT = {
 @dataclass(frozen=True)
 class SiegelResult:
     volume: float
-    ensemble: str
     estimates: dict
     references: dict
-    summaries: dict
     records: list
 
 
@@ -262,9 +236,8 @@ def _siegel_sample(args):
     owner, vs, ws = lattice_points_in_region(bases, shifts, NormBall(sup, top))
     # every point found lies in the top ball; a smaller one takes NormBall.contains's test
     norms = sup.eval_many(ws) if min(radii) < top else None
-    classes = {"all": np.ones(len(vs), dtype=bool)}
-    if ensemble == "lattice":
-        classes = {"nonzero": (vs != 0).any(axis=1), "primitive": np.gcd.reduce(np.abs(vs), axis=1) == 1}
+    keys = ("nonzero", "primitive") if ensemble == "lattice" else ("all",)
+    classes = {key: PointClass(key).contains(vs) for key in keys}
     out = []
     for radius in radii:
         inside = classes if radius == top else {key: mask & (norms <= radius) for key, mask in classes.items()}
@@ -312,13 +285,11 @@ def siegel_mean_experiment(
     (records,) = _sample_records(n, (volume,), samples, seed, ensemble, workers)
     weights = [r["weight"] for r in records]
     classes = ("nonzero", "primitive") if ensemble == "lattice" else ("all",)
-    estimates, references, summaries = {}, {}, {}
+    estimates, references = {}, {}
     for key in classes:
-        counts = [r[key] for r in records]
-        estimates[key] = WeightedMean.from_weighted(counts, weights)
-        summaries[key] = StatSummary.from_values(counts)
+        estimates[key] = WeightedMean.from_weighted([r[key] for r in records], weights)
         references[key] = _SIEGEL_CONSTANT[PointClass(key)](n) * volume
-    return SiegelResult(volume, ensemble, estimates, references, summaries, records)
+    return SiegelResult(volume, estimates, references, records)
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +298,6 @@ def siegel_mean_experiment(
 
 @dataclass(frozen=True)
 class RogersResult:
-    ensemble: str
     rows: list
     records: list
 
@@ -347,14 +317,12 @@ def rogers_variance_experiment(
     (variance/V near 1); lattice rows report the same ratio for stability
     inspection.  A configured ceiling flags rows that exceed it.
     """
+    key = "all" if ensemble == "grid" else "nonzero"
     rows, records = [], []
     for vi, volume in enumerate(volumes):
-        sub = siegel_mean_experiment(
-            n, float(volume), samples, mix_seed(seed, vi), ensemble, workers
-        )
-        key = "all" if ensemble == "grid" else "nonzero"
-        counts = np.asarray([r[key] for r in sub.records], dtype=float)
-        weights = np.asarray([r["weight"] for r in sub.records], dtype=float)
+        (recs,) = _sample_records(n, (float(volume),), samples, mix_seed(seed, vi), ensemble, workers)
+        counts = np.asarray([r[key] for r in recs], dtype=float)
+        weights = np.asarray([r["weight"] for r in recs], dtype=float)
         mean = float((weights * counts).sum() / weights.sum())
         var = float((weights * (counts - mean) ** 2).sum() / weights.sum())
         ratio = var / volume if volume > 0 else None
@@ -368,9 +336,8 @@ def rogers_variance_experiment(
                 "flagged": flagged,
             }
         )
-        for r in sub.records:
-            records.append({"volume": float(volume), **r})
-    return RogersResult(ensemble, rows, records)
+        records += [{"volume": float(volume), **r} for r in recs]
+    return RogersResult(rows, records)
 
 
 # --------------------------------------------------------------------------
@@ -401,9 +368,11 @@ def empty_probability_experiment(
     correlated and, for increasing volumes, their frequencies cannot
     increase.  Frequencies are self-normalized weighted means (the exact
     sampler is importance weighted for n >= 3), with Wilson intervals at the
-    effective sample size (sum w)^2 / sum w^2.  The log-log slope across the
-    grid is fit with zero frequencies clamped to 0.5/samples, and compared
-    against the bound shape V^(1-r) with half a unit of slack.
+    effective sample size (sum w)^2 / sum w^2; each record carries its
+    sample's weight, so the rows can be rebuilt from the records.  The
+    log-log slope across the grid is fit with zero frequencies clamped to
+    0.5/samples, and compared against the bound shape V^(1-r) with half a
+    unit of slack.
     """
     if len(volumes) < 2:
         raise ValueError("need at least two volumes for the decay fit")
@@ -426,7 +395,10 @@ def empty_probability_experiment(
                 "wilson_high": hi,
             }
         )
-        records += [{"volume": volume, "sample": rec["sample"], "empty": bool(e)} for rec, e in zip(recs, empty)]
+        records += [
+            {"volume": volume, "sample": rec["sample"], "empty": bool(e), "weight": rec["weight"]}
+            for rec, e in zip(recs, empty)
+        ]
     # least-squares slope in log2-log2 coordinates, zero rows clamped
     clamp = 0.5 / samples
     xs = np.log2([row["volume"] for row in rows])
@@ -656,7 +628,7 @@ class KGSystemResult:
 
 
 def kg_system_experiment(
-    psis,
+    psi: ApproxFunction,
     n: int,
     point_class: PointClass,
     schedule: DyadicSchedule,
@@ -667,19 +639,19 @@ def kg_system_experiment(
     shift_bound: float = 0.0,
 ) -> KGSystemResult:
     """Componentwise simultaneous system |(g v)_i| <= psi_i(nu(v)) for
-    i < len(psis), realized as a vector of single-coordinate bands; counts
-    per checkpoint alongside the analytic classification."""
-    psis = list(psis)
-    l = len(psis)
+    i < l, the component count of psi, realized as a vector of
+    single-coordinate bands; counts per checkpoint, with their mean and its
+    standard error sqrt(var / samples), alongside the analytic
+    classification."""
+    l = psi.component_count
     if not 1 <= l < n:
         raise ValueError(f"need 1 <= number of components < n, got {l}")
     f = VectorOf(tuple(MaxPower((1.0,), n, (i,)) for i in range(l)))
-    bound = ApproxFunction(tuple(p.scalar() for p in psis))
     norm = max_norm(n)
-    verdict = classify_series(f, bound, "asymptotic")
+    verdict = classify_series(f, psi, "asymptotic")
     ts = tuple(schedule.values())
     counts = _count_maps(
-        f, norm, point_class, [(bound, 0.0, float(t)) for t in ts], samples, seed,
+        f, norm, point_class, [(psi, 0.0, float(t)) for t in ts], samples, seed,
         group, shift_bound, workers,
     )
     records = [
@@ -688,8 +660,9 @@ def kg_system_experiment(
     ]
     rows = []
     for k, t in enumerate(ts):
-        summary = StatSummary.from_values([r["counts"][k] for r in records])
-        rows.append({"t": float(t), "mean_count": summary.mean, "stderr": summary.stderr})
+        xs = np.asarray([r["counts"][k] for r in records], dtype=float)
+        var = float(xs.var(ddof=1)) if samples > 1 else 0.0
+        rows.append({"t": float(t), "mean_count": float(xs.mean()), "stderr": math.sqrt(var / samples)})
     return KGSystemResult(verdict, rows, records)
 
 

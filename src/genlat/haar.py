@@ -22,8 +22,8 @@ discrepancy is returned as an importance weight: the reciprocal of the
 total Gaussian mass on the lattice's primitive vectors.  That mass comes by
 Mobius inversion from Gaussian sums over the multiples kL, each taken over
 the lattice itself or, by Poisson summation, over its dual, whichever needs
-the smaller ball; no ball has radius above about 3.3 at the default
-sigma = 1.5, and the dropped terms carry a stated relative bound (see
+the smaller ball; no ball has radius above about 3.3 at sigma = 1.5, and
+the dropped terms carry a stated relative bound (see
 ``_primitive_gaussian_mass``).  Estimators must use self-normalized
 weighted means; the (basis, weight) return type keeps that contract
 visible.
@@ -89,16 +89,20 @@ class UnimodularMap:
         return np.linalg.inv(self.h)
 
 
-def identity_map(n: int, shift: np.ndarray | None = None) -> UnimodularMap:
-    z = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
-    return UnimodularMap(np.eye(n), z)
+def identity_map(n: int) -> UnimodularMap:
+    return UnimodularMap(np.eye(n), np.zeros(n))
 
 
 # --------------------------------------------------------------------------
 # tier 1: Gaussian draws (measure class, not the invariant law)
 
+# draws before giving up: a near-singular Gaussian matrix, and a shift
+# outside its norm ball, are redrawn
+_SL_TRIES = 100
+_SHIFT_TRIES = 10**6
 
-def sample_sl(n: int, rng: np.random.Generator, max_tries: int = 100) -> UnimodularMap:
+
+def sample_sl(n: int, rng: np.random.Generator) -> UnimodularMap:
     """Normalized Gaussian matrix with determinant exactly 1 (to 1e-9).
 
     A negative determinant is fixed by negating the first row, so sample
@@ -106,7 +110,7 @@ def sample_sl(n: int, rng: np.random.Generator, max_tries: int = 100) -> Unimodu
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    for _ in range(max_tries):
+    for _ in range(_SL_TRIES):
         a = rng.standard_normal((n, n))
         det = np.linalg.det(a)
         if abs(det) < 1e-12:
@@ -118,7 +122,7 @@ def sample_sl(n: int, rng: np.random.Generator, max_tries: int = 100) -> Unimodu
         # one more scalar renormalization squeezes out the float error
         h = h / np.linalg.det(h) ** (1.0 / n)
         return UnimodularMap(h, np.zeros(n))
-    raise RuntimeError(f"no well-conditioned draw in {max_tries} tries")
+    raise RuntimeError(f"no well-conditioned draw in {_SL_TRIES} tries")
 
 
 def sample_asl(
@@ -126,7 +130,6 @@ def sample_asl(
     rng: np.random.Generator,
     shift_bound: float = 0.0,
     norm: Norm | None = None,
-    max_tries: int = 10**6,
 ) -> UnimodularMap:
     """Gaussian h plus a shift uniform in the norm ball of radius shift_bound.
 
@@ -141,7 +144,7 @@ def sample_asl(
     nu = norm if norm is not None else max_norm(n)
     if nu.dim != n:
         raise ValueError(f"norm dimension {nu.dim} does not match n = {n}")
-    for _ in range(max_tries):
+    for _ in range(_SHIFT_TRIES):
         z = rng.uniform(-shift_bound, shift_bound, size=n)
         if nu(z) <= shift_bound:
             return UnimodularMap(g.h, z)
@@ -152,18 +155,19 @@ def sample_asl(
 # basis reduction
 
 
-def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
+# the Lovasz parameter: close to 1 gives the strongest reduction LLL supports
+_LLL_DELTA = 0.99
+
+
+def lll_reduce(basis: np.ndarray) -> np.ndarray:
     """Lenstra-Lenstra-Lovasz reduction of a column basis (float arithmetic).
 
     Returns a basis of the same lattice with near-orthogonal, short columns;
-    used to keep enumeration boxes small.  delta close to 1 gives the
-    strongest reduction the algorithm supports.  The Gram-Schmidt data are
+    used to keep enumeration boxes small.  The Gram-Schmidt data are
     computed once and then updated in place after each size reduction and
     swap (Cohen, A Course in Computational Algebraic Number Theory, Alg.
     2.6.3); each column is size reduced in full before its Lovasz test.
     """
-    if not 0.25 < delta < 1.0:
-        raise ValueError(f"delta must be in (1/4, 1), got {delta}")
     rows = np.array(basis, dtype=float).T.copy()  # rows[i] is column i of the basis
     n = len(rows)
     # mu[i][j] = <b_i, b*_j> / |b*_j|^2 and bb[i] = |b*_i|^2, as Python floats
@@ -184,7 +188,7 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
                     mu[k][l] -= q * mu[j][l]
                 mu[k][j] -= q
         m = mu[k][k - 1]
-        if bb[k] >= (delta - m * m) * bb[k - 1]:
+        if bb[k] >= (_LLL_DELTA - m * m) * bb[k - 1]:
             k += 1
             continue
         rows[[k - 1, k]] = rows[[k, k - 1]]
@@ -330,17 +334,19 @@ def _primitive_gaussian_mass(basis: np.ndarray, sigma: float) -> float:
     return mass + 2.0 * rho0 * float(terms.sum())
 
 
-def sample_lattice_exact(
-    n: int, rng: np.random.Generator, sigma: float = 1.5
-) -> tuple[np.ndarray, float]:
+# the width of the marked vector's Gaussian proposal
+_SIGMA = 1.5
+
+
+def sample_lattice_exact(n: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """One weighted sample (column basis, importance weight) of a random
     unimodular lattice under the invariant law.
 
     n = 2 is exact with weight 1 (fundamental-domain inversion).  For
-    n >= 3, a marked primitive vector v is proposed from N(0, sigma^2 I),
-    the complement carries a recursive exact sample and uniform torus
-    phases, and the weight is the reciprocal Gaussian mass on the
-    resulting lattice's primitive vectors (times any weight from the
+    n >= 3, a marked primitive vector v is proposed from N(0, sigma^2 I)
+    with sigma = 1.5, the complement carries a recursive exact sample and
+    uniform torus phases, and the weight is the reciprocal Gaussian mass on
+    the resulting lattice's primitive vectors (times any weight from the
     recursive sample).  Weighted averages with these weights are unbiased
     for invariant-law expectations; use self-normalized estimators.
     """
@@ -348,12 +354,12 @@ def sample_lattice_exact(
         raise ValueError(f"need n >= 2, got {n}")
     if n == 2:
         return _plane_basis(rng), 1.0
-    v = sigma * rng.standard_normal(n)
+    v = _SIGMA * rng.standard_normal(n)
     r = float(np.linalg.norm(v))
     scale = np.full(n, r ** (-1.0 / (n - 1)))
     scale[0] = r
     a_v = _rotation_to_first_axis(v) @ np.diag(scale)
-    inner, inner_weight = sample_lattice_exact(n - 1, rng, sigma)
+    inner, inner_weight = sample_lattice_exact(n - 1, rng)
     phases = rng.uniform(0.0, 1.0, size=n - 1)
     g = np.zeros((n, n))
     g[0, 0] = 1.0
@@ -362,15 +368,13 @@ def sample_lattice_exact(
     basis = lll_reduce(a_v @ g)
     if np.linalg.det(basis) < 0:
         basis[:, 0] = -basis[:, 0]  # same lattice, determinant back to +1
-    weight = inner_weight / _primitive_gaussian_mass(basis, sigma)
+    weight = inner_weight / _primitive_gaussian_mass(basis, _SIGMA)
     return basis, weight
 
 
-def sample_grid_exact(
-    n: int, rng: np.random.Generator, sigma: float = 1.5
-) -> tuple[UnimodularMap, float]:
+def sample_grid_exact(n: int, rng: np.random.Generator) -> tuple[UnimodularMap, float]:
     """Weighted sample of a random affine grid h Z^n + z under the invariant
     law: an exact lattice plus a uniform torus shift z = h theta."""
-    basis, weight = sample_lattice_exact(n, rng, sigma)
+    basis, weight = sample_lattice_exact(n, rng)
     theta = rng.uniform(0.0, 1.0, size=n)
     return UnimodularMap(basis, basis @ theta), weight

@@ -73,7 +73,6 @@ __all__ = [
     "MCVolume",
     "Verdict",
     "adaptive_simpson",
-    "gamma_fn",
     "zeta_fn",
     "unit_ball_volume_ld",
     "threshold_M",
@@ -92,13 +91,16 @@ class Quadrature(NamedTuple):
     error: float
 
 
+# bisection depth past which a panel is accepted as it stands
+_MAX_DEPTH = 60
+
+
 def adaptive_simpson(
     fn: Callable[[float], float],
     a: float,
     b: float,
     abs_tol: float = 1e-10,
     rel_tol: float = 1e-8,
-    max_depth: int = 60,
 ) -> Quadrature:
     """Adaptive Simpson integral of ``fn`` on [a, b] with an error estimate.
 
@@ -133,7 +135,7 @@ def adaptive_simpson(
         right = simpson(x1, x2, f1, frm, f2)
         delta = left + right - s
         tol_here = max(tol, rel_tol * scale)
-        if abs(delta) <= 15.0 * tol_here or depth >= max_depth:
+        if abs(delta) <= 15.0 * tol_here or depth >= _MAX_DEPTH:
             piece = left + right + delta / 15.0
             total += piece
             err_total += abs(delta) / 15.0
@@ -148,26 +150,22 @@ def adaptive_simpson(
 # special functions
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function on (0, inf); rejects the nonpositive axis."""
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
-
-
 # Bernoulli numbers B_2, B_4, ... B_12 for the Euler-Maclaurin tail
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
 
+# the Euler-Maclaurin cutoff N
+_ZETA_TERMS = 48
 
-def zeta_fn(s: float, terms: int = 48) -> float:
+
+def zeta_fn(s: float) -> float:
     """Riemann zeta for real s > 1 by Euler-Maclaurin summation.
 
-    With the cutoff at N = ``terms`` and six Bernoulli corrections the
-    result is accurate to full double precision for s >= 2.
+    With the cutoff at N = 48 and six Bernoulli corrections the result is
+    accurate to full double precision for s >= 2.
     """
     if not s > 1:
         raise ValueError(f"zeta_fn requires s > 1, got {s}")
-    n = terms
+    n = _ZETA_TERMS
     head = sum(k ** (-s) for k in range(1, n))
     tail = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
     rising = s
@@ -199,15 +197,18 @@ def unit_ball_volume_ld(k: int, d: float | None) -> tuple[float, float]:
     else:
         if not d >= 1:
             raise ValueError(f"exponent must be >= 1 or None, got {d}")
-        v = (2.0 * gamma_fn(1.0 + 1.0 / d)) ** k / gamma_fn(1.0 + k / d)
+        v = (2.0 * math.gamma(1.0 + 1.0 / d)) ** k / math.gamma(1.0 + k / d)
     return v, k * v
 
 
 # --------------------------------------------------------------------------
 # threshold radius
 
+# the doubling scan gives up past this radius
+_Z_CAP = 2.0**200
 
-def threshold_M(f: TargetFunction, psi: ApproxFunction, z_cap: float = 2.0**200) -> float:
+
+def threshold_M(f: TargetFunction, psi: ApproxFunction) -> float:
     """Smallest safe shell start: radius past which psi_i(z) < z^(d_i) holds.
 
     d_i are the componentwise degrees of f.  Found by doubling scan and
@@ -229,7 +230,7 @@ def threshold_M(f: TargetFunction, psi: ApproxFunction, z_cap: float = 2.0**200)
     lo, hi = 1.0, 2.0
     while not clear(hi):
         lo, hi = hi, hi * 2.0
-        if hi > z_cap:
+        if hi > _Z_CAP:
             raise ValueError("bound function exceeds the power shell at every radius")
     # once lo and hi are adjacent doubles, mid rounds onto one of them and
     # no further step moves either
@@ -385,7 +386,6 @@ def shell_volume(
     norm: Norm,
     s_lo: float,
     t_hi: float,
-    **quad_opts,
 ) -> Quadrature:
     """Exact shell volume of f's family; requires ``norm`` to be the family norm."""
     if norm != f.canonical_norm():
@@ -395,7 +395,7 @@ def shell_volume(
         )
     fam = _family(f, psi)
     _require_shell(f, psi, s_lo, t_hi)
-    q = adaptive_simpson(fam.integrand, s_lo, t_hi, **quad_opts)
+    q = adaptive_simpson(fam.integrand, s_lo, t_hi)
     return Quadrature(fam.scale * q.value, fam.scale * q.error)
 
 

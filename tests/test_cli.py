@@ -12,6 +12,7 @@ import json
 import platform
 import re
 import shlex
+import time
 import warnings
 from pathlib import Path
 
@@ -457,6 +458,17 @@ def test_enormous_volume_fails_before_enumerating(tmp_path, capsys):
         rc = _run(["siegel", "--n", 3, "--volume", 1e70, "--samples", 2, "--out", tmp_path / "x"])
     assert rc == 2
     assert "too large" in _stderr_record(capsys)["message"]
+
+
+def test_oversized_exhaustive_count_exits_at_once(tmp_path, capsys):
+    # n = 5 at T = 512 is 1025^4 prefixes; the cap check runs before any block
+    argv = ["count", "--n", 5, "--f", "spf:p=3,q=2,d=2", "--psi", "pl:C=1,s=0.5,j=0", "--t", 512]
+    start = time.perf_counter()
+    rc = _run(argv + ["--out", tmp_path / "x"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert re.search(r"1\.104e\+12 prefixes exceeds the cap", _stderr_record(capsys)["message"])
+    assert not list(tmp_path.iterdir())
 
 
 def test_emptyprob_rejects_affine_group(tmp_path, capsys):

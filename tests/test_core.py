@@ -598,3 +598,14 @@ def test_dichotomy_experiments_draw_and_count_in_one_function_each():
                 callers[node.func.id].add(fn.name)
     assert callers["count_solutions"] == {"_count_map"}
     assert callers["sample_sl"] | callers["sample_asl"] == {"draw_map"}
+
+
+def test_point_classes_are_defined_once():
+    """"Nonzero" and "primitive" are ``PointClass.contains``: no other
+    module of the package tests a gcd or a nonzero row on its own."""
+    for path in (_ROOT / "src" / "genlat").glob("*.py"):
+        if path.name == "core.py":
+            continue
+        text = path.read_text()
+        assert "np.gcd" not in text, path.name
+        assert not re.search(r"!= 0\)\.any\(", text), path.name

@@ -8,6 +8,7 @@ to primitive counts the way the zeta factor ties the two mean laws.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -136,9 +137,25 @@ class TestPointClasses:
         assert is_primitive((0, 1))
         assert is_primitive((1,))
 
+    def test_contains_is_the_one_class_rule(self):
+        # row by row with math.gcd; the zero row is in no class but "all"
+        rng = np.random.default_rng(17)
+        vs = rng.integers(-6, 7, size=(400, 3))
+        vs[:5] = 0
+        vs[5:10, 1:] = 0
+        for pc, rule in (
+            (PointClass.ALL_NONZERO, lambda v: any(v)),
+            (PointClass.PRIMITIVE, lambda v: math.gcd(*map(int, v)) == 1),
+            (PointClass.ALL_INTEGER, lambda v: True),
+        ):
+            mask = pc.contains(vs)
+            assert mask.dtype == bool
+            assert mask.tolist() == [rule(v) for v in vs]
+        assert [is_primitive(v) for v in vs] == PointClass.PRIMITIVE.contains(vs).tolist()
+
     def test_origin_counted_in_w_space_shells(self):
         # with a grid shift, v = 0 maps to w = z inside the shell
-        g = identity_map(2, shift=np.array([0.3, 0.4]))
+        g = UnimodularMap(np.eye(2), np.array([0.3, 0.4]))
         base = dict(
             g=g,
             f=CoordinateProduct(2),
@@ -160,6 +177,8 @@ class TestValidation:
     def test_empty_shell_rejected(self):
         with pytest.raises(ValueError, match="T0 < T"):
             _query(t0=5.0, t=5.0)
+        with pytest.raises(ValueError, match="T < inf"):
+            _query(t=math.inf)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -653,7 +672,7 @@ class TestRegionStreaming:
         assert any(np.all(v == 0) for v in vs)
 
     def test_shifted_grid_matches_direct_scan(self):
-        g = identity_map(2, shift=np.array([0.25, -0.4]))
+        g = UnimodularMap(np.eye(2), np.array([0.25, -0.4]))
         ball = NormBall(lp_norm(2, 2.0), 3.0)
         _, vs, ws = lattice_points_in_region(*_stacked([g]), ball)
         expected = set()
@@ -684,7 +703,7 @@ class TestRegionStreaming:
         maps = [sample_asl(n, rng, shift_bound=0.5) for _ in range(5)]
         maps += [UnimodularMap(skew, np.full(n, 0.3))]
         maps += [sample_asl(n, rng, shift_bound=0.5) for _ in range(5)]
-        maps += [identity_map(n, shift=np.linspace(-0.4, 0.4, n))]
+        maps += [UnimodularMap(np.eye(n), np.linspace(-0.4, 0.4, n))]
         regions = [
             NormBall(max_norm(n), 3.0),
             NormBall(lp_norm(n, 2.0), 3.0),
@@ -705,7 +724,7 @@ class TestRegionStreaming:
         ball = NormBall(max_norm(2), 3.0)
         reach = np.abs(np.linalg.inv(skew)) @ np.full(2, 3.0)
         assert np.prod(2 * np.floor(reach) + 1) > _REGION_ROWS
-        small = [identity_map(2, shift=np.array([0.1 * k, -0.05 * k])) for k in range(200)]
+        small = [UnimodularMap(np.eye(2), np.array([0.1 * k, -0.05 * k])) for k in range(200)]
         maps = small[:100] + [UnimodularMap(skew, np.zeros(2))] + small[100:]
         assert 100 * 49 > _REGION_ROWS
         owner, vs, _ = lattice_points_in_region(*_stacked(maps), ball)
@@ -736,6 +755,50 @@ class TestRegionStreaming:
             for bases, shifts, region in cases:
                 with pytest.raises(ValueError, match="too large"):
                     lattice_points_in_region(bases, shifts, region)
+
+    def test_cap_holds_for_all_maps_together(self):
+        # 400 maps of 65^3 = 274,625 cells each: every map is under the cap,
+        # their 1.1e8 cells are not, and the call fails before allocating them
+        bases, shifts = np.broadcast_to(np.eye(3), (400, 3, 3)).copy(), np.zeros((400, 3))
+        ball = NormBall(max_norm(3), 32.0)
+        assert 65**3 <= 1e8 < 400 * 65**3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"too large: 1\.098e\+08 cells over 400 maps"):
+                lattice_points_in_region(bases, shifts, ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestPrefixCap:
+    # n = 5 at T = 512: 1025^4 = 1.1e12 prefixes
+    Q = dict(f=SignedPowerForm(3, 2, 2), bound=power_law(1.0, 0.5, 0),
+             norm=block_norm(((3, 2), (2, 2))), point_class=PointClass.ALL_NONZERO, t0=0.0, t=512.0)
+
+    def test_exhaustive_count_over_the_cap_fails_before_enumerating(self, monkeypatch):
+        q = CountQuery(sample_sl(5, np.random.default_rng(3)), **self.Q)
+        monkeypatch.setattr(counting, "_prefix_blocks", None)  # enumerating would raise TypeError
+        with pytest.raises(ValueError, match=r"1\.104e\+12 prefixes exceeds the cap of 4\.295e\+09"):
+            count_solutions(q)
+        # past the int64 range the box is still measured, in floating point
+        for space in ("v", "w"):
+            with pytest.raises(ValueError, match=r"e\+12\d prefixes exceeds the cap"):
+                count_solutions(replace(q, t=1e30, shell_space=space))
+
+    def test_early_exit_is_exempt(self):
+        q = CountQuery(sample_sl(5, np.random.default_rng(3)), stop_after_first=True, **self.Q)
+        assert count_solutions(q).count == 1
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # n = 3 at T = 4 in v-space: a 9 x 9 prefix box
+        q = _query(g=identity_map(3), f=SignedPowerForm(2, 1, 2), norm=max_norm(3), t=4.0)
+        monkeypatch.setattr(counting, "_MAX_PREFIXES", 81.0)
+        assert count_solutions(q).count == brute_force_count(q).count
+        monkeypatch.setattr(counting, "_MAX_PREFIXES", 80.0)
+        with pytest.raises(ValueError, match="81 prefixes exceeds the cap of 80"):
+            count_solutions(q)
 
 
 class TestVisited:

@@ -27,7 +27,6 @@ from genlat.core import (
 from genlat.counting import NormBall, lattice_points_in_region
 from genlat.experiments import (
     ExperimentConfig,
-    StatSummary,
     WeightedMean,
     _siegel_sample,
     counting_ratio_experiment,
@@ -46,18 +45,22 @@ from genlat.volume import Verdict, zeta_fn
 
 class TestSummaries:
     def test_from_values_matches_numpy(self):
-        xs = [1.0, 4.0, 2.0, 7.0, 5.0]
-        s = StatSummary.from_values(xs)
-        assert s.mean == pytest.approx(np.mean(xs))
-        assert s.variance == pytest.approx(np.var(xs, ddof=1))
-        assert s.stderr == pytest.approx(math.sqrt(s.variance / 5))
-        assert (s.min, s.max, s.sample_count) == (1.0, 7.0, 5)
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError, match="stderr"):
-            StatSummary(1.0, 4.0, 99.0, 4, 0.0, 2.0)
-        with pytest.raises(ValueError, match="variance"):
-            StatSummary(1.0, -1.0, 0.5, 4, 0.0, 2.0)
+        # kgsystem's rows summarize the per-checkpoint counts of its records
+        res = kg_system_experiment(
+            ApproxFunction(((1.0, 0.6, 0), (1.0, 0.6, 0))), n=3,
+            point_class=PointClass.ALL_NONZERO,
+            schedule=DyadicSchedule(1.0, 2.0, 2, 5), samples=5, seed=7,
+        )
+        for k, row in enumerate(res.rows):
+            xs = [r["counts"][k] for r in res.records]
+            assert len(set(xs)) > 1
+            assert row["mean_count"] == pytest.approx(np.mean(xs))
+            assert row["stderr"] == pytest.approx(math.sqrt(np.var(xs, ddof=1) / 5))
+        one = kg_system_experiment(
+            power_law(1.0, 1.0, 0), n=2, point_class=PointClass.ALL_NONZERO,
+            schedule=DyadicSchedule(1.0, 2.0, 2, 3), samples=1, seed=7,
+        )
+        assert [row["stderr"] for row in one.rows] == [0.0, 0.0]
 
     def test_weighted_mean_equal_weights_is_plain_mean(self):
         xs = [2.0, 4.0, 9.0, 1.0]
@@ -272,6 +275,23 @@ class TestEmptyProbability:
             assert row["wilson_high"] == pytest.approx(hi, rel=1e-14)
         assert [r["empty"] for r in res.records] == [True, False, True, False, True, False, False, False]
 
+    def test_rows_rebuild_from_weighted_records(self):
+        # at n = 3 the weights differ, and each row is the weighted share of
+        # its records that are empty
+        volumes = [0.5, 1.5, 4.0]
+        res = empty_probability_experiment(3, volumes, samples=60, seed=4)
+        assert len({r["weight"] for r in res.records}) > 1
+        freqs = []
+        for volume, row in zip(volumes, res.rows):
+            recs = [r for r in res.records if r["volume"] == volume]
+            assert [r["sample"] for r in recs] == list(range(60))
+            share = sum(r["weight"] for r in recs if r["empty"]) / sum(r["weight"] for r in recs)
+            assert row["empty_frequency"] == pytest.approx(share, rel=1e-12)
+            freqs.append(share)
+        assert 0.0 < freqs[-1] < freqs[0] < 1.0
+        plane = empty_probability_experiment(2, [1.0, 4.0], samples=20, seed=4)
+        assert {r["weight"] for r in plane.records} == {1.0}
+
     def test_needs_two_volumes(self):
         with pytest.raises(ValueError, match="two volumes"):
             empty_probability_experiment(2, [4.0], samples=10, seed=0)
@@ -411,7 +431,7 @@ class TestUniformApprox:
 class TestKGSystem:
     def test_dirichlet_regime_counts_grow(self):
         res = kg_system_experiment(
-            [power_law(1.0, 1.0, 0)], n=2, point_class=PointClass.ALL_NONZERO,
+            power_law(1.0, 1.0, 0), n=2, point_class=PointClass.ALL_NONZERO,
             schedule=DyadicSchedule(1.0, 2.0, 2, 6), samples=12, seed=31,
         )
         assert res.verdict is Verdict.DIVERGES
@@ -420,7 +440,7 @@ class TestKGSystem:
 
     def test_convergent_regime_classified(self):
         res = kg_system_experiment(
-            [ApproxFunction((( 1.0, 1.1, 0),))], n=2,
+            ApproxFunction(((1.0, 1.1, 0),)), n=2,
             point_class=PointClass.ALL_NONZERO,
             schedule=DyadicSchedule(1.0, 2.0, 2, 4), samples=6, seed=2,
         )
@@ -429,7 +449,7 @@ class TestKGSystem:
     def test_component_count_validated(self):
         with pytest.raises(ValueError, match="components"):
             kg_system_experiment(
-                [power_law(), power_law()], n=2,
+                ApproxFunction(((1.0, 1.0, 0),) * 2), n=2,
                 point_class=PointClass.ALL_NONZERO,
                 schedule=DyadicSchedule(1.0, 2.0, 1, 2), samples=2, seed=0,
             )

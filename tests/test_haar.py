@@ -171,10 +171,6 @@ class TestLLL:
             for k in range(1, n):
                 assert bb[k] >= (0.99 - mu[k, k - 1] ** 2) * bb[k - 1] * (1.0 - 1e-9)
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            lll_reduce(np.eye(2), delta=1.5)
-
 
 def count_in_ball(basis: np.ndarray, radius: float, shift: np.ndarray | None = None):
     """Tiny reference enumerator: (nonzero count, primitive count) of lattice

@@ -26,7 +26,6 @@ from genlat.volume import (
     adaptive_simpson,
     classify_series,
     criterion_terms,
-    gamma_fn,
     i_k_closed_form,
     monte_carlo_region_volume,
     region_mask,
@@ -76,19 +75,6 @@ class TestAdaptiveSimpson:
 
 # --------------------------------------------------------------------------
 # special functions
-
-
-class TestGamma:
-    def test_factorial(self):
-        assert gamma_fn(5.0) == 24.0
-
-    def test_half(self):
-        assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-15
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, -2.5):
-            with pytest.raises(ValueError):
-                gamma_fn(bad)
 
 
 class TestZeta:
@@ -639,15 +625,15 @@ def _log_psi_at_pow2(C, s, j, k):
 
 def _log_series_term(f, psi, k, r):
     if isinstance(f, SignedPowerForm):
-        C, s, j = psi.scalar()
+        (C, s, j), = psi.components
         lp = _log_psi_at_pow2(C, s, j, k)
         lx = math.log(k) + lp if f.d == f.n else (f.n - f.d) * k * LN2 + lp
     elif isinstance(f, CoordinateProduct):
-        C, s, j = psi.scalar()
+        (C, s, j), = psi.components
         lp = _log_psi_at_pow2(C, s, j, k)
         lx = math.log(k) + lp if f.n == 2 else lp + (f.n - 1) * math.log(k * LN2 - lp / f.n)
     elif isinstance(f, MaxPower):
-        C, s, j = psi.scalar()
+        (C, s, j), = psi.components
         a = sum(1.0 / ai for ai in f.exponents)
         lx = (f.n - len(f.exponents)) * k * LN2 + a * _log_psi_at_pow2(C, s, j, k)
     else:
