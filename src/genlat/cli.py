@@ -11,6 +11,10 @@ one experiment, and writes up to three artifacts under the --out prefix:
                        reads plus the master seed, worker count, wall-clock
                        timestamps, and a sha256 digest of each data file
 
+Each config key is described once, by its _MODEL_KEYS row: its flag, its
+ExperimentConfig field, the reader of its flag or config-file value, and its
+manifest form.
+
 Records never contain timestamps, so a rerun with the same master seed and
 worker count is byte identical; the wall clock lives in the manifest only.
 Validation failures exit with status 2 and a machine readable error record
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -28,6 +33,7 @@ import os
 import platform
 import sys
 from collections import namedtuple
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,8 +45,10 @@ from .core import (
     CoordinateProduct,
     DyadicSchedule,
     MaxPower,
+    Norm,
     PointClass,
     SignedPowerForm,
+    TargetFunction,
     mix_seed,
     norm_spec,
     parse_norm,
@@ -51,8 +59,6 @@ from .core import (
 )
 from .counting import CountQuery, brute_force_count, count_solutions
 from .experiments import (
-    ConfigError,
-    ExperimentConfig,
     counting_ratio_experiment,
     draw_map,
     empty_probability_experiment,
@@ -76,122 +82,132 @@ from .volume import (
 
 SCHEMA_VERSION = 1
 
-# model key (its config-file name, also its argparse dest) -> (flag, argparse
-# keywords); the common --seed sets the one other config key, masterSeed
-_MODEL_KEYS = {
-    "n": ("--n", {"type": int, "help": "ambient dimension"}),
-    "f": ("--f", {"help": "target spec, e.g. spf:p=2,q=1,d=2"}),
-    "psi": ("--psi", {"help": "bound spec, e.g. pl:C=1,s=1,j=0"}),
-    "norm": ("--norm", {"help": "norm spec (max, ld:<d>, block:...); defaults to the family norm"}),
-    "pointClass": ("--class", {"choices": ("nonzero", "primitive", "all")}),
-    "group": ("--group", {"choices": ("SL", "ASL")}),
-    "shiftBound": ("--shift-bound", {"type": float}),
-    "schedule": ("--schedule", {"help": "t0=..,ratio=..,k0=..,kmax=.."}),
-    "sampleCount": ("--samples", {"type": int, "help": "sample count (sampleCount)"}),
-}
-
 
 # --------------------------------------------------------------------------
-# config serialization
+# configuration
+
+
+class ConfigError(ValueError):
+    """Validation failure attributable to one configuration key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Resolved run parameters shared by the subcommands."""
+
+    n: int
+    f: TargetFunction | None = None
+    psi: ApproxFunction | None = None
+    norm: Norm | None = None
+    point_class: PointClass = PointClass.ALL_NONZERO
+    group: str = "SL"
+    shift_bound: float = 0.0
+    schedule: DyadicSchedule | None = None
+    sample_count: int = 1
+    master_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if int(self.n) != self.n or self.n < 1:
+            raise ConfigError("n", f"n must be a positive integer, got {self.n}")
+        if self.sample_count < 1:
+            raise ConfigError("sampleCount", f"sampleCount must be >= 1, got {self.sample_count}")
+        if self.group not in ("SL", "ASL"):
+            raise ConfigError("group", f"group must be SL or ASL, got {self.group!r}")
+        if self.shift_bound < 0:
+            raise ConfigError("shiftBound", f"shiftBound must be >= 0, got {self.shift_bound}")
+        if self.f is not None and self.f.n != self.n:
+            raise ConfigError("f", f"target dimension {self.f.n} does not match n={self.n}")
+        if self.norm is not None and self.norm.dim != self.n:
+            raise ConfigError("norm", f"norm dimension {self.norm.dim} does not match n={self.n}")
+
+
+def _integer(value) -> int:
+    """An int, an integral float or a digit string; never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_schedule(value) -> DyadicSchedule:
-    if isinstance(value, DyadicSchedule):
-        return value
+    """A schedule from its flag string or its config-file object."""
     if isinstance(value, dict):
         kv = dict(value)
     else:
         kv = {}
         for item in str(value).split(","):
             if "=" not in item:
-                raise ConfigError("schedule", f"schedule: expected key=value, got {item!r}")
+                raise ValueError(f"expected key=value, got {item!r}")
             k, v = item.split("=", 1)
             kv[k] = v
     extra = set(kv) - {"t0", "ratio", "k0", "kmax"}
     if extra:
-        raise ConfigError("schedule", f"schedule: unknown keys {sorted(extra)}")
-    try:
-        return DyadicSchedule(
-            t0=float(kv.get("t0", 1.0)),
-            ratio=float(kv.get("ratio", 2.0)),
-            k0=int(kv.get("k0", 0)),
-            kmax=int(kv.get("kmax", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("schedule", f"schedule: {exc}") from None
+        raise ValueError(f"unknown keys {sorted(extra)}")
+    return DyadicSchedule(
+        t0=float(kv.get("t0", 1.0)),
+        ratio=float(kv.get("ratio", 2.0)),
+        k0=int(kv.get("k0", 0)),
+        kmax=int(kv.get("kmax", 0)),
+    )
 
 
-def _schedule_dict(s: DyadicSchedule) -> dict:
-    return {"t0": s.t0, "ratio": s.ratio, "k0": s.k0, "kmax": s.kmax}
+# A config key: its flag, argparse keywords and ExperimentConfig field, a reader
+# of its flag or config-file value (at dimension n), and its manifest form (by
+# default the value itself).
+_Key = namedtuple("_Key", "flag kwargs field read render", defaults=(lambda value: value,))
+
+# config key (its config-file name, also its argparse dest) -> its one description:
+# the model keys, which each command picks from (_COMMANDS), then masterSeed, which
+# every command reads (the common --seed); n comes first, as norm is read at dimension n
+_MODEL_KEYS = {
+    "n": _Key("--n", {"type": int, "help": "ambient dimension"}, "n", lambda v, n: _integer(v)),
+    "f": _Key("--f", {"help": "target spec, e.g. spf:p=2,q=1,d=2"}, "f",
+              lambda v, n: parse_target(str(v)), target_spec),
+    "psi": _Key("--psi", {"help": "bound spec, e.g. pl:C=1,s=1,j=0"}, "psi",
+                lambda v, n: parse_psi(str(v)), psi_spec),
+    "norm": _Key("--norm", {"help": "norm spec (max, ld:<d>, block:...); defaults to the family norm"},
+                 "norm", lambda v, n: parse_norm(str(v), n), norm_spec),
+    "pointClass": _Key("--class", {"choices": ("nonzero", "primitive", "all")}, "point_class",
+                       lambda v, n: PointClass(v), lambda pc: pc.value),
+    "group": _Key("--group", {"choices": ("SL", "ASL")}, "group", lambda v, n: str(v)),
+    "shiftBound": _Key("--shift-bound", {"type": float}, "shift_bound", lambda v, n: float(v)),
+    "schedule": _Key("--schedule", {"help": "t0=..,ratio=..,k0=..,kmax=.."}, "schedule",
+                     lambda v, n: _parse_schedule(v), asdict),
+    "sampleCount": _Key("--samples", {"type": int, "help": "sample count (sampleCount)"}, "sample_count",
+                        lambda v, n: _integer(v)),
+    "masterSeed": _Key("--seed", {"type": int, "help": "master seed (masterSeed)"}, "master_seed",
+                       lambda v, n: _integer(v)),
+}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build the resolved config, naming the offending key on any failure."""
-    unknown = set(data) - set(_MODEL_KEYS) - {"masterSeed"}
+    """Build the resolved config from flag or config-file values (spec strings,
+    numbers and the schedule object), naming the offending key on any failure.
+    A null value is an absent key."""
+    unknown = sorted(set(data) - set(_MODEL_KEYS))
     if unknown:
-        raise ConfigError(sorted(unknown)[0], f"unknown config key {sorted(unknown)[0]!r}")
-    if "n" not in data or data["n"] is None:
+        raise ConfigError(unknown[0], f"unknown config key {unknown[0]!r}")
+    if data.get("n") is None:
         raise ConfigError("n", "missing required key 'n'")
-    try:
-        n = int(data["n"])
-    except (TypeError, ValueError):
-        raise ConfigError("n", f"n: expected an integer, got {data['n']!r}") from None
-
-    def lift(key, fn):
-        if key not in data or data[key] is None:
-            return None
-        try:
-            return fn(data[key])
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(key, f"{key}: {exc}") from None
-
-    f = lift("f", lambda v: v if not isinstance(v, str) else parse_target(v))
-    psi = lift("psi", lambda v: v if not isinstance(v, str) else parse_psi(v))
-    norm = lift("norm", lambda v: v if not isinstance(v, str) else parse_norm(v, n))
-    if norm is None and f is not None:
-        norm = f.canonical_norm()
-    point_class = lift("pointClass", lambda v: v if isinstance(v, PointClass) else PointClass(v))
-    schedule = lift("schedule", _parse_schedule)
-    try:
-        return ExperimentConfig(
-            n=n,
-            f=f,
-            psi=psi,
-            norm=norm,
-            point_class=point_class or PointClass.ALL_NONZERO,
-            group=str(data.get("group", "SL")),
-            shift_bound=float(data.get("shiftBound", 0.0)),
-            schedule=schedule,
-            sample_count=int(data.get("sampleCount", 1)),
-            master_seed=int(data.get("masterSeed", 0)),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from None
+    fields: dict = {}
+    for key, row in _MODEL_KEYS.items():
+        if data.get(key) is not None:
+            try:
+                fields[row.field] = row.read(data[key], fields.get("n"))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(key, f"{key}: {exc}") from None
+    if "f" in fields:
+        fields.setdefault("norm", fields["f"].canonical_norm())
+    return ExperimentConfig(**fields)
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
-    """JSON-ready dict using the core spec-string serializations."""
-    out = {
-        "n": cfg.n,
-        "pointClass": cfg.point_class.value,
-        "group": cfg.group,
-        "shiftBound": cfg.shift_bound,
-        "sampleCount": cfg.sample_count,
-        "masterSeed": cfg.master_seed,
-    }
-    if cfg.f is not None:
-        out["f"] = target_spec(cfg.f)
-    if cfg.psi is not None:
-        out["psi"] = psi_spec(cfg.psi)
-    if cfg.norm is not None:
-        out["norm"] = norm_spec(cfg.norm)
-    if cfg.schedule is not None:
-        out["schedule"] = _schedule_dict(cfg.schedule)
-    return out
+    """JSON-ready dict of every set key, in the form config_from_dict reads."""
+    return {key: row.render(value) for key, row in _MODEL_KEYS.items()
+            if (value := getattr(cfg, row.field)) is not None}
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -221,9 +237,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(given[0], f"{args.command} without f does not read {given[0]!r}")
         data["n"] = 2  # placeholder; the cases carry their own dimensions
     elif data.get("n") is None and data.get("f") is not None:
-        spec = data["f"]
         try:
-            data["n"] = spec.n if not isinstance(spec, str) else parse_target(spec).n
+            data["n"] = parse_target(str(data["f"])).n
         except ValueError as exc:
             raise ConfigError("f", f"f: {exc}") from None
     return config_from_dict(data)
@@ -408,10 +423,9 @@ def _cmd_volume(cfg: ExperimentConfig, args) -> tuple:
 def _cmd_mc_volume(cfg: ExperimentConfig, args) -> tuple:
     f = _require(cfg.f, "f")
     psi = _require(cfg.psi, "psi")
-    norm = _require(cfg.norm, "norm")
     outer = float(_require(args.outer, "outer"))
     mc = monte_carlo_region_volume(
-        f, psi, norm, outer, cfg.sample_count, seed=cfg.master_seed, inner=args.inner
+        f, psi, cfg.norm, outer, cfg.sample_count, seed=cfg.master_seed, inner=args.inner
     )
     rec = {
         "sample": 0,
@@ -428,7 +442,6 @@ def _cmd_mc_volume(cfg: ExperimentConfig, args) -> tuple:
 
 def _cmd_count(cfg: ExperimentConfig, args) -> tuple:
     f = _require(cfg.f, "f")
-    norm = _require(cfg.norm, "norm")
     if args.eps is None:
         bound = _require(cfg.psi, "psi")
     elif cfg.psi is not None:
@@ -440,7 +453,7 @@ def _cmd_count(cfg: ExperimentConfig, args) -> tuple:
         g=g,
         f=f,
         bound=bound,
-        norm=norm,
+        norm=cfg.norm,
         point_class=cfg.point_class,
         t0=args.t0,
         t=float(_require(args.t, "t")),
@@ -533,7 +546,7 @@ def _cmd_ratio(cfg: ExperimentConfig, args) -> tuple:
     res = counting_ratio_experiment(
         _require(cfg.f, "f"),
         _require(cfg.psi, "psi"),
-        _require(cfg.norm, "norm"),
+        cfg.norm,
         cfg.point_class,
         _require(cfg.schedule, "schedule"),
         **_sampled_maps(cfg, args),
@@ -556,7 +569,7 @@ def _cmd_zerofull(cfg: ExperimentConfig, args) -> tuple:
     res = zero_full_experiment(
         _require(cfg.f, "f"),
         _require(cfg.psi, "psi"),
-        _require(cfg.norm, "norm"),
+        cfg.norm,
         cfg.point_class,
         float(_require(args.t_split, "tSplit")),
         float(_require(args.t_max, "tMax")),
@@ -572,7 +585,7 @@ def _cmd_uniform(cfg: ExperimentConfig, args) -> tuple:
     res = uniform_approx_experiment(
         _require(cfg.f, "f"),
         _require(cfg.psi, "psi"),
-        _require(cfg.norm, "norm"),
+        cfg.norm,
         cfg.point_class,
         _require(cfg.schedule, "schedule"),
         **_sampled_maps(cfg, args),
@@ -594,8 +607,8 @@ def _cmd_kgsystem(cfg: ExperimentConfig, args) -> tuple:
         _require(cfg.schedule, "schedule"),
         **_sampled_maps(cfg, args),
     )
-    header = ["t", "meanCount", "verdict"]
-    rows = [[r["t"], r["mean_count"], res.verdict.value] for r in res.rows]
+    header = ["t", "meanCount", "stderr", "verdict"]
+    rows = [[r["t"], r["mean_count"], r["stderr"], res.verdict.value] for r in res.rows]
     extras = {"verdict": res.verdict.value}
     return res.records, header, rows, extras
 
@@ -606,7 +619,7 @@ def _cmd_normcheck(cfg: ExperimentConfig, args) -> tuple:
     res = norm_independence_check(
         _require(cfg.f, "f"),
         _require(cfg.psi, "psi"),
-        _require(cfg.norm, "norm"),
+        cfg.norm,
         norm_b,
         scales,
         cfg.sample_count,
@@ -763,10 +776,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--seed", dest="masterSeed", type=int, default=None, help="master seed (masterSeed)")
     common.add_argument("--workers", type=int, default=1, help="parallel sample workers")
     common.add_argument("--out", default="run", help="output path prefix")
     common.add_argument("--format", choices=("csv", "jsonl", "both"), default="both")
@@ -778,14 +792,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"genlat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # each model flag is built once and shared, as parents= does (an add_argument per
-    # subparser costs ~1 ms a run); no prefix matching, or an unread --f passes as --format
+    # each config flag is built once and shared, as parents= does (an add_argument per
+    # subparser costs ~1 ms); no prefix matching, or an unread --f passes as --format
     model = argparse.ArgumentParser(add_help=False)
-    actions = {key: model.add_argument(flag, dest=key, **kwargs) for key, (flag, kwargs) in _MODEL_KEYS.items()}
+    actions = {key: model.add_argument(row.flag, dest=key, **row.kwargs) for key, row in _MODEL_KEYS.items()}
     p = {}
     for name, command in _COMMANDS.items():
         p[name] = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False)
-        for key in command.keys:
+        for key in (*command.keys, "masterSeed"):
             p[name]._add_action(actions[key])
 
     p["volume"].add_argument("--t0", type=float, default=None, help="shell start (custom row)")

@@ -78,6 +78,7 @@ early exit stops at the same point.  A shifted query enumerates every prefix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -803,9 +804,10 @@ def _prefix_blocks(
     row of ``tail`` (the remaining coordinates, fully expanded in centered
     order), one slab of tail rows per lead.  A block closes once it holds
     ``first_block`` rows; the target doubles after every block, up to
-    ``_MAX_BLOCK``.  A slab larger than ``_MAX_BLOCK`` (n >= 4) is cut
-    instead into contiguous tail slices of the target size, one per block,
-    each decoded from its positions alone, so the whole slab is never held.
+    ``_MAX_BLOCK``.  A slab larger than ``_MAX_BLOCK`` (n >= 4, or n = 3 at
+    a large radius) is cut instead into contiguous tail slices of the target
+    size, one per block, each decoded from its positions alone, so the whole
+    slab is never held.
 
     With ``half`` only one prefix of each pair {p, -p} comes: the zero
     prefix and those whose first nonzero coordinate is positive, which in
@@ -825,9 +827,10 @@ def _prefix_blocks(
         lead = lead[lead > 0]
     target = first_block
     if slab > _MAX_BLOCK:
-        # (leads, whether the slab is the half slab of lead 0)
-        slabs = [(lead[i : i + 1], False) for i in range(len(lead))]
-        for leads, halved in ([(zero, True)] if half else []) + slabs:
+        # (leads, whether the slab is the half slab of lead 0), made lazily, so
+        # an early exit's set-up does not grow with the number of lead values
+        slabs = ((lead[i : i + 1], False) for i in range(len(lead)))
+        for leads, halved in itertools.chain([(zero, True)] if half else [], slabs):
             count = (slab + 1) // 2 if halved else slab
             start = 0
             while start < count:
@@ -937,7 +940,7 @@ class NormBall:
         return self.norm.eval_many(ws) <= self.radius
 
 
-# rows of one enumeration chunk; a map with a larger box runs alone
+# rows of one enumeration chunk, a range of the maps' concatenated boxes
 _REGION_ROWS = 4096
 # box cells one enumeration call may hold, over all its maps together
 _REGION_CELLS = 1e8
@@ -966,14 +969,13 @@ def lattice_points_in_region(
     edges = np.concatenate(([0], np.cumsum(np.prod(sizes, axis=1))))  # map s: rows edges[s:s+2]
     strides = np.ones_like(sizes)  # meshgrid "ij" order: the last coordinate runs fastest
     strides[:, :-1] = np.cumprod(sizes[:, :0:-1], axis=1)[:, ::-1]
-    parts, start = [], 0
-    while start < len(sizes):  # whole maps, up to _REGION_ROWS rows
-        stop = max(int(np.searchsorted(edges, edges[start] + _REGION_ROWS, "right")) - 1, start + 1)
-        owner = np.repeat(np.arange(start, stop), np.diff(edges[start : stop + 1]))
-        local = np.arange(edges[start], edges[stop]) - edges[owner]
+    parts = []
+    for start in range(0, int(edges[-1]), _REGION_ROWS):  # fixed row ranges of the concatenated boxes
+        rows = np.arange(start, min(start + _REGION_ROWS, int(edges[-1])))
+        owner = np.searchsorted(edges, rows, "right") - 1
+        local = rows - edges[owner]
         vs = local[:, None] // strides[owner] % sizes[owner] - sizes[owner] // 2
         ws = np.einsum("rij,rj->ri", bases[owner], vs.astype(float)) + shifts[owner]
         keep = region.contains(ws)
         parts.append((owner[keep], vs[keep], ws[keep]))
-        start = stop
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))

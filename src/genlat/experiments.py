@@ -63,8 +63,6 @@ from .volume import (
 
 __all__ = [
     "WeightedMean",
-    "ConfigError",
-    "ExperimentConfig",
     "wilson_interval",
     "draw_map",
     "siegel_mean_experiment",
@@ -135,48 +133,6 @@ def wilson_interval(successes: float, trials: float) -> tuple[float, float]:
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-# --------------------------------------------------------------------------
-# configuration
-
-
-class ConfigError(ValueError):
-    """Validation failure attributable to one configuration key."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(message)
-        self.key = key
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved run parameters shared by the CLI subcommands."""
-
-    n: int
-    f: TargetFunction | None = None
-    psi: ApproxFunction | None = None
-    norm: Norm | None = None
-    point_class: PointClass = PointClass.ALL_NONZERO
-    group: str = "SL"
-    shift_bound: float = 0.0
-    schedule: DyadicSchedule | None = None
-    sample_count: int = 1
-    master_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ConfigError("n", f"n must be a positive integer, got {self.n}")
-        if self.sample_count < 1:
-            raise ConfigError("sampleCount", f"sampleCount must be >= 1, got {self.sample_count}")
-        if self.group not in ("SL", "ASL"):
-            raise ConfigError("group", f"group must be SL or ASL, got {self.group!r}")
-        if self.shift_bound < 0:
-            raise ConfigError("shiftBound", f"shiftBound must be >= 0, got {self.shift_bound}")
-        if self.f is not None and self.f.n != self.n:
-            raise ConfigError("f", f"target dimension {self.f.n} does not match n={self.n}")
-        if self.norm is not None and self.norm.dim != self.n:
-            raise ConfigError("norm", f"norm dimension {self.norm.dim} does not match n={self.n}")
 
 
 # --------------------------------------------------------------------------

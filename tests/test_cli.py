@@ -21,7 +21,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genlat.cli import ConfigError, build_parser, config_from_dict, main, parse_config, serialize_config
+from genlat.cli import (
+    ConfigError,
+    ExperimentConfig,
+    build_parser,
+    config_from_dict,
+    main,
+    parse_config,
+    serialize_config,
+)
 from genlat.core import (
     ApproxFunction,
     CoordinateProduct,
@@ -37,7 +45,7 @@ from genlat.core import (
     power_law,
 )
 from genlat.counting import CountQuery, count_solutions
-from genlat.experiments import ExperimentConfig
+from genlat.experiments import kg_system_experiment
 from genlat.haar import sample_asl
 from genlat.volume import verification_matrix
 
@@ -171,8 +179,38 @@ def test_config_zero_n_named():
 
 def test_config_norm_dimension_mismatch_named():
     with pytest.raises(ConfigError) as err:
-        config_from_dict({"n": 3, "norm": max_norm(2)})
+        config_from_dict({"n": 3, "norm": "block:1:inf,1:inf"})
     assert err.value.key == "norm"
+
+
+def test_config_integer_keys_take_integral_numbers_and_digit_strings():
+    cfg = config_from_dict({"n": 2.0, "sampleCount": "3", "masterSeed": 4.0})
+    assert (cfg.n, cfg.sample_count, cfg.master_seed) == (2, 3, 4)
+    assert all(type(x) is int for x in (cfg.n, cfg.sample_count, cfg.master_seed))
+
+
+class TestConfig:
+    def test_valid_config(self):
+        cfg = ExperimentConfig(
+            n=3,
+            f=SignedPowerForm(2, 1, 2),
+            psi=power_law(1.0, 0.5, 0),
+            norm=block_norm(((2, 2), (1, 2))),
+            sample_count=10,
+        )
+        assert cfg.group == "SL"
+
+    def test_bad_sample_count(self):
+        with pytest.raises(ValueError, match="sampleCount"):
+            ExperimentConfig(n=2, sample_count=0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            ExperimentConfig(n=3, f=SignedPowerForm(1, 1, 2))
+
+    def test_bad_group(self):
+        with pytest.raises(ValueError, match="group"):
+            ExperimentConfig(n=2, group="GL")
 
 
 # --------------------------------------------------------------------------
@@ -391,6 +429,17 @@ def test_affine_group_shifts_the_sampled_maps(tmp_path):
             assert {key: rec[key] for key in want} == want, (command, i)
 
 
+def test_kgsystem_csv_carries_the_stderr(tmp_path):
+    assert _run(_SAMPLED_MAP_RUNS["kgsystem"] + ["--out", tmp_path / "k"]) == 0
+    with open(f"{tmp_path / 'k'}.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["t", "meanCount", "stderr", "verdict"]
+    res = kg_system_experiment(power_law(1.0, 1.0, 0), 2, PointClass.ALL_NONZERO,
+                               DyadicSchedule(1.0, 2.0, 1, 4), samples=3, seed=5)
+    assert [float(row[2]) for row in rows] == [row["stderr"] for row in res.rows]
+    assert any(row["stderr"] > 0 for row in res.rows)
+
+
 @pytest.mark.parametrize("command", ["siegel", "rogers"])
 def test_group_selects_lattices_or_grids(tmp_path, command):
     volume = "--volume" if command == "siegel" else "--volumes"
@@ -561,6 +610,23 @@ def test_window_config_key_rejected(tmp_path, capsys):
     rc = _run(["volume", "--config", cfg, "--out", tmp_path / "x"])
     assert rc == 2
     assert _stderr_record(capsys)["key"] == "window"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"n": 2.5}, {"sampleCount": 2.7}, {"sampleCount": True}, {"masterSeed": 1.9},
+     {"sampleCount": "x"}, {"shiftBound": "abc"}],
+    ids=json.dumps,
+)
+def test_bad_config_file_value_names_its_key(tmp_path, capsys, bad):
+    # the integer keys take no bool and no non-integral number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "f": _SPF, "psi": "pl:C=1,s=0.5,j=0", **bad}))
+    argv = ["zerofull", "--t-split", 4, "--t-max", 32, "--config", cfg]
+    assert _run(argv + ["--out", tmp_path / "out" / "x"]) == 2
+    (key,) = bad
+    assert _stderr_record(capsys)["key"] == key
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_schedule_names_key(tmp_path, capsys):

@@ -609,3 +609,14 @@ def test_point_classes_are_defined_once():
         text = path.read_text()
         assert "np.gcd" not in text, path.name
         assert not re.search(r"!= 0\)\.any\(", text), path.name
+
+
+def test_config_keys_are_named_only_by_the_cli():
+    """Config keys are the command line's names: the CLI maps each one to
+    its ``ExperimentConfig`` field, and no other module of the package
+    names one."""
+    keys = ("sampleCount", "shiftBound", "pointClass", "masterSeed")
+    for path in (_ROOT / "src" / "genlat").glob("*.py"):
+        if path.name != "cli.py":
+            text = path.read_text()
+            assert not [key for key in keys if key in text], path.name

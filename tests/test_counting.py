@@ -25,6 +25,7 @@ from genlat.core import (
     block_norm,
     lp_norm,
     max_norm,
+    mix_seed,
     power_law,
 )
 from genlat import counting
@@ -718,8 +719,8 @@ class TestRegionStreaming:
                 assert np.allclose(ws[mine], g.apply(vs[mine].astype(float)))
 
     def test_chunks_hold_whole_maps_and_a_large_map_runs_alone(self):
-        # the skewed map's box exceeds the row budget, so the maps around it
-        # fall into separate chunks, and one chunk edge splits the small ones
+        # chunks are row ranges of the concatenated boxes: the skewed map's box
+        # exceeds one, so chunk edges split it and the small maps around it
         skew = np.array([[1.0, 100.0], [0.0, 1.0]])
         ball = NormBall(max_norm(2), 3.0)
         reach = np.abs(np.linalg.inv(skew)) @ np.full(2, 3.0)
@@ -731,6 +732,20 @@ class TestRegionStreaming:
         counts = np.bincount(owner, minlength=len(maps))
         for s, g in enumerate(maps):
             assert counts[s] == len(_direct_region_scan(g, ball)), s
+
+    def test_one_large_map_is_streamed(self):
+        # a shear-100 box holds 21 x 2,021 x 21 = 891K cells for 21^3 points;
+        # row ranges keep the peak near one chunk, not the whole box
+        h = np.array([[1.0, 100.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        tracemalloc.start()
+        try:
+            owner, vs, ws = lattice_points_in_region(h[None], np.zeros((1, 3)), NormBall(max_norm(3), 10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vs) == 21**3 and not owner.any()
+        assert np.array_equal(ws, vs @ h.T) and np.abs(ws).max() == 10
+        assert peak < 8 << 20
 
     def test_region_validation(self):
         with pytest.raises(ValueError, match="radius"):
@@ -1271,3 +1286,24 @@ class TestBlockMemory:
         if half:
             rows = rows[[_first_nonzero_positive(r) for r in rows]]
         assert np.array_equal(tail, rows[:256])
+
+    def test_early_exit_set_up_does_not_grow_with_t(self, counting_tools):
+        """At n = 3 a large T slices every lead's slab; the runs of the lead
+        values come one at a time, so an early exit after a few hundred
+        prefixes stays small at any T."""
+        f = SignedPowerForm(2, 1, 2)
+        g = sample_sl(3, np.random.default_rng(mix_seed(31, 0)))
+        results = []
+        for t in (1e4, 1e5):
+            q = CountQuery(g, f, power_law(1.0, 0.5, 0), f.canonical_norm(), PointClass.ALL_NONZERO,
+                           0.0, t, stop_after_first=True)
+            tracemalloc.start()
+            try:
+                res = count_solutions(q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            counting_tools.assert_valid_witness(q, res)
+            results.append((res.first_witness, res.visited))
+        assert results[0] == results[1] and results[0][1] < 1000
+        assert peak < 8 << 20

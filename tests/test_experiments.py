@@ -26,7 +26,6 @@ from genlat.core import (
 )
 from genlat.counting import NormBall, lattice_points_in_region
 from genlat.experiments import (
-    ExperimentConfig,
     WeightedMean,
     _siegel_sample,
     counting_ratio_experiment,
@@ -82,30 +81,6 @@ class TestSummaries:
         assert lo < 0.5 < hi
         with pytest.raises(ValueError, match="counts"):
             wilson_interval(5, 4)
-
-
-class TestConfig:
-    def test_valid_config(self):
-        cfg = ExperimentConfig(
-            n=3,
-            f=SignedPowerForm(2, 1, 2),
-            psi=power_law(1.0, 0.5, 0),
-            norm=block_norm(((2, 2), (1, 2))),
-            sample_count=10,
-        )
-        assert cfg.group == "SL"
-
-    def test_bad_sample_count(self):
-        with pytest.raises(ValueError, match="sampleCount"):
-            ExperimentConfig(n=2, sample_count=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            ExperimentConfig(n=3, f=SignedPowerForm(1, 1, 2))
-
-    def test_bad_group(self):
-        with pytest.raises(ValueError, match="group"):
-            ExperimentConfig(n=2, group="GL")
 
 
 class TestSiegelMean:
