@@ -15,6 +15,11 @@ Each config key is described once, by its _MODEL_KEYS row: its flag, its
 ExperimentConfig field, the reader of its flag or config-file value, and its
 manifest form.
 
+Each command handler returns (records, table, extras): the JSONL records, the
+CSV table as one dict per row that maps each column name to its value (the
+header is the first row's keys), and the manifest result.  So each CSV column
+is named once, next to its value.
+
 Records never contain timestamps, so a rerun with the same master seed and
 worker count is byte identical; the wall clock lives in the manifest only.
 Validation failures exit with status 2 and a machine readable error record
@@ -132,6 +137,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A number or a numeric string; never a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_schedule(value) -> DyadicSchedule:
     """A schedule from its flag string or its config-file object."""
     if isinstance(value, dict):
@@ -147,10 +159,10 @@ def _parse_schedule(value) -> DyadicSchedule:
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)}")
     return DyadicSchedule(
-        t0=float(kv.get("t0", 1.0)),
-        ratio=float(kv.get("ratio", 2.0)),
-        k0=int(kv.get("k0", 0)),
-        kmax=int(kv.get("kmax", 0)),
+        t0=_real(kv.get("t0", 1.0)),
+        ratio=_real(kv.get("ratio", 2.0)),
+        k0=_integer(kv.get("k0", 0)),
+        kmax=_integer(kv.get("kmax", 0)),
     )
 
 
@@ -173,7 +185,7 @@ _MODEL_KEYS = {
     "pointClass": _Key("--class", {"choices": ("nonzero", "primitive", "all")}, "point_class",
                        lambda v, n: PointClass(v), lambda pc: pc.value),
     "group": _Key("--group", {"choices": ("SL", "ASL")}, "group", lambda v, n: str(v)),
-    "shiftBound": _Key("--shift-bound", {"type": float}, "shift_bound", lambda v, n: float(v)),
+    "shiftBound": _Key("--shift-bound", {"type": float}, "shift_bound", lambda v, n: _real(v)),
     "schedule": _Key("--schedule", {"help": "t0=..,ratio=..,k0=..,kmax=.."}, "schedule",
                      lambda v, n: _parse_schedule(v), asdict),
     "sampleCount": _Key("--samples", {"type": int, "help": "sample count (sampleCount)"}, "sample_count",
@@ -258,11 +270,12 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             fh.write(_json_line(rec) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, table: list[dict]) -> None:
+    """One row per dict; the header is the first row's keys, in order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer = csv.DictWriter(fh, fieldnames=list(table[0]))
+        writer.writeheader()
+        writer.writerows(table)
 
 
 def _sha256(path: Path) -> str:
@@ -277,8 +290,7 @@ def _emit(
     args: argparse.Namespace,
     cfg: ExperimentConfig,
     records: list[dict],
-    header: list[str],
-    rows: list[list],
+    table: list[dict],
     extras: dict | None = None,
     started: str = "",
 ) -> None:
@@ -304,7 +316,7 @@ def _emit(
         outputs[jpath.name] = _sha256(jpath)
     if args.format in ("csv", "both"):
         cpath = Path(f"{prefix}.csv")
-        _write_csv(cpath, header, rows)
+        _write_csv(cpath, table)
         outputs[cpath.name] = _sha256(cpath)
     command = _COMMANDS[args.command]
     # without f, a command that needs no n runs its built-in cases and reads no model key
@@ -383,41 +395,22 @@ def _round6(x):
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (records, csv_header, csv_rows, extras)
+# subcommand handlers: each returns (records, table, extras), the JSONL
+# records, the CSV rows as column -> value dicts and the manifest result
 
 
 def _cmd_volume(cfg: ExperimentConfig, args) -> tuple:
-    header = ["case", "f", "psi", "norm", "sLo", "tHi", "value", "quadError"]
     if cfg.f is not None:
-        cases = [
-            (
-                "custom",
-                cfg.f,
-                _require(cfg.psi, "psi"),
-                cfg.norm,
-                float(_require(args.t0, "t0")),
-                float(_require(args.t, "t")),
-            )
-        ]
+        cases = [("custom", cfg.f, _require(cfg.psi, "psi"), cfg.norm,
+                  float(_require(args.t0, "t0")), float(_require(args.t, "t")))]
     else:
         cases = [(label, f, psi, f.canonical_norm(), lo, hi) for label, f, psi, lo, hi in verification_matrix()]
-    records, rows = [], []
-    for i, (label, f, psi, norm, lo, hi) in enumerate(cases):
+    rows = []
+    for label, f, psi, norm, lo, hi in cases:
         quad = shell_volume(f, psi, norm, lo, hi)
-        rec = {
-            "sample": i,
-            "case": label,
-            "f": target_spec(f),
-            "psi": psi_spec(psi),
-            "norm": norm_spec(norm),
-            "sLo": lo,
-            "tHi": hi,
-            "value": quad.value,
-            "quadError": quad.error,
-        }
-        records.append(rec)
-        rows.append([label, rec["f"], rec["psi"], rec["norm"], lo, hi, quad.value, quad.error])
-    return records, header, rows, {"rows": len(rows)}
+        rows.append({"case": label, "f": target_spec(f), "psi": psi_spec(psi), "norm": norm_spec(norm),
+                     "sLo": lo, "tHi": hi, "value": quad.value, "quadError": quad.error})
+    return rows, rows, {"rows": len(rows)}
 
 
 def _cmd_mc_volume(cfg: ExperimentConfig, args) -> tuple:
@@ -427,17 +420,9 @@ def _cmd_mc_volume(cfg: ExperimentConfig, args) -> tuple:
     mc = monte_carlo_region_volume(
         f, psi, cfg.norm, outer, cfg.sample_count, seed=cfg.master_seed, inner=args.inner
     )
-    rec = {
-        "sample": 0,
-        "value": mc.value,
-        "stderr": mc.stderr,
-        "hits": mc.hits,
-        "samples": mc.samples,
-        "degenerate": mc.degenerate,
-    }
-    header = ["value", "stderr", "hits", "samples", "degenerate"]
-    rows = [[mc.value, mc.stderr, mc.hits, mc.samples, mc.degenerate]]
-    return [rec], header, rows, {"value": mc.value, "stderr": mc.stderr}
+    row = {"value": mc.value, "stderr": mc.stderr, "hits": mc.hits, "samples": mc.samples,
+           "degenerate": mc.degenerate}
+    return [row], [row], {"value": mc.value, "stderr": mc.stderr}
 
 
 def _cmd_count(cfg: ExperimentConfig, args) -> tuple:
@@ -462,31 +447,17 @@ def _cmd_count(cfg: ExperimentConfig, args) -> tuple:
     )
     res = count_solutions(query)
     witness = None if res.first_witness is None else [int(x) for x in res.first_witness]
-    rec = {
-        "sample": 0,
-        "count": res.count,
-        "visited": res.visited,
-        "fullScan": res.full_scan,
-        "witness": witness,
-        "identity": bool(args.identity),
-    }
-    header = ["count", "visited", "fullScan", "witness"]
-    rows = [[res.count, res.visited, res.full_scan, json.dumps(witness)]]
-    return [rec], header, rows, {"count": res.count}
+    row = {"count": res.count, "visited": res.visited, "fullScan": res.full_scan, "witness": witness}
+    record = {**row, "identity": bool(args.identity)}
+    return [record], [{**row, "witness": json.dumps(witness)}], {"count": res.count}
 
 
 def _cmd_classify(cfg: ExperimentConfig, args) -> tuple:
     f = _require(cfg.f, "f")
     psi = _require(cfg.psi, "psi")
     verdict = classify_series(f, psi, args.criterion, r=args.r)
-    rec = {
-        "sample": 0,
-        "criterion": args.criterion,
-        "r": args.r,
-        "verdict": verdict.value,
-    }
-    header = ["criterion", "r", "verdict"]
-    return [rec], header, [[args.criterion, args.r, verdict.value]], {"verdict": verdict.value}
+    row = {"criterion": args.criterion, "r": args.r, "verdict": verdict.value}
+    return [row], [row], {"verdict": verdict.value}
 
 
 def _cmd_siegel(cfg: ExperimentConfig, args) -> tuple:
@@ -498,15 +469,15 @@ def _cmd_siegel(cfg: ExperimentConfig, args) -> tuple:
         ensemble=_ENSEMBLES[cfg.group],
         workers=args.workers,
     )
-    header = ["pointClass", "mean", "stderr", "reference", "gapInStderr", "ess"]
-    rows = []
+    table = []
     summary = {}
     for key, est in res.estimates.items():
         ref = res.references[key]
         gap = abs(est.estimate - ref) / est.stderr if est.stderr > 0 else 0.0
-        rows.append([key, est.estimate, est.stderr, ref, gap, est.ess])
+        table.append({"pointClass": key, "mean": est.estimate, "stderr": est.stderr, "reference": ref,
+                      "gapInStderr": gap, "ess": est.ess})
         summary[key] = {"mean": est.estimate, "stderr": est.stderr, "reference": ref}
-    return res.records, header, rows, {"volume": res.volume, "estimates": summary}
+    return res.records, table, {"volume": res.volume, "estimates": summary}
 
 
 def _cmd_rogers(cfg: ExperimentConfig, args) -> tuple:
@@ -520,10 +491,8 @@ def _cmd_rogers(cfg: ExperimentConfig, args) -> tuple:
         ceiling=args.ceiling,
         workers=args.workers,
     )
-    header = ["volume", "mean", "variance", "ratio", "flagged"]
-    rows = [[r["volume"], r["mean"], r["variance"], r["ratio"], r["flagged"]] for r in res.rows]
     extras = {"rows": [{k: _round6(v) if isinstance(v, float) else v for k, v in r.items()} for r in res.rows]}
-    return res.records, header, rows, extras
+    return res.records, res.rows, extras
 
 
 def _cmd_emptyprob(cfg: ExperimentConfig, args) -> tuple:
@@ -531,13 +500,13 @@ def _cmd_emptyprob(cfg: ExperimentConfig, args) -> tuple:
     res = empty_probability_experiment(
         cfg.n, volumes, cfg.sample_count, cfg.master_seed, r=args.r, workers=args.workers
     )
-    header = ["volume", "emptyFrequency", "wilsonLow", "wilsonHigh", "slope", "slopeBound"]
-    rows = [
-        [r["volume"], r["empty_frequency"], r["wilson_low"], r["wilson_high"], res.slope, res.slope_bound]
+    table = [
+        {"volume": r["volume"], "emptyFrequency": r["empty_frequency"], "wilsonLow": r["wilson_low"],
+         "wilsonHigh": r["wilson_high"], "slope": res.slope, "slopeBound": res.slope_bound}
         for r in res.rows
     ]
     extras = {"slope": res.slope, "slopeBound": res.slope_bound, "decayOk": res.decay_ok}
-    return res.records, header, rows, extras
+    return res.records, table, extras
 
 
 def _cmd_ratio(cfg: ExperimentConfig, args) -> tuple:
@@ -551,18 +520,14 @@ def _cmd_ratio(cfg: ExperimentConfig, args) -> tuple:
         _require(cfg.schedule, "schedule"),
         **_sampled_maps(cfg, args),
     )
-    header = ["sample", "t", "count", "reference", "ratio", "threshold", "constant"]
-    rows = [
-        [r["sample"], r["t"], r["count"], r["reference"], r["ratio"], res.threshold, res.constant]
-        for r in res.records
-    ]
+    table = [{**r, "threshold": res.threshold, "constant": res.constant} for r in res.records]
     series = [
         {"sample": s["sample"], "firstRatio": s["first_ratio"], "finalRatio": s["final_ratio"],
          "threshold": res.threshold}
         for s in res.series
     ]
     extras = {"constant": res.constant, "identity": bool(args.identity), "series": series}
-    return res.records, header, rows, extras
+    return res.records, table, extras
 
 
 def _cmd_zerofull(cfg: ExperimentConfig, args) -> tuple:
@@ -575,10 +540,8 @@ def _cmd_zerofull(cfg: ExperimentConfig, args) -> tuple:
         float(_require(args.t_max, "tMax")),
         **_sampled_maps(cfg, args),
     )
-    header = ["fraction", "verdict", "samples"]
-    rows = [[res.fraction, res.verdict.value, cfg.sample_count]]
     extras = {"fraction": res.fraction, "verdict": res.verdict.value}
-    return res.records, header, rows, extras
+    return res.records, [{**extras, "samples": cfg.sample_count}], extras
 
 
 def _cmd_uniform(cfg: ExperimentConfig, args) -> tuple:
@@ -590,13 +553,12 @@ def _cmd_uniform(cfg: ExperimentConfig, args) -> tuple:
         _require(cfg.schedule, "schedule"),
         **_sampled_maps(cfg, args),
     )
-    header = ["t", "successFraction", "samples", "passFraction"]
-    rows = [
-        [c["t"], c["success_fraction"], cfg.sample_count, res.pass_fraction]
+    extras = {"passFraction": res.pass_fraction}
+    table = [
+        {"t": c["t"], "successFraction": c["success_fraction"], "samples": cfg.sample_count, **extras}
         for c in res.checkpoints
     ]
-    extras = {"passFraction": res.pass_fraction}
-    return res.records, header, rows, extras
+    return res.records, table, extras
 
 
 def _cmd_kgsystem(cfg: ExperimentConfig, args) -> tuple:
@@ -607,10 +569,9 @@ def _cmd_kgsystem(cfg: ExperimentConfig, args) -> tuple:
         _require(cfg.schedule, "schedule"),
         **_sampled_maps(cfg, args),
     )
-    header = ["t", "meanCount", "stderr", "verdict"]
-    rows = [[r["t"], r["mean_count"], r["stderr"], res.verdict.value] for r in res.rows]
     extras = {"verdict": res.verdict.value}
-    return res.records, header, rows, extras
+    table = [{"t": r["t"], "meanCount": r["mean_count"], "stderr": r["stderr"], **extras} for r in res.rows]
+    return res.records, table, extras
 
 
 def _cmd_normcheck(cfg: ExperimentConfig, args) -> tuple:
@@ -625,14 +586,13 @@ def _cmd_normcheck(cfg: ExperimentConfig, args) -> tuple:
         cfg.sample_count,
         cfg.master_seed,
     )
-    records = [{"sample": i, **row} for i, row in enumerate(res.rows)]
-    header = ["scale", "volumeA", "stderrA", "volumeB", "stderrB", "trendA", "trendB", "agree"]
-    rows = [
-        [r["scale"], r["volume_a"], r["stderr_a"], r["volume_b"], r["stderr_b"], res.trend_a, res.trend_b, res.agree]
+    extras = {"trendA": res.trend_a, "trendB": res.trend_b, "agree": res.agree}
+    table = [
+        {"scale": r["scale"], "volumeA": r["volume_a"], "stderrA": r["stderr_a"], "volumeB": r["volume_b"],
+         "stderrB": r["stderr_b"], **extras}
         for r in res.rows
     ]
-    extras = {"trendA": res.trend_a, "trendB": res.trend_b, "agree": res.agree}
-    return records, header, rows, extras
+    return res.rows, table, extras
 
 
 # --------------------------------------------------------------------------
@@ -729,18 +689,14 @@ def _cmd_selftest(cfg: ExperimentConfig, args) -> tuple:
     ok = all(r == 2.0 for r in ratios) and vals == sorted(vals)
     checks.append(("schedule-lacunary", ok, f"{len(vals)} checkpoints, ratio 2"))
 
-    records = [
-        {"sample": i, "check": name, "passed": passed, "detail": detail}
-        for i, (name, passed, detail) in enumerate(checks)
-    ]
-    header = ["check", "status", "detail"]
-    rows = [[name, "pass" if passed else "FAIL", detail] for name, passed, detail in checks]
+    records = [{"check": name, "passed": passed, "detail": detail} for name, passed, detail in checks]
+    table = [{"check": name, "status": "pass" if passed else "FAIL", "detail": detail}
+             for name, passed, detail in checks]
+    width = max(len(row["check"]) for row in table)
+    for row in table:
+        print(f"{row['check']:<{width}}  {row['status']}  {row['detail']}")
     failed = sum(1 for _, passed, _ in checks if not passed)
-    extras = {"failed": failed, "checks": len(checks)}
-    width = max(len(name) for name, _, _ in checks)
-    for name, passed, detail in checks:
-        print(f"{name:<{width}}  {'pass' if passed else 'FAIL'}  {detail}")
-    return records, header, rows, extras
+    return records, table, {"failed": failed, "checks": len(checks)}
 
 
 # --------------------------------------------------------------------------
@@ -842,8 +798,8 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = parse_config(args)
-        records, header, rows, extras = _COMMANDS[args.command].handler(cfg, args)
-        _emit(args, cfg, records, header, rows, extras, started)
+        records, table, extras = _COMMANDS[args.command].handler(cfg, args)
+        _emit(args, cfg, records, table, extras, started)
     except ConfigError as exc:
         sys.stderr.write(_json_line({"error": "config", "key": exc.key, "message": str(exc)}) + "\n")
         return 2

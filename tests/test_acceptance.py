@@ -1,10 +1,11 @@
-"""End-to-end acceptance suite: ten statistical and exact checks at desk scale.
+"""End-to-end acceptance suite: eleven statistical and exact checks at desk scale.
 
 Mean and variance laws for random lattices and affine grids, empty-probability
 decay, closed-form volumes against a high-sample Monte Carlo oracle, pruned
 counting against brute force (correctness and speed), the counting-ratio
 trend, the zero-full dichotomy, uniform approximability, exact series
-classification, and byte-identical reruns of the seeded CLI pipelines.
+classification, byte-identical reruns of the seeded CLI pipelines, and the
+mean-value and zero-full pipelines at n=4.
 
 Master seeds are pinned, so pass/fail is deterministic for a fixed numpy
 version.  The whole module runs in roughly four minutes on four workers; the
@@ -12,6 +13,7 @@ long pole is the exact-sampler mean-value run at n=3 (about a minute), which
 criterion timing below bounds explicitly.
 """
 
+import csv
 import math
 import time
 from pathlib import Path
@@ -39,7 +41,7 @@ from genlat.volume import (
 
 WORKERS = 4
 
-ZETA = {2: math.pi**2 / 6.0, 3: 1.2020569031595943}
+ZETA = {2: math.pi**2 / 6.0, 3: 1.2020569031595943, 4: math.pi**4 / 90.0}
 
 
 def _run_cli(argv, prefix) -> float:
@@ -289,3 +291,39 @@ def test_seeded_pipelines_rerun_byte_identical(siegel_runs, ratio_run, zero_full
         again = artifacts_dir / f"{Path(prefix).name}_again"
         _run_cli(argv, again)
         assert _jsonl_bytes(again) == _jsonl_bytes(prefix), f"rerun of {Path(prefix).name} differs"
+
+
+# --------------------------------------------------------------------------
+# 11. n=4 pipelines: the mean-value check at 1e3 samples and the zero-full
+#     dichotomy on a small shell (2^5, 2^6]
+
+
+def test_siegel_mean_at_n4(artifacts_dir):
+    prefix = artifacts_dir / "siegel_n4"
+    _run_cli(["siegel", "--n", 4, "--volume", 50, "--samples", 1000, "--seed", 7], prefix)
+    estimates = _manifest(prefix)["result"]["estimates"]
+    assert estimates["nonzero"]["reference"] == pytest.approx(50.0)
+    assert estimates["primitive"]["reference"] == pytest.approx(50.0 / ZETA[4], rel=1e-9)
+    for key, s in estimates.items():
+        gap = abs(s["mean"] - s["reference"])
+        assert gap <= 3.0 * s["stderr"], f"{key}: gap {gap:.3f} vs stderr {s['stderr']:.3f}"
+    with open(f"{prefix}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["pointClass"] for row in rows] == ["nonzero", "primitive"]
+    assert all(float(row["ess"]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("psi, verdict", [("pl:C=1,s=1,j=0", "diverges"), ("pl:C=1,s=3,j=0", "converges")])
+def test_zero_full_dichotomy_at_n4(artifacts_dir, psi, verdict):
+    prefix = artifacts_dir / f"zerofull_n4_{verdict}"
+    argv = [
+        "zerofull", "--n", 4, "--f", "spf:p=3,q=1,d=2", "--psi", psi,
+        "--t-split", 32, "--t-max", 64, "--samples", 20, "--seed", 301,
+    ]
+    _run_cli(argv, prefix)
+    result = _manifest(prefix)["result"]
+    assert result["verdict"] == verdict
+    if verdict == "diverges":
+        assert result["fraction"] >= 0.9, f"divergent fraction {result['fraction']}"
+    else:
+        assert result["fraction"] <= 0.2, f"convergent fraction {result['fraction']}"

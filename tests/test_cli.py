@@ -189,6 +189,14 @@ def test_config_integer_keys_take_integral_numbers_and_digit_strings():
     assert all(type(x) is int for x in (cfg.n, cfg.sample_count, cfg.master_seed))
 
 
+def test_config_schedule_object_takes_integral_numbers_and_digit_strings():
+    cfg = config_from_dict({"n": 2, "schedule": {"t0": 1, "ratio": "3", "k0": 1.0, "kmax": "3"},
+                            "shiftBound": "0.5"})
+    assert cfg.schedule == DyadicSchedule(1.0, 3.0, 1, 3)
+    assert type(cfg.schedule.k0) is int and type(cfg.schedule.kmax) is int
+    assert cfg.shift_bound == 0.5
+
+
 class TestConfig:
     def test_valid_config(self):
         cfg = ExperimentConfig(
@@ -440,6 +448,61 @@ def test_kgsystem_csv_carries_the_stderr(tmp_path):
     assert any(row["stderr"] > 0 for row in res.rows)
 
 
+# one tiny run of each command, and the CSV header it writes
+_TINY_RUNS = {
+    "volume": (["volume"], ["case", "f", "psi", "norm", "sLo", "tHi", "value", "quadError"]),
+    "mc-volume": (["mc-volume", "--f", _SPF, "--psi", "pl:C=1,s=0.5,j=0", "--outer", 8, "--samples", 1000],
+                  ["value", "stderr", "hits", "samples", "degenerate"]),
+    "count": (["count", "--f", _SPF, "--eps", 0.5, "--t", 4, "--identity"],
+              ["count", "visited", "fullScan", "witness"]),
+    "classify": (["classify", "--f", "prod:n=2", "--psi", "pl:C=1,s=2,j=0"], ["criterion", "r", "verdict"]),
+    "siegel": (["siegel", "--n", 2, "--volume", 8, "--samples", 20],
+               ["pointClass", "mean", "stderr", "reference", "gapInStderr", "ess"]),
+    "rogers": (["rogers", "--n", 2, "--volumes", "4,8", "--samples", 20],
+               ["volume", "mean", "variance", "ratio", "flagged"]),
+    "emptyprob": (["emptyprob", "--n", 2, "--volumes", "1,4", "--samples", 20],
+                  ["volume", "emptyFrequency", "wilsonLow", "wilsonHigh", "slope", "slopeBound"]),
+    "ratio": (_SAMPLED_MAP_RUNS["ratio"], ["sample", "t", "count", "reference", "ratio", "threshold", "constant"]),
+    "zerofull": (_SAMPLED_MAP_RUNS["zerofull"], ["fraction", "verdict", "samples"]),
+    "uniform": (_SAMPLED_MAP_RUNS["uniform"], ["t", "successFraction", "samples", "passFraction"]),
+    "kgsystem": (_SAMPLED_MAP_RUNS["kgsystem"], ["t", "meanCount", "stderr", "verdict"]),
+    "normcheck": (["normcheck", "--f", _SPF, "--psi", "pl:C=1,s=0.5,j=0", "--norm-b", "ld:2", "--samples", 1000],
+                  ["scale", "volumeA", "stderrA", "volumeB", "stderrB", "trendA", "trendB", "agree"]),
+    "selftest": (["selftest"], ["check", "status", "detail"]),
+}
+
+
+def _read_csv(prefix):
+    with open(f"{prefix}.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+@pytest.mark.parametrize("command", list(_TINY_RUNS))
+def test_csv_header_is_pinned(tmp_path, command):
+    argv, columns = _TINY_RUNS[command]
+    assert _run(argv + ["--out", tmp_path / "x"]) == 0
+    header, rows = _read_csv(tmp_path / "x")
+    assert header == columns
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("command", ["volume", "mc-volume", "classify", "count"])
+def test_csv_rows_are_the_jsonl_records(tmp_path, command):
+    # each CSV row holds its record's fields as the csv module writes them;
+    # count's witness is JSON encoded there
+    assert _run(_TINY_RUNS[command][0] + ["--out", tmp_path / "x"]) == 0
+    header, rows = _read_csv(tmp_path / "x")
+    records = _read_jsonl(tmp_path / "x")
+    assert len(rows) == len(records)
+    unwritten = {"masterSeed", "sample"} | ({"identity"} if command == "count" else set())
+    for row, rec in zip(rows, records):
+        assert set(rec) == set(header) | unwritten
+        if command == "count":
+            rec["witness"] = json.dumps(rec["witness"])
+        assert row == ["" if rec[key] is None else str(rec[key]) for key in header]
+
+
 @pytest.mark.parametrize("command", ["siegel", "rogers"])
 def test_group_selects_lattices_or_grids(tmp_path, command):
     volume = "--volume" if command == "siegel" else "--volumes"
@@ -629,6 +692,24 @@ def test_bad_config_file_value_names_its_key(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"schedule": {"k0": 1.5}}, {"schedule": {"kmax": 3.9}}, {"schedule": {"t0": True}},
+     {"shiftBound": True}],
+    ids=json.dumps,
+)
+def test_bad_schedule_or_shift_bound_in_config_file_names_its_key(tmp_path, capsys, bad):
+    # the schedule's k0 and kmax are integers; t0 and shiftBound take no bool
+    good = {"n": 2, "f": _SPF, "psi": "pl:C=1,s=0.5,j=0", "schedule": {"t0": 1, "k0": 1, "kmax": 3}}
+    (key,) = bad
+    value = {**good[key], **bad[key]} if key == "schedule" else bad[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**good, key: value}))
+    assert _run(["ratio", "--config", cfg, "--out", tmp_path / "out" / "x"]) == 2
+    assert _stderr_record(capsys)["key"] == key
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_schedule_names_key(tmp_path, capsys):
     argv = [
         "ratio", "--f", "prod:n=2", "--psi", "pl:C=1,s=0,j=0",
@@ -709,6 +790,10 @@ def _subparsers() -> dict:
 def test_model_key_table():
     assert set(_subparsers()) == set(_READS)
     assert sum(map(len, _READS.values())) == 65
+
+
+def test_every_command_has_a_tiny_run():
+    assert set(_TINY_RUNS) == set(_READS)
 
 
 @pytest.mark.parametrize("key", sorted(_MODEL_FLAGS))
