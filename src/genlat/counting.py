@@ -54,26 +54,27 @@ then t, for every target and both modes, so it does not depend on where
 block edges fall: an early-exit search returns the exhaustive run's first
 witness.
 
-A block is never written out as prefix rows.  It is a run of lead values
-(the first prefix coordinate) times the shared tail rows (the other prefix
-coordinates, in centered order); a lead's slab of tail rows larger than a
-block (n >= 4) is cut into contiguous tail slices instead.  The tail's share
-of the affine part, h[:, tail] @ tail + z, is an (n, R) table built once per
-query (once per block for a slice), and a block's alpha = h p + z is the
-column-major (n, m) array lead * h[:, lead] + table, one broadcast add; the
-solvers read its contiguous rows.  A candidate's prefix is rebuilt from its
-row index alone.
+A block is never written out as prefix rows.  It is one pair (leads, tail):
+a run of lead values (the first prefix coordinate) times the R tail rows
+(the other prefix coordinates, in centered order), so its row r is the
+prefix (leads[r // R], tail[r % R]).  A lead's slab of tail rows larger
+than a block (n >= 4) is cut into contiguous tail slices, one per block.
+The tail's share of the affine part, h[:, tail] @ tail + z, is an (n, R)
+table built once per query (once per block for a slice), and a block's
+alpha = h p + z is the column-major (n, m) array lead * h[:, lead] + table,
+one broadcast add; the solvers read its contiguous rows.
 
 A map without a shift (z = 0) sends -v to -w, and every target has
 |f(-w)| = |f(w)| and every norm is even, so its solution set is symmetric
 under v -> -v.  Such a query enumerates one prefix of each pair {p, -p}:
 the zero prefix, with its whole t range, and the prefixes whose first
-nonzero coordinate is positive.  A hit off the zero prefix counts twice;
-floating point is mirror-exact here (the affine coefficients, the slots and
-their integer ranges all negate exactly), so the two halves would have made
-the same exact-refilter decisions.  In centered order a prefix of the half
-comes before its mirror, so the first witness is the full order's, and an
-early exit stops at the same point.  A shifted query enumerates every prefix.
+nonzero coordinate is positive; the half slab of lead 0 is the first
+block, on its own.  A hit off the zero prefix counts twice; floating point
+is mirror-exact here (the affine coefficients, the slots and their integer
+ranges all negate exactly), so the two halves would have made the same
+exact-refilter decisions.  In centered order a prefix of the half comes
+before its mirror, so the first witness is the full order's, and an early
+exit stops at the same point.  A shifted query enumerates every prefix.
 """
 
 from __future__ import annotations
@@ -665,7 +666,7 @@ def _in_reduced_basis(q: CountQuery, core) -> CountResult:
     if res.first_witness is None:
         return res
     mapped = tuple(int(x) for x in change @ np.asarray(res.first_witness))
-    return CountResult(res.count, mapped, res.visited, res.full_scan)
+    return replace(res, first_witness=mapped)
 
 
 # the most prefixes an exhaustive count may enumerate: about 700 times the
@@ -708,7 +709,8 @@ def _count_core(q: CountQuery) -> CountResult:
 
     first_block = 256 if q.stop_after_first else _MAX_BLOCK
     for block in _prefix_blocks(box, prefix_cols, first_block, half):
-        visited += sum(len(leads) * len(tail) for leads, tail in block)
+        leads, tail = block
+        visited += len(leads) * len(tail)
         vs = _block_candidates(q, solvers, block, prefix_cols, sol, work)
         if len(vs) == 0:
             continue
@@ -732,38 +734,35 @@ def _block_candidates(q: CountQuery, solvers, block, prefix_cols, sol, work) -> 
     """Candidate vectors of one prefix block, in prefix order, then t.
 
     The block's affine parts alpha = h p + z are built column-major, one
-    (n, m) array whose row c is contiguous: for each run of leads times a
-    tail, the lead column of h times each lead plus the tail's table.  The
-    solvers' slots are views of their workspaces; they die on return, so a
-    workspace that grows for the next block is never held twice.
+    (n, m) array whose row c is contiguous: the lead column of h times each
+    lead plus the tail's table, one broadcast add.  The solvers' slots are
+    views of their workspaces; they die on return, so a workspace that
+    grows for the next block is never held twice.
     """
     h = q.g.h
     n = q.f.n
     beta = h[:, sol]
+    leads, tail = block
     lead_h = h[:, prefix_cols[0]] if prefix_cols else np.zeros(n)
-    m = sum(len(leads) * len(tail) for leads, tail in block)
-    alphas = _buffer(work, "alphas", n, m)
-    start = 0
-    for leads, tail in block:
-        stop = start + len(leads) * len(tail)
-        # a view: within each row of alphas the run's columns are contiguous
-        run = alphas[:, start:stop].reshape(n, len(leads), len(tail))
-        table = _tail_table(q, tail, prefix_cols[1:], work)
-        np.add(np.multiply.outer(lead_h, leads)[:, :, None], table[:, None, :], out=run)
-        start = stop
+    alphas = _buffer(work, "alphas", n, len(leads) * len(tail))
+    table = _tail_table(q, tail, prefix_cols[1:], work)
+    # alphas viewed as (n, leads, R): block row r is (leads[r // R], tail[r % R])
+    np.add(np.multiply.outer(lead_h, leads)[:, :, None], table[:, None, :],
+           out=alphas.reshape(n, len(leads), len(tail)))
     window = _window(q, alphas, beta, work)
     rows, ts = _candidates([solve(alphas, beta, window) for solve in solvers], work)
     vs = np.empty((len(ts), n), dtype=np.int64)
-    vs[:, prefix_cols] = _block_rows(block, rows, len(prefix_cols))
+    vs[:, prefix_cols[:1]] = leads[rows // len(tail), None]  # n = 1 drops its zero lead
+    vs[:, prefix_cols[1:]] = tail[rows % len(tail)]
     vs[:, sol] = ts
     return vs
 
 
 def _tail_table(q: CountQuery, tail, tail_cols, work: dict) -> np.ndarray:
     """The tail rows' share of alpha, h[:, tail_cols] @ tail.T + z, as an
-    (n, R) table.  It is kept for the tail array it was built from, so a tail
-    that every block shares is tabled once per query, and a tail slice once
-    per block."""
+    (n, R) table.  It is kept for the tail array it was built from, so the
+    tail that the blocks share is tabled once per query, and the half slab
+    of lead 0 or a tail slice once for its block."""
     kept = work.get("tail")
     if kept is not None and kept[0] is tail:
         return kept[1]
@@ -774,50 +773,34 @@ def _tail_table(q: CountQuery, tail, tail_cols, work: dict) -> np.ndarray:
     return table
 
 
-def _block_rows(block, rows: np.ndarray, width: int) -> np.ndarray:
-    """The prefixes at the block's (ascending) row indexes: row r of a run
-    of leads times a tail of R rows is (leads[r // R], tail[r % R]).  Without
-    prefix coordinates (n = 1) the width is 0 and the zero lead drops out."""
-    out = np.empty((len(rows), width), dtype=np.int64)
-    start = 0
-    for leads, tail in block:
-        stop = start + len(leads) * len(tail)
-        a, b = np.searchsorted(rows, (start, stop))
-        local = rows[a:b] - start
-        out[a:b, :1] = leads[local // len(tail), None]
-        out[a:b, 1:] = tail[local % len(tail)]
-        start = stop
-    return out
-
-
 # prefix rows per block once the block schedule has grown
 _MAX_BLOCK = 1 << 14
 
 
 def _prefix_blocks(
     box: np.ndarray, prefix_cols: list[int], first_block: int, half: bool = False
-) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Integer prefix assignments in centered order, in blocks.
 
-    A block is a list of runs (leads, tail): every lead value (the first
-    prefix coordinate, centered 0, 1, -1, ..., advancing slowest) times every
-    row of ``tail`` (the remaining coordinates, fully expanded in centered
-    order), one slab of tail rows per lead.  A block closes once it holds
-    ``first_block`` rows; the target doubles after every block, up to
-    ``_MAX_BLOCK``.  A slab larger than ``_MAX_BLOCK`` (n >= 4, or n = 3 at
-    a large radius) is cut instead into contiguous tail slices of the target
-    size, one per block, each decoded from its positions alone, so the whole
-    slab is never held.
+    A block is one pair (leads, tail): every lead value (the first prefix
+    coordinate, centered 0, 1, -1, ..., advancing slowest) times every row
+    of ``tail`` (the remaining coordinates, in centered order), one slab of
+    tail rows per lead.  A block closes at the first slab that reaches its
+    target of ``first_block`` rows; the target doubles after every block, up
+    to ``_MAX_BLOCK``.  A slab larger than ``_MAX_BLOCK`` (n >= 4, or n = 3
+    at a large radius) is cut instead into contiguous tail slices of the
+    target size, one per block, each decoded from its positions alone, so
+    the whole slab is never held.
 
     With ``half`` only one prefix of each pair {p, -p} comes: the zero
     prefix and those whose first nonzero coordinate is positive, which in
-    centered order come before their mirrors.  The half slab of lead 0 is a
-    run of its own in the first block and does not count toward its target,
-    so no later block outgrows the first one at full block size (cut into
-    slices, it is sliced like any other slab).
+    centered order come before their mirrors.  The half slab of lead 0 is
+    then the first block, whole and outside the target schedule, so no
+    later block outgrows the first full-size one; a slab cut into slices
+    has its half sliced like any other slab.
     """
     if not prefix_cols:
-        yield [(np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
+        yield np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
         return
     lead = _centered(int(box[prefix_cols[0]]))
     axes = [_centered(int(box[c])) for c in prefix_cols[1:]]
@@ -835,22 +818,19 @@ def _prefix_blocks(
             start = 0
             while start < count:
                 at = np.arange(start, min(start + target, count))
-                yield [(leads, _centered_rows(axes, _half_positions(axes, at) if halved else at))]
+                yield leads, _centered_rows(axes, _half_positions(axes, at) if halved else at)
                 start += target
                 target = min(2 * target, _MAX_BLOCK)
         return
-    tail = _centered_rows(axes, np.arange(slab))
-    head = []  # the half slab of lead 0
     if half:
-        head = [(zero, _centered_rows(axes, _half_positions(axes, np.arange((slab + 1) // 2))))]
+        yield zero, _centered_rows(axes, _half_positions(axes, np.arange((slab + 1) // 2)))
+    tail = _centered_rows(axes, np.arange(slab))
     pos = 0
     while pos < len(lead):
-        k = -(-target // len(tail))  # slabs that reach the target
-        yield head + [(lead[pos : pos + k], tail)]
-        head, pos = [], pos + k
+        k = -(-target // slab)  # slabs that reach the target
+        yield lead[pos : pos + k], tail
+        pos += k
         target = min(2 * target, _MAX_BLOCK)
-    if head:
-        yield head
 
 
 def _centered_rows(axes: list[np.ndarray], at: np.ndarray) -> np.ndarray:

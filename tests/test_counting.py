@@ -46,7 +46,7 @@ from genlat.counting import (
     is_primitive,
     lattice_points_in_region,
 )
-from genlat.haar import UnimodularMap, identity_map, sample_asl, sample_sl
+from genlat.haar import UnimodularMap, identity_map, lll_reduce, sample_asl, sample_sl
 
 
 def _query(**kw):
@@ -341,6 +341,26 @@ class TestFallback:
             assert res.full_scan
             assert res.count == brute_force_count(q).count
 
+    def test_fractional_part_flags_full_scan_in_a_reduced_basis(self, counting_tools):
+        """A w-space count runs in an LLL-reduced basis; the result mapped
+        back to the original coordinates keeps every field."""
+        rng = np.random.default_rng(5159)
+        g = next(g for g in (sample_sl(3, rng) for _ in range(20)) if not np.allclose(lll_reduce(g.h), g.h))
+        q = CountQuery(
+            g=g,
+            f=VectorOf((SignedPowerForm(1, 2, 2.5), MaxPower((1.0,), 3, (0,)))),
+            bound=(2.0, 1.5),
+            norm=max_norm(3),
+            point_class=PointClass.ALL_NONZERO,
+            t0=0.0,
+            t=6.0,
+            shell_space="w",
+        )
+        res = count_solutions(q)
+        assert res.full_scan
+        assert res.count == brute_force_count(q).count > 0
+        counting_tools.assert_valid_witness(q, res)
+
     def test_integer_degree_does_not_flag(self):
         assert not count_solutions(_query()).full_scan
 
@@ -418,12 +438,10 @@ def _first_in_prefix_order(q):
 
 
 def _expand(block) -> np.ndarray:
-    """The prefix rows of a block of runs (leads, tail): each lead, slowest,
-    times every tail row."""
-    return np.concatenate(
-        [np.column_stack((np.repeat(leads, len(tail)), np.tile(tail, (len(leads), 1))))
-         for leads, tail in block]
-    )
+    """The prefix rows of a block (leads, tail): each lead, slowest, times
+    every tail row."""
+    leads, tail = block
+    return np.column_stack((np.repeat(leads, len(tail)), np.tile(tail, (len(leads), 1))))
 
 
 def _blocks(*args, **kw) -> list[np.ndarray]:
@@ -479,7 +497,7 @@ class TestEarlyExit:
         for first in (1, 256, _MAX_BLOCK):
             raw = list(_prefix_blocks(box, prefix_cols, first, half=half))
             # every block is one slice of one lead's slab
-            assert all(len(block) == 1 and len(block[0][0]) == 1 for block in raw)
+            assert all(len(leads) == 1 for leads, _ in raw)
             blocks = [_expand(block) for block in raw]
             assert max(len(b) for b in blocks) <= _MAX_BLOCK
             order = np.concatenate(blocks)
@@ -574,12 +592,27 @@ class TestHalfSpace:
 
     def test_half_slab_does_not_count_toward_the_target(self):
         # slabs of 33 rows, 16384 = 496 * 33 + 16: counted toward the target,
-        # the half slab of 17 rows would close the first block at 16385 rows,
-        # and every solver buffer would grow again at the next block
+        # the half slab of 17 rows would close a block at 16385 rows, and
+        # every solver buffer would grow again at the next block; as a block
+        # of its own it leaves the first full-size block the largest
         sizes = [len(b) for b in _blocks(np.asarray((1600, 16)), [0, 1], _MAX_BLOCK, half=True)]
-        assert len(sizes) > 2
-        assert sizes[0] == 17 + 497 * 33
-        assert max(sizes[1:]) == 497 * 33
+        assert len(sizes) > 3
+        assert sizes[0] == 17
+        assert sizes[1] == max(sizes[1:]) == 497 * 33
+
+    @pytest.mark.parametrize("t", [10.0, 40.0])
+    def test_a_witness_of_lead_0_ends_the_search_after_its_half_slab(self, t):
+        # the identity solves coordinate 0 and leads with coordinate 1; the
+        # bands |w_0|, |w_2| <= 1 meet only at tail rows -1, 0, 1, so the
+        # first witness (-1, 0, 0) lies in the half slab of lead 0
+        f = MaxPower((1.0, 1.0), 3, (0, 2))
+        q = CountQuery(g=identity_map(3), f=f, bound=(1.0,), norm=max_norm(3),
+                       point_class=PointClass.PRIMITIVE, t0=0.0, t=t, stop_after_first=True)
+        res = count_solutions(q)
+        assert res.first_witness == count_solutions(replace(q, stop_after_first=False)).first_witness
+        assert res.first_witness[1] == 0
+        slab = 2 * int(t) + 1
+        assert (slab + 1) // 2 <= res.visited < (slab + 1) // 2 + slab
 
     @pytest.mark.parametrize("space", ["v", "w"])
     @pytest.mark.parametrize("point_class", list(PointClass))
@@ -1037,9 +1070,13 @@ class TestSlotSolver:
         assert _check_against_brute_force(q, counting_tools).count > 0
 
 
+_KG_BANDS = VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((1.0,), 3, (1,))))  # the system kgsystem counts
+
+
 class TestQuadraticOracleReach:
-    """The closed-form quadratic engine against brute force at radii the
-    random query generator does not reach, exhaustive and early exit."""
+    """The closed-form quadratic engine and the band solver against brute
+    force at radii the random query generator does not reach, exhaustive
+    and early exit."""
 
     @pytest.mark.parametrize(
         "n, t, f, bound, shell_space",
@@ -1048,6 +1085,9 @@ class TestQuadraticOracleReach:
             (2, 1500.0, SignedPowerForm(1, 1, 2), (3.0,), "v"),
             (3, 60.0, SignedPowerForm(2, 1, 2), power_law(1.0, 0.5, 0), "v"),
             (3, 60.0, SignedPowerForm(1, 2, 2), (0.3,), "w"),
+            (3, 60.0, MaxPower((2.0, 1.0), 3), power_law(1.0, 0.5, 0), "v"),
+            (3, 60.0, MaxPower((2.0, 1.0), 3), (0.3,), "w"),
+            (3, 60.0, _KG_BANDS, ApproxFunction(((1.0, 0.6, 0), (1.0, 0.6, 0))), "w"),
         ],
     )
     def test_large_radius(self, n, t, f, bound, shell_space, counting_tools):
@@ -1279,7 +1319,7 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        (leads, tail), = block
+        leads, tail = block
         assert leads.tolist() == [0] and len(tail) == 256
         grids = np.meshgrid(_centered(512)[:3], _centered(512), indexing="ij")
         rows = np.stack([g.ravel() for g in grids], axis=1)
@@ -1288,7 +1328,7 @@ class TestBlockMemory:
         assert np.array_equal(tail, rows[:256])
 
     def test_early_exit_set_up_does_not_grow_with_t(self, counting_tools):
-        """At n = 3 a large T slices every lead's slab; the runs of the lead
+        """At n = 3 a large T slices every lead's slab; the slabs of the lead
         values come one at a time, so an early exit after a few hundred
         prefixes stays small at any T."""
         f = SignedPowerForm(2, 1, 2)
