@@ -36,8 +36,17 @@ the rows it has not ruled out:
   piecewise for odd degrees: stacked companion matrices give the roots of
   P -/+ eps* for every row at once, the cells between roots whose midpoint
   passes become slots, and the nearest integer to every root is one too;
-- a non-integer degree has no slots of its own: its window is scanned, and
-  the result says so.
+- a non-integer degree is solved by bisecting certified integer cells: on
+  a cell [s, e] each term |alpha_j + beta_j t|^d lies between the smaller
+  and the larger of its end values (0 and the larger where the affine
+  coordinate changes sign inside), so the signed sum encloses f.  A cell
+  whose enclosure misses [-eps*, eps*] by more than 1e-9 (1 + the sum of
+  the larger end values) holds no solution: the end values and the exact
+  refilter's f(w) build w by different roundings, which move f by about
+  1e-16 |h| |v| of that scale, far below the slack in any box counted.
+  Other cells split at the floor of their midpoint, and the one-integer
+  cells that pass, where the enclosure is the point's own float value,
+  are point slots.
 
 The candidates are the integers in a slot of every solver; empty slots are
 dropped before their integer ranges are taken.  At a zero tolerance the
@@ -70,9 +79,10 @@ under v -> -v.  Such a query enumerates one prefix of each pair {p, -p}:
 the zero prefix, with its whole t range, and the prefixes whose first
 nonzero coordinate is positive; the half slab of lead 0 is the first
 block, on its own.  A hit off the zero prefix counts twice; floating point
-is mirror-exact here (the affine coefficients, the slots and their integer
-ranges all negate exactly), so the two halves would have made the same
-exact-refilter decisions.  In centered order a prefix of the half comes
+is mirror-exact here (the affine coefficients, the closed-form slots and
+their integer ranges all negate exactly; the cell solver's splits do not,
+but its slots hold every integer the refilter accepts), so the two halves
+would have made the same exact-refilter decisions.  In centered order a prefix of the half comes
 before its mirror, so the first witness is the full order's, and an early
 exit stops at the same point.  A shifted query enumerates every prefix.
 """
@@ -146,7 +156,10 @@ class CountResult:
     # first hit in prefix order, then t, for every target and both modes
     first_witness: tuple[int, ...] | None
     visited: int  # prefixes enumerated (one of each +-p pair without a shift) plus candidates tested
-    full_scan: bool = False  # some part was solved by scanning its window
+    # always False, since every part has slots of its own and no window is
+    # scanned whole; the count command's fullScan key and the benchmark's
+    # full_scan_frac still read it
+    full_scan: bool = False
 
     def __post_init__(self) -> None:
         if (self.count == 0) != (self.first_witness is None):
@@ -248,11 +261,11 @@ def _buffer(work: dict, key: str, *shape: int, dtype=float) -> np.ndarray:
     return arr[:size].reshape(shape)
 
 
-def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> tuple[list, bool]:
-    """The target's slot solvers, and whether some part is solved by
-    scanning its window.  The only place that tells target families apart:
-    a band system is one solver over all its bands; every other target has
-    one solver per part.
+def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> list:
+    """The target's slot solvers.  The only place that tells target
+    families apart: a band system is one solver over all its bands; every
+    other target has one solver per part, and every part has slots of its
+    own, so no window is scanned whole.
 
     A solver ``solve(alphas, beta, window)`` maps a prefix block (alphas,
     beta) to slots (rows, lo, hi): intervals of t, each tied to a row of the
@@ -265,7 +278,7 @@ def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> tuple[list, bool]:
     """
     bands = band_system(q.f)
     if bands is not None:
-        return [partial(_band_solver, bands, eps_vec, {})], False
+        return [partial(_band_solver, bands, eps_vec, {})]
     parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
     beta = q.g.h[:, _solved_index(q.g.h)]
     solvers = []
@@ -279,14 +292,63 @@ def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> tuple[list, bool]:
         elif part.d == int(part.d):
             solvers.append(partial(_poly_solver, partial(_power_pieces, part), eps))
         else:
-            solvers.append(_window_solver)
-    return solvers, _window_solver in solvers
+            solvers.append(partial(_cell_solver, part, eps, {}))
+    return solvers
 
 
-def _window_solver(alphas, beta, window) -> tuple[np.ndarray, ...]:
-    """The whole window: a non-integer degree has no closed-form slots."""
+def _cell_solver(part, eps: float, work, alphas, beta, window) -> tuple[np.ndarray, ...]:
+    """Point slots of |f(alpha + beta t)| <= eps for a signed power form f
+    of any degree, by bisecting certified integer cells (interval
+    enclosures, Moore 1966).
+
+    Each row's window, rounded as ``_integer_range`` rounds it, is one cell
+    [s, e] of integers.  On a cell, |u| for u = alpha_j + beta_j t is convex
+    in t, so the term |u|^d lies in [min, max] of its two end values, or in
+    [0, max] where u changes sign inside; the form's signs sum the terms
+    into an enclosure of f on the cell.  A cell is dropped when its
+    enclosure misses [-eps, eps] by more than 1e-9 (1 + sum of max terms),
+    a slack far above the rounding of the end values, of the sums and of
+    the refilter's own f(w) (see the module docstring).  Any other cell of
+    more than one integer is split at floor of its midpoint; its children
+    keep its outer end values, so each split evaluates two new ends.  A
+    cell of one integer is enclosed by its own float value, so the same
+    test is its integer's prefilter, and the survivors are point slots.
+    Rows are bisected ``_ROW_CHUNK`` at a time.
+    """
+    d, p = part.d, part.p
+
+    def signed_terms(rows, ts):  # sign(u) |u|^d at u = alpha + beta t
+        u = np.take(alphas, rows, axis=1) + beta[:, None] * ts
+        return np.copysign(np.abs(u) ** d, u)
+
     wlo, whi = window()
-    return np.arange(len(wlo)), wlo, whi
+    start, stop = _integer_range(wlo, whi, work)
+    nonempty = np.nonzero(start <= stop)[0]
+    kept = [(nonempty[:0], start[:0])]
+    for c in range(0, len(nonempty), _ROW_CHUNK):
+        rows = nonempty[c : c + _ROW_CHUNK]
+        lo, hi = start[rows], stop[rows]
+        at_lo, at_hi = signed_terms(rows, lo), signed_terms(rows, hi)
+        while len(rows):
+            ends = np.abs(at_lo), np.abs(at_hi)
+            top = np.maximum(*ends)
+            low = np.where(at_lo * at_hi < 0.0, 0.0, np.minimum(*ends))
+            slack = 1e-9 * (1.0 + top.sum(axis=0))
+            f_lo = low[:p].sum(axis=0) - top[p:].sum(axis=0)
+            f_hi = top[:p].sum(axis=0) - low[p:].sum(axis=0)
+            live = (f_lo <= eps + slack) & (f_hi >= -(eps + slack))
+            point = live & (lo == hi)
+            kept.append((rows[point], lo[point]))
+            # children [lo, mid] and [mid + 1, hi] keep their parent's outer ends
+            split = np.nonzero(live & (lo < hi))[0]
+            mid = np.floor(0.5 * (lo[split] + hi[split]))
+            rows = np.concatenate((rows[split], rows[split]))
+            inner = signed_terms(rows, np.concatenate((mid, mid + 1.0)))
+            lo, hi = np.concatenate((lo[split], mid + 1.0)), np.concatenate((mid, hi[split]))
+            at_lo = np.concatenate((np.take(at_lo, split, axis=1), inner[:, len(split):]), axis=1)
+            at_hi = np.concatenate((inner[:, : len(split)], np.take(at_hi, split, axis=1)), axis=1)
+    rows, ts = (np.concatenate(x) for x in zip(*kept))
+    return rows, ts, ts
 
 
 def _band_solver(bands, eps_vec, work, alphas, beta, window) -> tuple[np.ndarray, ...]:
@@ -428,8 +490,9 @@ def _near_integer_rows(half_b, outer, e: float, work) -> np.ndarray:
     return np.nonzero(dist <= 4.0 * e)[0]
 
 
-# prefix rows whose polynomials are solved together; bounds the
-# root-isolation arrays, which grow with the degree
+# prefix rows whose polynomials, or whose cells, are solved together;
+# bounds the root-isolation arrays, which grow with the degree, and the
+# cell arrays, which grow with the window
 _ROW_CHUNK = 4096
 
 
@@ -698,7 +761,7 @@ def _count_core(q: CountQuery) -> CountResult:
             f"an exhaustive count over {prefixes:.4g} prefixes exceeds the cap of "
             f"{_MAX_PREFIXES:.4g}"
         )
-    solvers, full_scan = _slot_solvers(q, _coarse_tolerance(q))
+    solvers = _slot_solvers(q, _coarse_tolerance(q))
     # without a shift the solution set is symmetric under v -> -v
     half = not q.g.z.any()
     work: dict = {}
@@ -726,8 +789,8 @@ def _count_core(q: CountQuery) -> CountResult:
             count += int((mask & vs[:, prefix_cols].any(axis=1)).sum())
         if q.stop_after_first and count > 0:
             # truncated search: the count reports the witness, not the total
-            return CountResult(1, witness, visited, full_scan)
-    return CountResult(count, witness, visited, full_scan)
+            return CountResult(1, witness, visited)
+    return CountResult(count, witness, visited)
 
 
 def _block_candidates(q: CountQuery, solvers, block, prefix_cols, sol, work) -> np.ndarray:

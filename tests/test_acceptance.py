@@ -202,6 +202,28 @@ def test_counter_is_fast_at_large_radius():
     assert res.visited < 10**8
 
 
+def test_counter_is_fast_at_large_radius_for_a_fractional_degree():
+    """A non-integer degree has slots of its own (certified cells), so the
+    count visits about one candidate per prefix, not the whole window."""
+    f = SignedPowerForm(2, 1, 2.5)
+    q = CountQuery(
+        g=sample_sl(3, np.random.default_rng(31)),
+        f=f,
+        bound=ApproxFunction(((1.0, 0.5, 0),)),
+        norm=f.canonical_norm(),
+        point_class=PointClass.ALL_NONZERO,
+        t0=0.0,
+        t=128.0,
+    )
+    t0 = time.monotonic()
+    res = count_solutions(q)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0, f"took {elapsed:.1f}s"
+    assert res.count > 0
+    assert not res.full_scan
+    assert res.visited < 10**6
+
+
 # --------------------------------------------------------------------------
 # 6. counting ratio drifts toward 1 along the dyadic schedule
 

@@ -310,8 +310,11 @@ class TestBandSystems:
                 assert one.count == bands.count
 
 
-class TestFallback:
-    def test_fractional_degree_flags_full_scan(self):
+class TestFractionalDegree:
+    """Non-integer degrees have slots of their own: the cell solver bisects
+    each window into certified integer cells, and no window is scanned."""
+
+    def test_fractional_degree_is_solved_without_a_scan(self):
         q = _query(
             f=SignedPowerForm(1, 1, 1.5),
             bound=(1.0,),
@@ -319,12 +322,12 @@ class TestFallback:
             t=8.0,
         )
         res = count_solutions(q)
-        assert res.full_scan
+        assert not res.full_scan
         assert res.count == brute_force_count(q).count
 
-    def test_fractional_part_of_a_vector_flags_full_scan(self):
-        """The d = 2.5 part is scanned over its window and intersected with
-        the band part's slot."""
+    def test_fractional_part_of_a_vector_is_solved_without_a_scan(self):
+        """The d = 2.5 part's point slots are intersected with the band
+        part's slot."""
         rng = np.random.default_rng(5158)
         for i in range(4):
             n = 2 + i % 2
@@ -338,10 +341,10 @@ class TestFallback:
                 t=12.0 if n == 2 else 6.0,
             )
             res = count_solutions(q)
-            assert res.full_scan
+            assert not res.full_scan
             assert res.count == brute_force_count(q).count
 
-    def test_fractional_part_flags_full_scan_in_a_reduced_basis(self, counting_tools):
+    def test_fractional_part_in_a_reduced_basis_is_solved_without_a_scan(self, counting_tools):
         """A w-space count runs in an LLL-reduced basis; the result mapped
         back to the original coordinates keeps every field."""
         rng = np.random.default_rng(5159)
@@ -357,12 +360,62 @@ class TestFallback:
             shell_space="w",
         )
         res = count_solutions(q)
-        assert res.full_scan
+        assert not res.full_scan
         assert res.count == brute_force_count(q).count > 0
         counting_tools.assert_valid_witness(q, res)
 
     def test_integer_degree_does_not_flag(self):
         assert not count_solutions(_query()).full_scan
+
+    @pytest.mark.parametrize(
+        "f, h, counts",
+        [
+            (SignedPowerForm(1, 1, 2.5), np.eye(2), {"v": 36, "w": 36}),
+            (SignedPowerForm(2, 1, 1.5), np.eye(3), {"v": 72, "w": 72}),
+            (SignedPowerForm(1, 1, 2.5), np.array([[1.0, 3.0], [0.0, 1.0]]), {"v": 12, "w": 36}),
+        ],
+        ids=["spf1,1-identity", "spf2,1-identity", "spf1,1-shear"],
+    )
+    @pytest.mark.parametrize("space", ["v", "w"])
+    def test_zero_tolerance_on_the_cone(self, f, h, counts, space, counting_tools):
+        """At eps = 0 every solution sits exactly on the cone: |x| = |y|, or
+        a zero coordinate with |y| = |z|.  A solution's one-integer cell
+        has an enclosure of width 0 around a float value that rounding may
+        move off 0, so only the slack keeps it."""
+        q = CountQuery(
+            g=UnimodularMap(h, np.zeros(f.n)),
+            f=f,
+            bound=(0.0,),
+            norm=max_norm(f.n),
+            point_class=PointClass.ALL_NONZERO,
+            t0=0.0,
+            t=9.0,
+            shell_space=space,
+        )
+        full = count_solutions(q)
+        assert full.count == brute_force_count(q).count == counts[space]
+        counting_tools.assert_valid_witness(q, full)
+        early = count_solutions(replace(q, stop_after_first=True))
+        assert early.first_witness == full.first_witness
+
+    def test_a_solution_on_the_tolerance_boundary_is_kept(self):
+        """eps is |f(w)| at an integer point as the exact refilter computes
+        it, so the point is a solution with no room to spare.  The cell
+        solver builds w from the block's affine parts, whose rounding can
+        put its own |f| a few ulps above eps; the enclosure slack keeps the
+        point (without it, 3 of these 48 counts fall short)."""
+        rng = np.random.default_rng(5160)
+        for i in range(48):
+            n = 2 + i % 2
+            f = SignedPowerForm(1, n - 1, 2.5) if i % 4 < 2 else SignedPowerForm(n - 1, 1, 1.5)
+            g = sample_asl(n, rng, shift_bound=0.8) if i % 3 == 0 else sample_sl(n, rng)
+            v = rng.integers(-6, 7, size=n)
+            if not v.any():
+                continue
+            eps = float(abs(f.evaluate_many(g.apply(v[None].astype(float)))[0, 0]))
+            q = CountQuery(g=g, f=f, bound=(eps,), norm=max_norm(n),
+                           point_class=PointClass.ALL_NONZERO, t0=0.0, t=8.0)
+            assert count_solutions(q).count == brute_force_count(q).count >= 1, q
 
 
 class TestMonotonicity:
@@ -1074,9 +1127,9 @@ _KG_BANDS = VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((1.0,), 3, (1,))))  # 
 
 
 class TestQuadraticOracleReach:
-    """The closed-form quadratic engine and the band solver against brute
-    force at radii the random query generator does not reach, exhaustive
-    and early exit."""
+    """The closed-form quadratic engine, the band solver and the cell
+    solver (non-integer degrees) against brute force at radii the random
+    query generator does not reach, exhaustive and early exit."""
 
     @pytest.mark.parametrize(
         "n, t, f, bound, shell_space",
@@ -1088,6 +1141,9 @@ class TestQuadraticOracleReach:
             (3, 60.0, MaxPower((2.0, 1.0), 3), power_law(1.0, 0.5, 0), "v"),
             (3, 60.0, MaxPower((2.0, 1.0), 3), (0.3,), "w"),
             (3, 60.0, _KG_BANDS, ApproxFunction(((1.0, 0.6, 0), (1.0, 0.6, 0))), "w"),
+            (3, 60.0, SignedPowerForm(2, 1, 2.5), power_law(1.0, 0.5, 0), "v"),
+            (3, 60.0, SignedPowerForm(1, 2, 2.5), (0.3,), "w"),
+            (3, 60.0, SignedPowerForm(2, 1, 1.5), power_law(1.0, 0.5, 0), "v"),
         ],
     )
     def test_large_radius(self, n, t, f, bound, shell_space, counting_tools):
@@ -1114,10 +1170,10 @@ class TestQuadraticOracleReach:
 
 class TestFourDimensions:
     """Every solver kind at n = 4 against brute force: the quadratic engine,
-    a band system and the polynomial engine (products, odd degree).  Each
-    target runs one v-space and one w-space query, one of them shifted, at
-    the default block cap and at a cap below the tail slab, so that every
-    block is a tail slice."""
+    a band system, the polynomial engine (products, odd degree) and the
+    cell solver (a non-integer degree).  Each target runs one v-space and
+    one w-space query, one of them shifted, at the default block cap and at
+    a cap below the tail slab, so that every block is a tail slice."""
 
     @pytest.mark.parametrize(
         "i, f, bound",
@@ -1126,6 +1182,7 @@ class TestFourDimensions:
             (1, MaxPower((2.0, 1.0, 1.0), 4), power_law(1.0, 0.5, 0)),
             (2, CoordinateProduct(4), power_law(2.0, 0.5, 0)),
             (3, SignedPowerForm(3, 1, 3), power_law(2.0, 0.5, 0)),
+            (4, SignedPowerForm(3, 1, 2.5), power_law(1.0, 0.5, 0)),
         ],
         ids=lambda x: x.spec() if hasattr(x, "spec") else None,
     )
@@ -1282,7 +1339,7 @@ class TestNearIntegerPrefilter:
         q = _query(f=f, g=identity_map(3), norm=max_norm(3), t=100.0, shell_space="w")
         window = counting._window(q, alphas, beta, {})
         bands = counting.band_system(f)
-        solve = counting._slot_solvers(replace(q, bound=power_law(1.0, 0.5, 0)), np.asarray([0.5]))[0][0]
+        solve = counting._slot_solvers(replace(q, bound=power_law(1.0, 0.5, 0)), np.asarray([0.5]))[0]
         rows, lo, hi = solve(alphas, beta, window)
         radii = np.asarray([0.5 ** (1.0 / a) for _, a, _ in bands])
         blo, bhi = counting._band_slots(alphas, beta, [c for c, _, _ in bands], radii, {})
