@@ -95,25 +95,55 @@ class Norm:
         return float(self.eval_many(x[None, :])[0])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Norms of the rows of ``xs`` (shape (m, dim))."""
+        """Norms of the rows of ``xs`` (shape (m, dim)).
+
+        Each block folds its coordinate columns from the left with
+        ``np.add`` or ``np.maximum``, bit for bit numpy's axis-1 reduction
+        without its cost on a short axis.  Summation order: a sum over 8 or
+        more columns keeps ``.sum(axis=1)``, which adds in another order
+        there.
+        """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected array of shape (m, {self.dim}), got {xs.shape}")
         out = np.zeros(xs.shape[0])
         i = 0
         for dim, d in self.blocks:
-            seg = np.abs(xs[:, i : i + dim])
+            seg = [np.abs(xs[:, c]) for c in range(i, i + dim)]
             i += dim
             if d is None:
-                v = seg.max(axis=1)
+                v = _fold(np.maximum, seg)
             elif d == 1.0:
-                v = seg.sum(axis=1)
+                v = _row_sum(seg)
             elif d == 2.0:
-                v = np.sqrt((seg * seg).sum(axis=1))
+                v = np.sqrt(_row_sum([c * c for c in seg]))
             else:
-                v = (seg**d).sum(axis=1) ** (1.0 / d)
+                v = _row_sum([c**d for c in seg]) ** (1.0 / d)
             np.maximum(out, v, out=out)
         return out
+
+
+# numpy's axis-1 sum of fewer than 8 terms adds them left to right; from 8
+# terms on it sums in unrolled blocks, in another order
+_FOLD_TERMS = 7
+
+
+def _fold(ufunc: np.ufunc, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """``ufunc`` folded over equal-length columns from the left; the column
+    itself when there is one."""
+    if len(cols) == 1:
+        return cols[0]
+    out = ufunc(cols[0], cols[1])
+    for c in cols[2:]:
+        ufunc(out, c, out=out)
+    return out
+
+
+def _row_sum(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of the columns, bit for bit the axis-1 sum of their stack."""
+    if len(cols) > _FOLD_TERMS:
+        return np.stack(cols, axis=1).sum(axis=1)
+    return _fold(np.add, cols)
 
 
 def max_norm(n: int) -> Norm:
@@ -159,28 +189,27 @@ class ApproxFunction:
         return len(self.components)
 
     def __call__(self, z: float) -> np.ndarray:
-        # eval_many's ufuncs on a one-element array, bit for bit, without
-        # its validation and stacking passes
         zs = np.array([z], dtype=float)
         if zs[0] < 0:
             raise ValueError("bound functions are defined on z >= 0")
-        zc = np.maximum(zs, 1.0)
-        out = np.empty(len(self.components))
-        for i, (coeff, s, j) in enumerate(self.components):
-            out[i] = (coeff * np.log(math.e + zc) ** j * zc ** (-s))[0]
-        return out
+        return self._values(np.maximum(zs, 1.0))[0]
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Shape (m, l) array of component values at each z; z < 1 plateaus."""
         zs = np.asarray(zs, dtype=float)
         if np.any(zs < 0):
             raise ValueError("bound functions are defined on z >= 0")
-        zc = np.maximum(zs, 1.0)
-        cols = []
-        for coeff, s, j in self.components:
-            v = coeff * np.log(math.e + zc) ** j * zc ** (-s)
-            cols.append(v)
-        return np.stack(cols, axis=1)
+        return self._values(np.maximum(zs, 1.0))
+
+    def _values(self, zc: np.ndarray) -> np.ndarray:
+        """(m, l) component values at the radii ``zc`` >= 1, the one kernel
+        of ``__call__`` and ``eval_many``; log(e + z)^0 = 1 is skipped, as
+        coeff * 1.0 is coeff exactly."""
+        out = np.empty((len(zc), len(self.components)))
+        for i, (coeff, s, j) in enumerate(self.components):
+            scale = coeff * np.log(math.e + zc) ** j if j else coeff
+            np.multiply(scale, zc ** (-s), out=out[:, i])
+        return out
 
 
 def power_law(coeff: float = 1.0, s: float = 1.0, j: int = 0) -> ApproxFunction:
@@ -242,9 +271,11 @@ class SignedPowerForm:
         return (float(self.d),)
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.abs(np.asarray(xs, dtype=float))
-        powed = xs**self.d
-        val = powed[:, : self.p].sum(axis=1) - powed[:, self.p :].sum(axis=1)
+        xs = np.asarray(xs, dtype=float)
+        powed = [np.abs(xs[:, c]) ** self.d for c in range(self.n)]
+        val = _row_sum(powed[: self.p])
+        if self.q:
+            val = val - _row_sum(powed[self.p :])
         return val[:, None]
 
     def canonical_norm(self) -> Norm:
@@ -276,7 +307,7 @@ class CoordinateProduct:
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        return xs.prod(axis=1)[:, None]
+        return _fold(np.multiply, list(xs.T))[:, None]
 
     def canonical_norm(self) -> Norm:
         return max_norm(self.n)
@@ -329,7 +360,8 @@ class MaxPower:
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         cols = xs[:, list(self.resolved_coords())]
-        val = (np.abs(cols) ** np.asarray(self.exponents)).max(axis=1)
+        powed = np.abs(cols) ** np.asarray(self.exponents)
+        val = _fold(np.maximum, list(powed.T))
         return val[:, None]
 
     def canonical_norm(self) -> Norm:
@@ -430,9 +462,9 @@ class PointClass(Enum):
         nonzero rows, rows whose coordinates have gcd 1 (so never the zero
         row), or every row."""
         if self is PointClass.ALL_NONZERO:
-            return (vs != 0).any(axis=1)
+            return _fold(np.logical_or, list(vs.T != 0))
         if self is PointClass.PRIMITIVE:
-            return np.gcd.reduce(np.abs(vs), axis=1) == 1
+            return _fold(np.gcd, list(np.abs(vs.T))) == 1
         return np.ones(len(vs), dtype=bool)
 
 

@@ -179,8 +179,9 @@ def _exact_mask(q: CountQuery, vs: np.ndarray) -> np.ndarray:
     """Boolean mask of rows of integer matrix ``vs`` satisfying the query."""
     if len(vs) == 0:
         return np.zeros(0, dtype=bool)
-    ws = q.g.apply(vs.astype(float))
-    radii = q.norm.eval_many(vs.astype(float) if q.shell_space == "v" else ws)
+    xs = vs.astype(float)
+    ws = q.g.apply(xs)
+    radii = q.norm.eval_many(xs if q.shell_space == "v" else ws)
     mask = (radii > q.t0) & (radii <= q.t) & q.point_class.contains(vs)
     if not mask.any():
         return mask
@@ -983,7 +984,8 @@ class NormBall:
         return self.norm.eval_many(ws) <= self.radius
 
 
-# rows of one enumeration chunk, a range of the maps' concatenated boxes
+# rows of one enumeration chunk, a range of the maps' concatenated boxes;
+# also the rows of one Monte Carlo piece in ``volume``
 _REGION_ROWS = 4096
 # box cells one enumeration call may hold, over all its maps together
 _REGION_CELLS = 1e8

@@ -40,8 +40,8 @@ A definite signed power form (q = 0) is the norm to the power d, so its
 region is bounded: its shells past the threshold are empty (scale 0), the
 volume integral converges, and the uniform series diverges (X_k = 0).
 
-Everything here is deterministic; Monte Carlo volumes draw from seeded,
-chunked generators with a fixed reduction order.
+Everything here is deterministic; Monte Carlo volumes draw from one seeded
+generator per chunk, in cache-sized pieces, with a fixed reduction order.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .core import (
     mix_seed,
     power_law,
 )
+from .counting import _REGION_ROWS
 
 __all__ = [
     "Quadrature",
@@ -445,8 +446,12 @@ def monte_carlo_region_volume(
 
     Draws uniformly from the bounding cube [-outer, outer]^n (block norms
     dominate the sup norm, so the cube contains the region).  Work proceeds
-    in fixed chunks with per-chunk derived generators and an order-fixed
-    reduction, so results are reproducible for a given seed.
+    in fixed chunks of ``chunk`` samples, each with its own derived
+    generator, and an order-fixed reduction, so results are reproducible
+    for a given seed.  A chunk is drawn and tested in pieces of 4,096 rows,
+    so the working set stays cache-sized; successive draws from one
+    generator continue its stream, so the hits are those of one draw of the
+    whole chunk.
     """
     if not samples > 0:
         raise ValueError("need a positive sample count")
@@ -461,8 +466,9 @@ def monte_carlo_region_volume(
     while done < samples:
         take = min(chunk, samples - done)
         rng = np.random.default_rng(mix_seed(seed, index))
-        xs = rng.uniform(-outer, outer, size=(take, n))
-        hits += int(region_mask(f, bound, norm, xs, inner, outer).sum())
+        for start in range(0, take, _REGION_ROWS):
+            xs = rng.uniform(-outer, outer, size=(min(_REGION_ROWS, take - start), n))
+            hits += int(region_mask(f, bound, norm, xs, inner, outer).sum())
         done += take
         index += 1
     box = (2.0 * outer) ** n

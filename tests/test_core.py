@@ -105,6 +105,73 @@ def test_eval_many_matches_scalar():
         assert many[i] == pytest.approx(nu(xs[i]), rel=1e-14)
 
 
+# The evaluators fold coordinate columns with ufuncs instead of reducing
+# over axis 1; these are the axis reductions they replace, which they must
+# match bit for bit (a sum over 8 or more columns keeps the reduction).
+
+
+def _axis_norm(nu, xs):
+    out = np.zeros(len(xs))
+    i = 0
+    for dim, d in nu.blocks:
+        seg = np.abs(xs[:, i : i + dim])
+        i += dim
+        if d is None:
+            v = seg.max(axis=1)
+        elif d == 1.0:
+            v = seg.sum(axis=1)
+        elif d == 2.0:
+            v = np.sqrt((seg * seg).sum(axis=1))
+        else:
+            v = (seg**d).sum(axis=1) ** (1.0 / d)
+        np.maximum(out, v, out=out)
+    return out
+
+
+def _axis_target(f, xs):
+    if isinstance(f, SignedPowerForm):
+        powed = np.abs(xs) ** f.d
+        return (powed[:, : f.p].sum(axis=1) - powed[:, f.p :].sum(axis=1))[:, None]
+    if isinstance(f, CoordinateProduct):
+        return xs.prod(axis=1)[:, None]
+    cols = xs[:, list(f.resolved_coords())]
+    return (np.abs(cols) ** np.asarray(f.exponents)).max(axis=1)[:, None]
+
+
+def _axis_norms(width):
+    exps = (None, 1.0, 2.0, 2.5, 3.0)
+    out = [Norm(((width, d),)) for d in exps]
+    for split in range(1, width):
+        pairs = zip(exps, exps[2:] + exps[:2])
+        out += [block_norm(((split, a), (width - split, b))) for a, b in pairs]
+    return out
+
+
+def _axis_targets(width):
+    degrees = (1.0, 2.0, 2.5, 3.0)
+    out = [SignedPowerForm(p, width - p, d) for p in range(1, width + 1) for d in degrees]
+    if width >= 2:
+        out.append(CoordinateProduct(width))
+        out.append(MaxPower(tuple(1.0 + 0.5 * k for k in range(width - 1)), width))
+        out.append(MaxPower((3.0, 2.0)[: width - 1], width, coords=(width - 1, 0)[: width - 1]))
+    return out
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_column_folds_match_axis_reductions_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    xs = rng.standard_normal((20_000, width)) * rng.uniform(0.0, 50.0, size=(20_000, 1))
+    for nu in _axis_norms(width):
+        assert nu.eval_many(xs).tobytes() == _axis_norm(nu, xs).tobytes(), nu
+    for f in _axis_targets(width):
+        assert f.evaluate_many(xs).tobytes() == _axis_target(f, xs).tobytes(), f
+    vs = rng.integers(-6, 7, size=(20_000, width))
+    assert np.array_equal(PointClass.ALL_NONZERO.contains(vs), (vs != 0).any(axis=1))
+    assert np.array_equal(
+        PointClass.PRIMITIVE.contains(vs), np.gcd.reduce(np.abs(vs), axis=1) == 1
+    )
+
+
 # --------------------------------------------------------------------------
 # bound functions
 
@@ -171,6 +238,27 @@ def test_psi_call_is_eval_many_bit_for_bit(components):
     with pytest.raises(ValueError):
         psi(-0.5)
     assert np.isnan(psi(math.nan)).all()
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        ((1.0, 0.5, 0),),
+        ((2.0, 0.0, 0),),
+        ((1.0, 1.0, 2),),
+        ((1.0, 0.5, 0), (2.0, 1.5, 1), (0.5, 0.0, 3)),
+    ],
+)
+def test_psi_eval_many_is_the_product_formula_bit_for_bit(components):
+    """eval_many skips the factor log(e + z)^0 = 1 and writes its columns in
+    place; the values are those of the full product, stacked."""
+    zs = np.concatenate([np.linspace(0.0, 3000.0, 6001), np.geomspace(1e-6, 1e12, 2000)])
+    zc = np.maximum(zs, 1.0)
+    want = np.stack(
+        [c * np.log(math.e + zc) ** j * zc ** (-s) for c, s, j in components], axis=1
+    )
+    got = ApproxFunction(components).eval_many(zs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(

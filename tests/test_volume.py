@@ -3,6 +3,7 @@ symbolic anchors and Monte Carlo, and the convergence classifiers against
 independent numeric growth oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from genlat.core import (
     SignedPowerForm,
     VectorOf,
     max_norm,
+    mix_seed,
     power_law,
 )
 from genlat.volume import (
@@ -562,6 +564,35 @@ class TestMonteCarlo:
             f, (0.5,), f.canonical_norm(), 4.0, 250_000, seed=9, chunk=100_000
         )
         assert a == b
+
+    @pytest.mark.parametrize("chunk", [1_000_000, 100_000])
+    def test_pieces_hit_as_one_draw_per_chunk(self, chunk):
+        # each chunk is drawn and tested in pieces from its own generator;
+        # the hits are those of one draw of the whole chunk
+        f = SignedPowerForm(2, 1, 2)
+        psi = power_law(1.0, 0.5, 0)
+        nm = f.canonical_norm()
+        samples = 250_001
+        mc = monte_carlo_region_volume(f, psi, nm, 5.0, samples, seed=11, inner=1.0, chunk=chunk)
+        hits = 0
+        for index, start in enumerate(range(0, samples, chunk)):
+            rng = np.random.default_rng(mix_seed(11, index))
+            xs = rng.uniform(-5.0, 5.0, size=(min(chunk, samples - start), 3))
+            hits += int(region_mask(f, psi, nm, xs, 1.0, 5.0).sum())
+        assert mc.samples == samples and mc.hits == hits > 0
+
+    def test_memory_stays_at_one_piece(self):
+        # one draw of a million rows at n = 3 would hold 24 MB per array
+        f = SignedPowerForm(2, 1, 2)
+        tracemalloc.start()
+        try:
+            monte_carlo_region_volume(
+                f, power_law(1.0, 0.5, 0), f.canonical_norm(), 20.0, 1_000_000, seed=3, inner=1.0
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_full_box_degenerate(self):
         f = MaxPower((1.0,), 2)
