@@ -260,8 +260,12 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 # persistence
 
 
+# one encoder for every record: json.dumps with options builds one per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(record)
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:

@@ -93,7 +93,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -984,9 +984,11 @@ class NormBall:
         return self.norm.eval_many(ws) <= self.radius
 
 
-# rows of one enumeration chunk, a range of the maps' concatenated boxes;
-# also the rows of one Monte Carlo piece in ``volume``
+# rows of one enumeration range, a range of the maps' concatenated rows
+# (lead, t); also the rows of one Monte Carlo piece in ``volume``
 _REGION_ROWS = 4096
+# leads of one enumeration chunk, a range of the maps' concatenated leads
+_REGION_LEADS = 4096
 # box cells one enumeration call may hold, over all its maps together
 _REGION_CELLS = 1e8
 
@@ -995,13 +997,35 @@ def lattice_points_in_region(
     bases: np.ndarray, shifts: np.ndarray, region: NormBall
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sample_index, V, W) of every integer v with w = h v + z in the region,
-    for S maps h = bases[s] and z = shifts[s]; rows are grouped by map.
+    for S maps h = bases[s] and z = shifts[s]; rows are grouped by map, and
+    within a map v runs in lexicographic order.  Includes v = 0; callers
+    filter point classes.
 
-    The box |h^-1| (r + |z|) covers the region in any basis; a reduced basis
-    only keeps it small.  Includes v = 0; callers filter point classes.
+    Every norm here dominates the sup norm, so the region lies in the sup
+    ball of its radius r.  The cap measures the box |h^-1| (r + |z|) about
+    0, which covers that ball in any basis (a reduced basis only keeps it
+    small): a call whose boxes hold more than 1e8 cells over all S maps
+    fails before it allocates anything.  Each map enumerates only the box
+    about the ball's centre c = -h^-1 z, with half-widths r sum_i |h^-1_ji|,
+    clipped to the box about 0.  The leads, every coordinate of v but the
+    last, run over that box; each lead's tail t, the last coordinate, runs
+    only over the integers where every coordinate of the sup slab
+    |p_i + z_i + h_i,n-1 t| <= r can hold, with p = sum_j<n-1 h_j v_j the
+    lead's part of h v (a zero h_i,n-1 does not cut).  Box and tail ends
+    are padded by 1e-9 (1 + |end|) before rounding, and ``region.contains``
+    decides every row.  Leads are taken 4,096 at a time and their rows made
+    4,096 at a time, so neither a call's leads nor one lead's tail is ever
+    held whole.
+
+    W is the left fold ((h_0 v_0 + h_1 v_1) + ...) + z over the columns h_j
+    of h.  At n = 2 that is the order of ``np.einsum("ij,j->i", h, v) + z``;
+    at n >= 3 einsum may add in another order, so W can differ from it in
+    the last bit.
     """
-    half = region.radius + np.abs(shifts)  # every norm here dominates the sup norm
-    reach = np.einsum("sij,sj->si", np.abs(np.linalg.inv(bases)), half)
+    n = bases.shape[-1]
+    inverse = np.linalg.inv(bases)
+    spread = np.abs(inverse)
+    reach = np.einsum("sij,sj->si", spread, region.radius + np.abs(shifts))
     sizes = 2.0 * np.floor(reach + _EXPAND) + 1.0
     # in floating point, so an infinite or nan box fails before any int cast
     cells = float(np.prod(sizes, axis=1).sum())
@@ -1010,17 +1034,123 @@ def lattice_points_in_region(
             f"region enumeration box too large: {cells:.4g} cells over {len(sizes)} maps, "
             f"above the cap of {_REGION_CELLS:.4g}"
         )
-    sizes = sizes.astype(np.int64)
-    edges = np.concatenate(([0], np.cumsum(np.prod(sizes, axis=1))))  # map s: rows edges[s:s+2]
-    strides = np.ones_like(sizes)  # meshgrid "ij" order: the last coordinate runs fastest
-    strides[:, :-1] = np.cumprod(sizes[:, :0:-1], axis=1)[:, ::-1]
-    parts = []
-    for start in range(0, int(edges[-1]), _REGION_ROWS):  # fixed row ranges of the concatenated boxes
-        rows = np.arange(start, min(start + _REGION_ROWS, int(edges[-1])))
-        owner = np.searchsorted(edges, rows, "right") - 1
-        local = rows - edges[owner]
-        vs = local[:, None] // strides[owner] % sizes[owner] - sizes[owner] // 2
-        ws = np.einsum("rij,rj->ri", bases[owner], vs.astype(float)) + shifts[owner]
-        keep = region.contains(ws)
-        parts.append((owner[keep], vs[keep], ws[keep]))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    work: dict = {}
+    centre = -np.einsum("sij,sj->si", inverse, shifts)
+    half = region.radius * spread.sum(axis=2)
+    start, stop = _integer_range((centre - half).ravel(), (centre + half).ravel(), work)
+    bound = (sizes - 1.0) / 2.0
+    lo = np.maximum(start.reshape(sizes.shape), -bound)
+    hi = np.minimum(stop.reshape(sizes.shape), bound)
+    tail = bases[:, :, n - 1]
+    cuts = tail != 0.0
+    maps = _MapColumns(
+        _by_map(lo.astype(np.int64)),
+        _by_map(np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)),
+        hi[:, n - 1].copy(),
+        _by_map(bases),
+        _by_map(shifts),
+        _by_map(np.divide(-1.0, tail, out=np.zeros_like(tail), where=cuts)),
+        _by_map(np.divide(region.radius, np.abs(tail), out=np.full_like(tail, np.inf), where=cuts)),
+    )
+    pieces = list(_region_pieces(maps, region, work))
+    if not pieces:
+        return np.zeros(0, np.int64), np.zeros((0, n), np.int64), np.zeros((0, n))
+    owner = np.concatenate([piece[0] for piece in pieces])
+    return owner, _joined(pieces, range(1, n + 1), np.int64), _joined(pieces, range(n + 1, 2 * n + 1), float)
+
+
+def _by_map(values: np.ndarray) -> np.ndarray:
+    """Per-map ``values`` (S, ...) with the map axis last and contiguous."""
+    return np.ascontiguousarray(values.transpose((*range(1, values.ndim), 0)))
+
+
+class _MapColumns(NamedTuple):
+    """Per-map values of one enumeration call, one contiguous row of S
+    values per coordinate: the centred box ``lo`` and ``width`` (n, S) and
+    the tail's last value ``tail_hi`` (S,); ``bases`` (n, n, S) and
+    ``shifts`` (n, S); and the sup slab of each coordinate i on the tail,
+    centre -(p_i + z_i) / h_i,n-1 = ``slope`` (p_i + z_i) and half-width
+    ``reach`` = r / |h_i,n-1| (slope 0 and reach inf where h_i,n-1 = 0)."""
+
+    lo: np.ndarray
+    width: np.ndarray
+    tail_hi: np.ndarray
+    bases: np.ndarray
+    shifts: np.ndarray
+    slope: np.ndarray
+    reach: np.ndarray
+
+
+def _region_pieces(maps: _MapColumns, region: NormBall, work: dict) -> Iterator[list[np.ndarray]]:
+    """The region points of each row range, as columns (owner, v_0 ..
+    v_n-1, w_0 .. w_n-1)."""
+    n = len(maps.lo)
+    leads = np.prod(maps.width[:-1], axis=0) * (maps.width[-1] > 0)
+    lead_edges = np.concatenate(([0], np.cumsum(leads)))
+    for a in range(0, int(lead_edges[-1]), _REGION_LEADS):
+        lead_owner, at = _ragged(lead_edges, a, min(a + _REGION_LEADS, int(lead_edges[-1])))
+        coords, p, start, rows = _lead_tails(maps, lead_owner, at, work)
+        for b in range(0, int(rows[-1]), _REGION_ROWS):
+            lead, k = _ragged(rows, b, min(b + _REGION_ROWS, int(rows[-1])))
+            owner = lead_owner[lead]
+            t = start[lead] + k
+            tf = t.astype(float)
+            ws = np.empty((n, len(t)))
+            for i in range(n):
+                np.multiply(maps.bases[i, n - 1][owner], tf, out=ws[i])
+                ws[i] += p[i][lead]
+                ws[i] += maps.shifts[i][owner]
+            keep = region.contains(ws.T)
+            lead = lead[keep]
+            piece = [owner[keep], *(c[lead] for c in coords), t[keep], *(w[keep] for w in ws)]
+            del k, owner, t, tf, ws  # this range's rows, freed before the next range is made
+            yield piece
+
+
+def _joined(pieces: list[list[np.ndarray]], columns: range, dtype) -> np.ndarray:
+    """(m, k) array of the pieces' ``columns`` joined in order, dropping each
+    piece's column once it is joined."""
+    out = np.empty((sum(len(piece[0]) for piece in pieces), len(columns)), dtype)
+    for k, c in enumerate(columns):
+        np.concatenate([piece[c] for piece in pieces], out=out[:, k])
+        for piece in pieces:
+            piece[c] = None
+    return out
+
+
+def _ragged(edges: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Segment and offset in it of each position a..b-1 of a ragged sequence
+    whose segment s holds positions edges[s]..edges[s+1]-1."""
+    first = int(np.searchsorted(edges, a, "right")) - 1
+    last = int(np.searchsorted(edges, b, "left"))
+    ends = np.minimum(np.maximum(edges[first : last + 1], a), b)
+    segment = np.repeat(np.arange(first, last), ends[1:] - ends[:-1])
+    return segment, np.arange(a, b) - edges[segment]
+
+
+def _lead_tails(maps: _MapColumns, owner: np.ndarray, at: np.ndarray, work: dict):
+    """Leads at positions ``at`` of the boxes of maps ``owner``, and their
+    tails: lead coordinates (n - 1, L), lead parts p = sum_j<n-1 h_j v_j
+    (n, L), each tail's first t, and the edges of the tails' concatenated
+    rows (lead l holds rows rows[l] .. rows[l+1]-1, of t = start[l] on)."""
+    n = len(maps.lo)
+    coords = np.empty((n - 1, len(owner)), np.int64)
+    for j in reversed(range(1, n - 1)):
+        at, digit = np.divmod(at, maps.width[j][owner])
+        coords[j] = maps.lo[j][owner] + digit
+    if n > 1:
+        coords[0] = maps.lo[0][owner] + at
+    p = np.zeros((n, len(owner)))  # at n = 1 no lead, and p = 0
+    t_lo = maps.lo[n - 1][owner].astype(float)
+    t_hi = maps.tail_hi[owner]
+    for i in range(n):
+        for j in range(n - 1):
+            term = maps.bases[i, j][owner] * coords[j]
+            p[i] = p[i] + term if j else term
+        mid = (p[i] + maps.shifts[i][owner]) * maps.slope[i][owner]
+        reach = maps.reach[i][owner]
+        np.maximum(t_lo, mid - reach, out=t_lo)
+        np.minimum(t_hi, mid + reach, out=t_hi)
+    start, stop = _integer_range(t_lo, t_hi, work)
+    rows = np.concatenate(([0], np.cumsum(np.maximum(stop - start + 1.0, 0.0).astype(np.int64))))
+    return coords, p, start.astype(np.int64), rows

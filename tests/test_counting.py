@@ -741,11 +741,23 @@ def _stacked(maps):
 
 
 def _direct_region_scan(g, region):
-    """Integer v with g(v) in the region, by one meshgrid over a padded box."""
-    reach = np.abs(g.inverse_h()) @ (region.radius + np.abs(g.z))
+    """Integer v with g(v) in the region, by meshgrids over a padded box."""
+    return _direct_region_scans(g, [region])[0]
+
+
+def _direct_region_scans(g, regions):
+    """Per region, the integer v with g(v) in it, by meshgrids over a box
+    padded around the largest, one value of v_0 at a time."""
+    reach = np.abs(g.inverse_h()) @ (max(r.radius for r in regions) + np.abs(g.z))
     axes = [np.arange(-b, b + 1) for b in np.ceil(reach).astype(int) + 1]
-    vs = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return {tuple(v) for v in vs[region.contains(g.apply(vs.astype(float)))]}
+    rest = np.stack([x.ravel() for x in np.meshgrid(*axes[1:], indexing="ij")], axis=1)
+    found = [set() for _ in regions]
+    for v0 in axes[0]:
+        vs = np.column_stack([np.full(len(rest), v0), rest])
+        ws = g.apply(vs.astype(float))
+        for points, region in zip(found, regions):
+            points.update(tuple(v) for v in vs[region.contains(ws)])
+    return found
 
 
 class TestRegionStreaming:
@@ -782,7 +794,7 @@ class TestRegionStreaming:
         assert len(vs) == len(ws_id) == 21
         assert np.array_equal(ws, vs @ skew.T)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_batched_maps_match_per_map_scans(self, n):
         rng = np.random.default_rng(2024 + n)
         skew = np.eye(n)
@@ -794,19 +806,98 @@ class TestRegionStreaming:
         regions = [
             NormBall(max_norm(n), 3.0),
             NormBall(lp_norm(n, 2.0), 3.0),
+            NormBall(lp_norm(n, 1.0), 3.0),
+            NormBall(block_norm(((n - 1, 2.0), (1, None))), 3.0),
         ]
         bases, shifts = _stacked(maps)
-        for region in regions:
+        scans = [_direct_region_scans(g, regions) for g in maps]
+        for k, region in enumerate(regions):
             owner, vs, ws = lattice_points_in_region(bases, shifts, region)
             assert np.all(np.diff(owner) >= 0)
             for s, g in enumerate(maps):
                 mine = owner == s
-                assert {tuple(v) for v in vs[mine]} == _direct_region_scan(g, region), (s, region)
+                assert {tuple(v) for v in vs[mine]} == scans[s][k], (s, region)
                 assert np.allclose(ws[mine], g.apply(vs[mine].astype(float)))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shifts_far_beyond_the_radius_match_direct_scans(self, n):
+        # the box about 0 spans |h^-1| (r + |z|); only the box about the
+        # region's centre -h^-1 z holds points
+        rng = np.random.default_rng(4040 + n)
+        maps = [UnimodularMap(np.eye(n), np.full(n, -39.5))]
+        while len(maps) < 7:
+            h = lll_reduce(sample_sl(n, rng).h)
+            if np.linalg.det(h) > 0:
+                maps.append(UnimodularMap(h, rng.uniform(-40.0, 40.0, n)))
+        bases, shifts = _stacked(maps)
+        assert np.abs(shifts).max() > 35.0
+        regions = [NormBall(max_norm(n), 2.0), NormBall(lp_norm(n, 2.0), 2.0)]
+        scans = [_direct_region_scans(g, regions) for g in maps]
+        for k, region in enumerate(regions):
+            owner, vs, ws = lattice_points_in_region(bases, shifts, region)
+            for s, g in enumerate(maps):
+                mine = owner == s
+                assert {tuple(v) for v in vs[mine]} == scans[s][k], (s, region)
+                assert np.allclose(ws[mine], g.apply(vs[mine].astype(float)))
+            assert len(vs) > 0
+
+    def test_a_tail_longer_than_a_row_range_is_streamed(self):
+        # one lead (v_0 = 0) whose tail holds 10,001 points; h_0,1 = 0 does
+        # not cut the tail
+        h = np.diag([100.0, 0.01])
+        g = UnimodularMap(h, np.zeros(2))
+        ball = NormBall(max_norm(2), 50.0)
+        tracemalloc.start()
+        try:
+            owner, vs, ws = lattice_points_in_region(h[None], np.zeros((1, 2)), ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vs) == 10_001 > _REGION_ROWS and not owner.any()
+        assert {tuple(v) for v in vs} == _direct_region_scan(g, ball)
+        assert np.array_equal(vs[:, 1], np.arange(-5000, 5001))
+        assert peak < 8 << 20
+
+    def test_a_region_without_points_returns_empty_arrays(self):
+        # the l2 ball of radius 0.6 misses every point of Z^n + 0.5 though
+        # its centred box holds 2^n; the radius 0.2 box about -0.5 holds none
+        for n in (2, 3):
+            shifts = np.full((2, n), 0.5)
+            bases = np.broadcast_to(np.eye(n), (2, n, n)).copy()
+            for region in (NormBall(lp_norm(n, 2.0), 0.6), NormBall(max_norm(n), 0.2)):
+                owner, vs, ws = lattice_points_in_region(bases, shifts, region)
+                assert owner.dtype == np.int64 and owner.shape == (0,)
+                assert vs.dtype == np.int64 and vs.shape == (0, n)
+                assert ws.dtype == np.float64 and ws.shape == (0, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_zero_radius_finds_the_point_sent_to_zero(self, n):
+        # z = -(h v) in the fold's own rounding puts w = 0 exactly at v; the
+        # centre -h^-1 z and the tail's slab end miss v by rounding, and
+        # only the padded ends keep it
+        rng = np.random.default_rng(77 + n)
+        targets = rng.integers(-8, 9, (30, n))
+        bases = np.array([lll_reduce(sample_sl(n, rng).h) for _ in targets])
+        shifts = np.zeros((len(targets), n))
+        for j in range(n):  # ((0 - t_0) - t_1) - .. is minus the fold exactly
+            shifts -= bases[:, :, j] * targets[:, j : j + 1]
+        owner, vs, ws = lattice_points_in_region(bases, shifts, NormBall(max_norm(n), 0.0))
+        assert np.array_equal(owner, np.arange(len(targets)))
+        assert np.array_equal(vs, targets) and not ws.any()
+
+    def test_w_is_the_left_fold_of_the_columns(self):
+        rng = np.random.default_rng(313)
+        maps = [sample_asl(3, rng, shift_bound=0.5) for _ in range(4)]
+        owner, vs, ws = lattice_points_in_region(*_stacked(maps), NormBall(max_norm(3), 4.0))
+        h, z = _stacked(maps)
+        h, z, v = h[owner], z[owner], vs.astype(float)
+        fold = ((h[:, :, 0] * v[:, :1] + h[:, :, 1] * v[:, 1:2]) + h[:, :, 2] * v[:, 2:]) + z
+        assert len(vs) > 100
+        assert np.array_equal(ws.view(np.int64), fold.view(np.int64))
+
     def test_chunks_hold_whole_maps_and_a_large_map_runs_alone(self):
-        # chunks are row ranges of the concatenated boxes: the skewed map's box
-        # exceeds one, so chunk edges split it and the small maps around it
+        # the skewed map's box about 0 exceeds one row range, and the small
+        # maps around it share ranges; each map must get exactly its points
         skew = np.array([[1.0, 100.0], [0.0, 1.0]])
         ball = NormBall(max_norm(2), 3.0)
         reach = np.abs(np.linalg.inv(skew)) @ np.full(2, 3.0)
