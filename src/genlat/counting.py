@@ -31,7 +31,9 @@ the rows it has not ruled out:
   ending at an outer root x of Q = +eps* and at most 2e/s wide (s the
   outer roots' half distance, e = eps*/a), so only the rows with
   dist(x, Z) s <= 4e at one of the two outer roots, plus a rounding margin,
-  are solved: most rows hold no integer and fail this one test;
+  are solved: most rows hold no integer and fail this one test.  Its
+  half-coefficient B and discriminant D are affine and quadratic in the
+  lead value, so they come from per-tail tables and no alpha is built;
 - a coordinate product or an integer-degree form is a polynomial P in t,
   piecewise for odd degrees: stacked companion matrices give the roots of
   P -/+ eps* for every row at once, the cells between roots whose midpoint
@@ -69,9 +71,16 @@ a run of lead values (the first prefix coordinate) times the R tail rows
 prefix (leads[r // R], tail[r % R]).  A lead's slab of tail rows larger
 than a block (n >= 4) is cut into contiguous tail slices, one per block.
 The tail's share of the affine part, h[:, tail] @ tail + z, is an (n, R)
-table built once per query (once per block for a slice), and a block's
-alpha = h p + z is the column-major (n, m) array lead * h[:, lead] + table,
-one broadcast add; the solvers read its contiguous rows.
+table built once per query (once per block for a slice), and the affine
+part of row (lead, j) is alpha = h p + z = lead * h[:, lead] + table[:, j].
+The solvers see a block as one ``_Block``, which builds alpha only when
+asked and only at the rows asked for: the band, polynomial and cell solvers
+take the whole block, the column-major (n, m) array of one broadcast add
+whose rows they read contiguously; the w-space window takes the rows it is
+asked at; the quadratic solver takes none.  It reads B = w_b . alpha and
+D = B^2 - w_c . alpha^2 off the (R,) tables b0, d1 and d0 of the tail, as
+lead b1 + b0 and (lead d2 + d1) lead + d0, a few broadcasts over
+(leads x R); the tables are built once per tail, as the tail's table is.
 
 A map without a shift (z = 0) sends -v to -w, and every target has
 |f(-w)| = |f(w)| and every norm is even, so its solution set is symmetric
@@ -79,10 +88,11 @@ under v -> -v.  Such a query enumerates one prefix of each pair {p, -p}:
 the zero prefix, with its whole t range, and the prefixes whose first
 nonzero coordinate is positive; the half slab of lead 0 is the first
 block, on its own.  A hit off the zero prefix counts twice; floating point
-is mirror-exact here (the affine coefficients, the closed-form slots and
-their integer ranges all negate exactly; the cell solver's splits do not,
-but its slots hold every integer the refilter accepts), so the two halves
-would have made the same exact-refilter decisions.  In centered order a prefix of the half comes
+is mirror-exact here (the affine coefficients, the quadratic tables' B and
+D, the closed-form slots and their integer ranges all negate or stay
+exactly; the cell solver's splits do not, but its slots hold every integer
+the refilter accepts), so the two halves would have made the same
+exact-refilter decisions.  In centered order a prefix of the half comes
 before its mirror, so the first witness is the full order's, and an early
 exit stops at the same point.  A shifted query enumerates every prefix.
 """
@@ -243,6 +253,12 @@ def _solved_index(h: np.ndarray) -> int:
     return int(np.argmax((h * h).sum(axis=0)))
 
 
+def _lead_column(h: np.ndarray, sol: int) -> np.ndarray:
+    """The column of h of the lead, the first prefix coordinate (the first
+    one but the solved one); zeros at n = 1, which has no prefix."""
+    return h[:, 1 if sol == 0 else 0] if len(h) > 1 else np.zeros(1)
+
+
 # --------------------------------------------------------------------------
 # slot solvers
 
@@ -262,34 +278,36 @@ def _buffer(work: dict, key: str, *shape: int, dtype=float) -> np.ndarray:
     return arr[:size].reshape(shape)
 
 
-def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> list:
-    """The target's slot solvers.  The only place that tells target
-    families apart: a band system is one solver over all its bands; every
-    other target has one solver per part, and every part has slots of its
-    own, so no window is scanned whole.
+def _slot_solvers(q: CountQuery, eps_vec: np.ndarray, sol: int) -> list:
+    """The target's slot solvers along the solved coordinate ``sol``.  The
+    only place that tells target families apart: a band system is one
+    solver over all its bands; every other target has one solver per part,
+    and every part has slots of its own, so no window is scanned whole.
 
-    A solver ``solve(alphas, beta, window)`` maps a prefix block (alphas,
-    beta) to slots (rows, lo, hi): intervals of t, each tied to a row of the
-    block and clipped to that row's window, whose integers hold every
-    solution of its part.  ``window(rows)`` gives the solved coordinate's
-    bounds (wlo, whi) at the block rows ``rows`` (every row for None), so a
-    solver that can rule rows out first asks only at the rest.  A slot is
-    empty unless lo <= hi, and a solver may leave out rows whose slots hold
-    no integer.
+    A solver ``solve(block, window)`` maps a prefix block (a ``_Block``) to
+    slots (rows, lo, hi): intervals of t, each tied to a row of the block and
+    clipped to that row's window, whose integers hold every solution of its
+    part.  The block's affine parts are built only when a solver asks for
+    them (``block.alphas(rows)``); the quadratic solver never does, as it
+    reads per-tail tables instead.  ``window(rows)`` gives the solved
+    coordinate's bounds (wlo, whi) at the block rows ``rows`` (every row for
+    None), so a solver that can rule rows out first asks only at the rest.
+    A slot is empty unless lo <= hi, and a solver may leave out rows whose
+    slots hold no integer.
     """
     bands = band_system(q.f)
     if bands is not None:
         return [partial(_band_solver, bands, eps_vec, {})]
     parts = q.f.parts if isinstance(q.f, VectorOf) else (q.f,)
-    beta = q.g.h[:, _solved_index(q.g.h)]
+    beta, lead_h = q.g.h[:, sol], _lead_column(q.g.h, sol)
     solvers = []
     for part, eps in zip(parts, eps_vec):
         if (bands := band_system(part)) is not None:
             solvers.append(partial(_band_solver, bands, [eps], {}))
         elif isinstance(part, CoordinateProduct):
             solvers.append(partial(_poly_solver, _product_pieces, eps))
-        elif part.d == 2 and (weights := _quadratic_weights(part, beta)) is not None:
-            solvers.append(partial(_quadratic_solver, *weights, eps, {}))
+        elif part.d == 2 and (form := _quadratic_form(part, beta, lead_h)) is not None:
+            solvers.append(partial(_quadratic_solver, form, eps, {}))
         elif part.d == int(part.d):
             solvers.append(partial(_poly_solver, partial(_power_pieces, part), eps))
         else:
@@ -297,7 +315,7 @@ def _slot_solvers(q: CountQuery, eps_vec: np.ndarray) -> list:
     return solvers
 
 
-def _cell_solver(part, eps: float, work, alphas, beta, window) -> tuple[np.ndarray, ...]:
+def _cell_solver(part, eps: float, work, block, window) -> tuple[np.ndarray, ...]:
     """Point slots of |f(alpha + beta t)| <= eps for a signed power form f
     of any degree, by bisecting certified integer cells (interval
     enclosures, Moore 1966).
@@ -317,6 +335,7 @@ def _cell_solver(part, eps: float, work, alphas, beta, window) -> tuple[np.ndarr
     Rows are bisected ``_ROW_CHUNK`` at a time.
     """
     d, p = part.d, part.p
+    alphas, beta = block.alphas(), block.beta
 
     def signed_terms(rows, ts):  # sign(u) |u|^d at u = alpha + beta t
         u = np.take(alphas, rows, axis=1) + beta[:, None] * ts
@@ -352,12 +371,12 @@ def _cell_solver(part, eps: float, work, alphas, beta, window) -> tuple[np.ndarr
     return rows, ts, ts
 
 
-def _band_solver(bands, eps_vec, work, alphas, beta, window) -> tuple[np.ndarray, ...]:
+def _band_solver(bands, eps_vec, work, block, window) -> tuple[np.ndarray, ...]:
     """One slot per row for the bands |alpha_c + beta_c t|^a <= eps_k of a
     band system's (c, a, k) triples, at the rows where they meet."""
     coords = [c for c, _, _ in bands]
     radii = np.asarray([float(eps_vec[k]) ** (1.0 / a) for _, a, k in bands])
-    lo, hi = _band_slots(alphas, beta, coords, radii, work)
+    lo, hi = _band_slots(block.alphas(), block.beta, coords, radii, work)
     rows = np.nonzero(lo <= hi)[0]
     wlo, whi = window(rows)
     return rows, np.maximum(lo[rows], wlo), np.minimum(hi[rows], whi)
@@ -366,8 +385,7 @@ def _band_solver(bands, eps_vec, work, alphas, beta, window) -> tuple[np.ndarray
 def _band_slots(alphas, beta, coords, radii, work: dict) -> tuple[np.ndarray, ...]:
     """Intersection over bands |alpha_c + beta_c t| <= r of the coordinates c
     in coords with radii r, as one slot per row in workspace arrays."""
-    m = alphas.shape[1]
-    lo, hi, x, y = (_buffer(work, key, m) for key in ("lo", "hi", "x", "y"))
+    lo, hi, x, y = _buffer(work, "bands", 4, alphas.shape[1])
     lo.fill(-np.inf)
     hi.fill(np.inf)
     for c, r in zip(coords, radii):
@@ -395,21 +413,45 @@ def _band_slots(alphas, beta, coords, radii, work: dict) -> tuple[np.ndarray, ..
     return lo, hi
 
 
-def _quadratic_weights(part, beta) -> tuple | None:
-    """(a, w_b, w_c) for a degree-2 form along the solved column beta, with
-    Q(t) / a = t^2 + 2 B t + C, B = w_b . alpha and C = w_c . alpha^2 at the
-    affine part alpha; a > 0, as |Q| = |-Q|.  None when a is about 0: then
-    Q is linear in t along this column, with no closed form to take."""
-    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
-    a = float(signs @ (beta * beta))
+class _QuadraticForm(NamedTuple):
+    """A degree-2 form along the solved column beta: Q(t) / a =
+    t^2 + 2 B t + C at alpha + beta t, with B = w_b . alpha and
+    C = w_c . alpha^2; a > 0, as |Q| = |-Q|.  Its lead terms along the lead
+    column l (see ``_quadratic_tables``) are b1 = w_b . l, r = b1 w_b - w_c l
+    and d2 = r . l, kept as ``b1_d2`` = (b1, d2) shaped (2, 1, 1), as
+    ``r2`` = 2 r, and as ``lead_top`` = (|b1|, max(d2, 0)) for ``_reach``."""
+
+    a: float
+    w_b: np.ndarray
+    w_c: np.ndarray
+    b1_d2: np.ndarray
+    r2: np.ndarray
+    lead_top: tuple[float, float]
+
+
+def _quadratic_form(part, beta, lead_h) -> _QuadraticForm | None:
+    """The degree-2 signed power form ``part`` along the solved column beta
+    and the lead column ``lead_h``, made in one pass over the n
+    coordinates; None when a is about 0: then Q is linear in t along this
+    column, with no closed form to take."""
+    signs = [1.0] * part.p + [-1.0] * part.q
+    betas = beta.tolist()
+    a = sum(s * b * b for s, b in zip(signs, betas))
     if abs(a) < 1e-12:
         return None
     if a < 0:
-        a, signs = -a, -signs
-    return a, signs * beta / a, signs / a
+        a, signs = -a, [-s for s in signs]
+    w_b = [s * b / a for s, b in zip(signs, betas)]
+    w_c = [s / a for s in signs]
+    lead = lead_h.tolist()
+    b1 = sum(w * x for w, x in zip(w_b, lead))
+    r = [b1 * u - w * x for u, w, x in zip(w_b, w_c, lead)]
+    d2 = sum(u * x for u, x in zip(r, lead))
+    return _QuadraticForm(a, np.array(w_b), np.array(w_c), np.array([[[b1]], [[d2]]]),
+                          np.array([2.0 * u for u in r]), (abs(b1), max(d2, 0.0)))
 
 
-def _quadratic_solver(a, w_b, w_c, eps: float, work, alphas, beta, window) -> tuple[np.ndarray, ...]:
+def _quadratic_solver(form: _QuadraticForm, eps: float, work, block, window) -> tuple[np.ndarray, ...]:
     """Slots of |Q(t)| <= eps, Q(t) = a t^2 + b t + c the degree-2 form at
     alpha + beta t: two per row in closed form, [out_lo, out_hi] minus the
     hole (in_lo, in_hi).  At a zero tolerance rounding can push a double
@@ -417,10 +459,12 @@ def _quadratic_solver(a, w_b, w_c, eps: float, work, alphas, beta, window) -> tu
     nearest integer to -b/2a is a third, point slot, and the exact refilter
     decides.
 
-    B = b/2a and C = c/a are one product each of a fixed weight vector with
-    the alpha columns (``_quadratic_weights``); B is odd and C even in alpha,
-    so a mirrored prefix gets mirrored slots bit for bit.  Both root pairs
-    are -B -/+ sqrt(D +/- e), e = eps/a, from one discriminant D = B^2 - C.
+    B = b/2a = w_b . alpha and C = c/a = w_c . alpha^2 take fixed weight
+    vectors (``_QuadraticForm``), so on a block, where alpha is
+    lead * lead_h + table, B is affine and the discriminant D = B^2 - C
+    quadratic in the lead; both come from per-tail tables
+    (``_quadratic_tables``) and no alpha is built.  Both root pairs are
+    -B -/+ sqrt(D +/- e), e = eps/a.
 
     At eps > 0 only the rows that ``_near_integer_rows`` keeps are solved,
     and only they ask for their windows.  Each slot ends at an outer root
@@ -432,59 +476,127 @@ def _quadratic_solver(a, w_b, w_c, eps: float, work, alphas, beta, window) -> tu
     plus a margin, at both outer roots holds no integer.  A row with
     D + e < 0 has nan roots and no slots at all.
     """
-    m = alphas.shape[1]
-    e = eps / a
-    half_b = np.matmul(w_b, alphas, out=_buffer(work, "b", m))
-    sq = np.multiply(alphas, alphas, out=_buffer(work, "sq", *alphas.shape))
-    disc = np.matmul(w_c, sq, out=_buffer(work, "disc", m))
-    np.subtract(np.multiply(half_b, half_b, out=sq[0]), disc, out=disc)
+    e = eps / form.a
+    tables = _quadratic_tables(form, block, work)
+    # B, D and the outer root half width s, one row each
+    both = _buffer(work, "b_disc", 3, len(block.leads), len(tables.rows[0]))
+    _half_b_disc(form, tables, block.leads, both[:2])
+    both = both.reshape(3, -1)
+    half_b, disc, outer = both
     with np.errstate(invalid="ignore"):  # nan roots where there are none
-        outer = np.sqrt(np.add(disc, e, out=sq[0]), out=sq[0])
+        np.sqrt(np.add(disc, e, out=outer), out=outer)
         if eps == 0.0:
-            k, rows = 3, np.arange(m)
+            k, rows = 3, np.arange(len(half_b))
             wlo, whi = window()
         else:
-            k, rows = 2, _near_integer_rows(half_b, outer, e, work)
+            k, rows = 2, _near_integer_rows(half_b, outer, e, _reach(form, tables, block.leads, e), work)
             if len(rows) == 0:
                 return rows, disc[:0], disc[:0]
-            half_b, disc, outer = half_b[rows], disc[rows], outer[rows]
+            both = both[:, rows]
             wlo, whi = window(rows)
-        lo, hi = _buffer(work, "lo", k, len(rows)), _buffer(work, "hi", k, len(rows))
-        neg_b = np.negative(half_b, out=_buffer(work, "neg_b", len(rows)))
-        inner = np.sqrt(np.add(disc, -e, out=disc), out=disc)
+        neg_b, disc, _ = both
+        np.negative(neg_b, out=neg_b)
+        np.sqrt(np.add(disc, -e, out=disc), out=disc)  # both is now (-B, inner, s)
+        # the slot ends, one row each: hi0, lo0, [the point slot,] lo1, hi1,
+        # so lo = (lo0, [point,] lo1) is a slice and hi = (hi0, [point,] hi1)
+        # a stride; -B -/+ (inner, s) give the first two and the last two
+        ends = _buffer(work, "ends", k + 2, len(rows))
+        np.subtract(neg_b, both[1:], out=ends[:2])
+        np.add(neg_b, both[1:], out=ends[-2:])
+    lo, hi = ends[1 : k + 1], ends[:: 3 if k == 2 else 2]
     # outer set {Q <= eps}: between its roots; the closed comparison keeps
     # tangency points so eps = 0 solution sets survive.  Inner hole
     # {Q < -eps}: strictly between its roots, which split the outer slot in
     # two; where there is no hole its nan roots leave slot 0 whole (fmin)
     # and slot 1 empty (maximum)
-    np.subtract(neg_b, outer, out=lo[0])
-    np.add(neg_b, outer, out=hi[1])
-    np.subtract(neg_b, inner, out=hi[0])
-    np.add(neg_b, inner, out=lo[1])
-    np.maximum(lo[1], lo[0], out=lo[1])
-    np.fmin(hi[0], hi[1], out=hi[0])
+    np.maximum(lo[-1], lo[0], out=lo[-1])
+    np.fmin(hi[0], hi[-1], out=hi[0])
     if k == 3:
-        np.rint(neg_b, out=lo[2])
-        hi[2] = lo[2]
+        np.rint(neg_b, out=lo[1])
     np.maximum(lo, wlo, out=lo)
     np.minimum(hi, whi, out=hi)
     return np.concatenate((rows,) * k), lo.ravel(), hi.ravel()
 
 
-def _near_integer_rows(half_b, outer, e: float, work) -> np.ndarray:
+class _QuadraticTables(NamedTuple):
+    """A degree-2 form's B and D on the blocks of one tail: at the row
+    (lead, j), B = lead b1 + b0[j] and D = (lead d2 + d1[j]) lead + d0[j],
+    with ``rows`` the (3, R) array (b0, d1, d0) and ``top`` its rows'
+    largest absolute values, for ``_reach``."""
+
+    rows: np.ndarray
+    top: list[float]
+
+
+def _quadratic_tables(form: _QuadraticForm, block, work: dict) -> _QuadraticTables:
+    """The tables of ``block``'s tail, kept for the tail they were built
+    from, as ``_tail_table`` keeps its table.
+
+    With alpha = lead l + t (l the lead column of h, t a table column),
+    B = w_b . alpha = lead b1 + b0 with b1 = w_b . l and b0 = w_b . t, and
+    C = w_c . alpha^2, so D = B^2 - C = lead^2 d2 + lead d1 + d0 with
+    r = b1 w_b - w_c l, d2 = r . l, d1 = 2 r . t and d0 = b0^2 - w_c . t^2.
+    b1, d2 and r depend only on l and come with the form
+    (``_QuadraticForm``), along the block's own lead column.  At lead 0,
+    B and D are b0 and d0, the direct products w_b . alpha and
+    B^2 - w_c . alpha^2 at alpha = t.
+
+    Rounding: every entry is a few products and sums of the terms of B and
+    C, so the expanded D is off by O(u (B'^2 + C')), with B' and C' the sums
+    of |w_b,c alpha_c| and of |w_c,c| alpha_c^2 over the coordinates c, each
+    alpha_c = lead l_c + t_c split into |lead l_c| + |t_c|.  That is the
+    order of the rounding of alpha = lead l + t itself and of B^2 - C taken
+    from it, far below the 1e-9 pads (see ``_near_integer_rows``).  Without
+    a shift a negated tail has a negated table, so b0 and d1 negate and d0
+    stays, bit for bit: the mirror (-leads, -tail) of a block gets -B and
+    the same D."""
+    kept = work.get("tables")
+    if kept is not None and kept[0] is block.tail:
+        return kept[1]
+    table = block.table
+    rows = np.empty((3, table.shape[1]))
+    b0, d1, d0 = rows
+    np.matmul(form.w_b, table, out=b0)
+    np.matmul(form.r2, table, out=d1)
+    np.subtract(np.multiply(b0, b0, out=d0), np.matmul(form.w_c, table * table), out=d0)
+    tables = _QuadraticTables(rows, np.abs(rows).max(axis=1).tolist())
+    work["tables"] = (block.tail, tables)
+    return tables
+
+
+def _half_b_disc(form: _QuadraticForm, tables: _QuadraticTables, leads, out: np.ndarray) -> None:
+    """B and D at the rows (lead, j) of a block of the tables' tail, into
+    ``out`` (2, leads, R): one broadcast for both B and lead d2 + d1, then
+    Horner's rule over the lead for D."""
+    column = leads[:, None]
+    np.add(np.multiply(form.b1_d2, column), tables.rows[:2, None, :], out=out)
+    disc = out[1]
+    np.multiply(disc, column, out=disc)
+    np.add(disc, tables.rows[2], out=disc)
+
+
+def _reach(form: _QuadraticForm, tables: _QuadraticTables, leads, e: float) -> float:
+    """An upper bound of |B| + sqrt(D + e), hence of every outer root's
+    |x|, over a block, from its tables and its largest |lead|, its last."""
+    b1, d2 = form.lead_top
+    b0, d1, d0 = tables.top
+    lead = abs(float(leads[-1]))
+    return b1 * lead + b0 + math.sqrt(max((d2 * lead + d1) * lead + d0 + e, 0.0))
+
+
+def _near_integer_rows(half_b, outer, e: float, reach: float, work) -> np.ndarray:
     """The rows where an outer root is near an integer: dist(x, Z) s <= 4e
     plus a slack, for x = s - B or s + B and s = sqrt(D + e) (``outer``).
 
     x is the outer roots' own arithmetic, so it is a root, up to sign, bit
-    for bit.  The slack s * 2e-9 (1 + max |x|) covers the pads of
-    1e-9 (1 + |end|) that ``_integer_range`` adds at slot ends, which lie
-    within the roots' span, and the rounding of D +/- e, of the roots and of
-    this test, all far below 1e-9 of the same scale."""
-    m = len(half_b)
-    x, near = _buffer(work, "x", 2, m), _buffer(work, "near", 2, m)
+    for bit.  The slack s * 2e-9 (1 + reach), with reach >= max |x| over
+    the block, covers the pads of 1e-9 (1 + |end|) that ``_integer_range``
+    adds at slot ends, which lie within the roots' span, and the rounding of
+    D +/- e, of the roots and of this test, all far below 1e-9 of the same
+    scale.  A larger reach only keeps more rows."""
+    x, near = _buffer(work, "x_near", 2, 2, len(half_b))
     np.subtract(outer, half_b, out=x[0])
     np.add(outer, half_b, out=x[1])
-    reach = max(np.fmax.reduce(x, axis=None), -np.fmin.reduce(x, axis=None))
     np.abs(np.subtract(x, np.rint(x, out=near), out=near), out=near)
     dist = np.minimum(near[0], near[1], out=near[0])
     np.multiply(np.subtract(dist, 2e-9 * (1.0 + reach), out=dist), outer, out=dist)
@@ -497,9 +609,10 @@ def _near_integer_rows(half_b, outer, e: float, work) -> np.ndarray:
 _ROW_CHUNK = 4096
 
 
-def _poly_solver(pieces, eps: float, alphas, beta, window) -> tuple[np.ndarray, ...]:
+def _poly_solver(pieces, eps: float, block, window) -> tuple[np.ndarray, ...]:
     """Slots of |P(t)| <= eps for the row polynomials P that ``pieces``
     writes on each nonempty window, ``_ROW_CHUNK`` rows at a time."""
+    alphas, beta = block.alphas(), block.beta
     wlo, whi = window()
     live = np.nonzero(wlo <= whi)[0]
     out = [(live[:0], wlo[:0], whi[:0])]
@@ -626,7 +739,8 @@ def _candidates(slots, work: dict) -> tuple[np.ndarray, np.ndarray]:
         start, stop = _integer_range(lo, hi, work)
         ok = np.nonzero(start <= stop)[0]
         ranges.append((rows[ok], start[ok].astype(np.int64), stop[ok].astype(np.int64)))
-    ranges.sort(key=lambda r: int((r[2] - r[1] + 1).sum()))
+    if len(ranges) > 1:
+        ranges.sort(key=lambda r: int((r[2] - r[1] + 1).sum()))
     rows, start, stop = ranges[0]
     if len(rows) == 0:
         return rows, start
@@ -661,7 +775,7 @@ def _integer_range(los: np.ndarray, his: np.ndarray, work: dict) -> tuple[np.nda
     root-finding error cannot drop a boundary candidate; the exact refilter
     discards any extras.
     """
-    start, stop = _buffer(work, "start", len(los)), _buffer(work, "stop", len(los))
+    start, stop = _buffer(work, "range", 2, len(los))
     with np.errstate(invalid="ignore"):  # infinite ends of empty intervals
         # each end's pad is built in its own output array
         np.multiply(_EXPAND, np.add(1.0, np.abs(los, out=start), out=start), out=start)
@@ -671,15 +785,14 @@ def _integer_range(los: np.ndarray, his: np.ndarray, work: dict) -> tuple[np.nda
     return start, stop
 
 
-def _window(q: CountQuery, alphas, beta, work: dict):
+def _window(q: CountQuery, block, work: dict):
     """The block's per-prefix bounds on the solved coordinate from the
     shell's box, as ``window(rows)``: (wlo, whi) at the block rows ``rows``,
     in arrays valid until the next such call, or at every row for None,
     built once per block.  They are +-floor(T) in v-space and the w-cube's
-    band slot in w-space."""
+    band slot in w-space, which builds alpha only at the rows asked for."""
     n = q.f.n
     lim = math.floor(q.t)
-    radii = np.full(n, q.t)
     whole = []
 
     def window(rows=None):
@@ -687,14 +800,12 @@ def _window(q: CountQuery, alphas, beta, work: dict):
             return whole
         out = work if rows is None else work.setdefault("window", {})
         if q.shell_space == "v":
-            k = alphas.shape[1] if rows is None else len(rows)
-            lo, hi = _buffer(out, "lo", k), _buffer(out, "hi", k)
+            lo, hi = _buffer(out, "lo_hi", 2, block.size if rows is None else len(rows))
             lo.fill(-lim)
             hi.fill(lim)
         else:
             # w-cube: every |alpha_j + beta_j t| <= T
-            cols = alphas if rows is None else alphas[:, rows]
-            lo, hi = _band_slots(cols, beta, range(n), radii, out)
+            lo, hi = _band_slots(block.alphas(rows), block.beta, range(n), np.full(n, q.t), out)
         if rows is None:
             whole.extend((lo, hi))
         return lo, hi
@@ -762,7 +873,7 @@ def _count_core(q: CountQuery) -> CountResult:
             f"an exhaustive count over {prefixes:.4g} prefixes exceeds the cap of "
             f"{_MAX_PREFIXES:.4g}"
         )
-    solvers = _slot_solvers(q, _coarse_tolerance(q))
+    solvers = _slot_solvers(q, _coarse_tolerance(q), sol)
     # without a shift the solution set is symmetric under v -> -v
     half = not q.g.z.any()
     work: dict = {}
@@ -797,29 +908,66 @@ def _count_core(q: CountQuery) -> CountResult:
 def _block_candidates(q: CountQuery, solvers, block, prefix_cols, sol, work) -> np.ndarray:
     """Candidate vectors of one prefix block, in prefix order, then t.
 
-    The block's affine parts alpha = h p + z are built column-major, one
-    (n, m) array whose row c is contiguous: the lead column of h times each
-    lead plus the tail's table, one broadcast add.  The solvers' slots are
-    views of their workspaces; they die on return, so a workspace that
-    grows for the next block is never held twice.
+    The solvers' slots are views of their workspaces; they die on return,
+    so a workspace that grows for the next block is never held twice.
     """
     h = q.g.h
     n = q.f.n
-    beta = h[:, sol]
     leads, tail = block
-    lead_h = h[:, prefix_cols[0]] if prefix_cols else np.zeros(n)
-    alphas = _buffer(work, "alphas", n, len(leads) * len(tail))
+    lead_h = _lead_column(h, sol)
     table = _tail_table(q, tail, prefix_cols[1:], work)
-    # alphas viewed as (n, leads, R): block row r is (leads[r // R], tail[r % R])
-    np.add(np.multiply.outer(lead_h, leads)[:, :, None], table[:, None, :],
-           out=alphas.reshape(n, len(leads), len(tail)))
-    window = _window(q, alphas, beta, work)
-    rows, ts = _candidates([solve(alphas, beta, window) for solve in solvers], work)
+    lazy = _Block(leads, lead_h, tail, table, h[:, sol], work)
+    window = _window(q, lazy, work)
+    rows, ts = _candidates([solve(lazy, window) for solve in solvers], work)
+    lead, j = np.divmod(rows, len(tail))
     vs = np.empty((len(ts), n), dtype=np.int64)
-    vs[:, prefix_cols[:1]] = leads[rows // len(tail), None]  # n = 1 drops its zero lead
-    vs[:, prefix_cols[1:]] = tail[rows % len(tail)]
+    if prefix_cols:  # n = 1 has no lead
+        vs[:, prefix_cols[0]] = leads[lead]
+    vs[:, prefix_cols[1:]] = tail[j]
     vs[:, sol] = ts
     return vs
+
+
+class _Block:
+    """A prefix block (leads, tail) as the solvers see it.
+
+    Row r is the prefix (leads[r // R], tail[r % R]), and its affine part
+    alpha = h p + z is lead * lead_h + table[:, r % R], with lead_h the lead
+    column of h and table the tail's share (``_tail_table``).  The leads are
+    a run of lead values in centered order (or in the half's), so |lead|
+    never falls along it and the last is the largest.  ``alphas`` builds
+    alpha only when a solver asks for it, with that arithmetic at every row
+    asked for, so a row's alpha has the same bits however it was asked for.
+    """
+
+    __slots__ = ("leads", "lead_h", "tail", "table", "beta", "size", "_work", "_full")
+
+    def __init__(self, leads, lead_h, tail, table, beta, work: dict) -> None:
+        self.leads = leads
+        self.lead_h = lead_h
+        self.tail = tail  # the per-tail tables are kept for this array
+        self.table = table
+        self.beta = beta
+        self.size = len(leads) * len(tail)
+        self._work = work
+        self._full = None
+
+    def alphas(self, rows=None) -> np.ndarray:
+        """alpha at the block rows ``rows`` as an (n, k) array, or at every
+        row as the column-major (n, m) array, one broadcast add, whose row
+        c is contiguous; it is built once per block, in the workspace."""
+        if self._full is None and rows is None:
+            n, width = self.table.shape
+            self._full = _buffer(self._work, "alphas", n, self.size)
+            # viewed as (n, leads, R): block row r is (leads[r // R], tail[r % R])
+            np.add(np.multiply.outer(self.lead_h, self.leads)[:, :, None], self.table[:, None, :],
+                   out=self._full.reshape(n, len(self.leads), width))
+        if rows is None:
+            return self._full
+        if self._full is not None:
+            return self._full[:, rows]
+        lead, j = np.divmod(rows, self.table.shape[1])
+        return np.multiply.outer(self.lead_h, self.leads[lead]) + self.table[:, j]
 
 
 def _tail_table(q: CountQuery, tail, tail_cols, work: dict) -> np.ndarray:

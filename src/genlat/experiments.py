@@ -54,9 +54,10 @@ from .haar import (
 )
 from .volume import (
     Verdict,
+    _shell_family,
+    _shell_integral,
     classify_series,
     monte_carlo_region_volume,
-    shell_volume,
     threshold_M,
     zeta_fn,
 )
@@ -442,7 +443,10 @@ def counting_ratio_experiment(
 
     Counts run in the image space (the region lives there); volumes come
     from the family's closed form over the same shell (M, t_k], once per
-    run.  Radii at or below the threshold M produce rows with a missing
+    run.  M is computed once, and the family checked once: each counted
+    shell starts at M itself and ends past it, so it passes the shell check
+    of ``shell_volume``, and is integrated as ``shell_volume`` integrates
+    it.  Radii at or below the threshold M produce rows with a missing
     ratio rather than 0/0.  Only meaningful in the divergent regime;
     convergent input is rejected.
     """
@@ -454,8 +458,9 @@ def counting_ratio_experiment(
     c = _SIEGEL_CONSTANT[point_class](f.n)
     ts = [float(t) for t in schedule.values()]
     counted = [t > m_thr * (1.0 + 1e-9) for t in ts]
+    fam = _shell_family(f, psi, norm) if any(counted) else None
     references = [
-        c * shell_volume(f, psi, norm, m_thr, t).value if ok else 0.0 for t, ok in zip(ts, counted)
+        c * _shell_integral(fam, m_thr, t).value if ok else 0.0 for t, ok in zip(ts, counted)
     ]
     shells = [(psi, m_thr, t) for t, ok in zip(ts, counted) if ok]
     counts = _count_maps(

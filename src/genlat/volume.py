@@ -389,13 +389,24 @@ def shell_volume(
     t_hi: float,
 ) -> Quadrature:
     """Exact shell volume of f's family; requires ``norm`` to be the family norm."""
+    fam = _shell_family(f, psi, norm)
+    _require_shell(f, psi, s_lo, t_hi)
+    return _shell_integral(fam, s_lo, t_hi)
+
+
+def _shell_family(f: TargetFunction, psi: ApproxFunction, norm: Norm) -> _Family:
+    """f's family, with ``norm`` checked to be its family norm."""
     if norm != f.canonical_norm():
         raise ValueError(
             "closed forms hold under the family norm "
             f"({f.canonical_norm()}), got {norm}"
         )
-    fam = _family(f, psi)
-    _require_shell(f, psi, s_lo, t_hi)
+    return _family(f, psi)
+
+
+def _shell_integral(fam: _Family, s_lo: float, t_hi: float) -> Quadrature:
+    """The closed-form volume of the shell (s_lo, t_hi] of a checked family
+    (``shell_volume`` once its shell has passed ``_require_shell``)."""
     q = adaptive_simpson(fam.integrand, s_lo, t_hi)
     return Quadrature(fam.scale * q.value, fam.scale * q.error)
 

@@ -1296,13 +1296,17 @@ class TestFourDimensions:
             assert early.first_witness == fast.first_witness, q
 
 
-def _pre_filter_slots(weights, eps, alphas, wlo, whi):
+def _pre_filter_slots(form, eps, alphas, wlo, whi):
     """Both slots of every row, (2, m) arrays lo and hi, by the two root
     pairs of the closed-form quadratic solver as it ran on every row before
     the near-integer test: -B -/+ sqrt(D +/- eps/a), merged and clipped."""
-    a, w_b, w_c = weights
-    half_b = np.matmul(w_b, alphas)
-    disc = half_b * half_b - np.matmul(w_c, alphas * alphas)
+    half_b = np.matmul(form.w_b, alphas)
+    disc = half_b * half_b - np.matmul(form.w_c, alphas * alphas)
+    return _root_slots(form.a, eps, half_b, disc, wlo, whi)
+
+
+def _root_slots(a, eps, half_b, disc, wlo, whi):
+    """Both slots of every row from its B and D, as ``_pre_filter_slots``."""
     with np.errstate(invalid="ignore"):
         root = np.sqrt(disc + eps / a)
         lo0, hi1 = -half_b - root, -half_b + root
@@ -1317,6 +1321,23 @@ def _bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
+def _lead0_block(alphas, beta):
+    """A one-lead block at lead 0 whose tail table is ``alphas``: its alpha
+    is ``alphas``, and the quadratic solver's B and D are b0 = w_b . alpha
+    and d0 = b0^2 - w_c . alpha^2, the pre-filter formula bit for bit."""
+    n, m = alphas.shape
+    return counting._Block(np.zeros(1, np.int64), np.ones(n), np.zeros((m, 0), np.int64), alphas, beta, {})
+
+
+def _query_block(q, leads, tail):
+    """The solvers' view of the prefix block (leads, tail) of query q, as
+    the count builds it."""
+    sol = _solved_index(q.g.h)
+    prefix_cols = [i for i in range(q.f.n) if i != sol]
+    table = counting._tail_table(q, tail, prefix_cols[1:], {})
+    return counting._Block(leads, q.g.h[:, prefix_cols[0]], tail, table, q.g.h[:, sol], {})
+
+
 def _quadratic_block(rng, part, beta, e, shift):
     """Affine parts (n, m) of a synthetic prefix block along ``beta``: rows
     of every scale up to |B| = 1e4, and rows alpha = lam beta + mu gamma with
@@ -1325,7 +1346,8 @@ def _quadratic_block(rng, part, beta, e, shift):
     end of a narrow slot, just inside the inner root -B -/+ sqrt(D - e) (or
     at the centre of a hole-free slot, s^2 just under 2e)."""
     n = len(beta)
-    _, w_b, w_c = counting._quadratic_weights(part, beta)
+    form = counting._quadratic_form(part, beta, np.ones(n))
+    w_b, w_c = form.w_b, form.w_c
     cols = [rng.normal(size=(n, 400)) * 10.0 ** rng.uniform(-2, 4, size=400)]
     gammas = []
     for _ in range(64):
@@ -1378,18 +1400,18 @@ class TestNearIntegerPrefilter:
         for p in range(1, n + 1):
             part = SignedPowerForm(p, n - p, 2)
             beta = rng.normal(size=n)
-            weights = counting._quadratic_weights(part, beta)
+            form = counting._quadratic_form(part, beta, np.ones(n))
             for eps in (1e-8, 1e-5, 1e-2, 0.7, 10.0):
-                alphas = _quadratic_block(rng, part, beta, eps / weights[0], shift)
+                alphas = _quadratic_block(rng, part, beta, eps / form.a, shift)
                 m = alphas.shape[1]
                 t = float(rng.choice([30.0, 3e3, 3e4]))
                 q = _query(f=part, g=identity_map(n), norm=max_norm(n), t=t, shell_space=space)
-                window = counting._window(q, alphas, beta, {})
+                block = _lead0_block(alphas, beta)
+                window = counting._window(q, block, {})
                 wlo, whi = (np.array(x) for x in window())
-                ref_lo, ref_hi = _pre_filter_slots(weights, eps, alphas, wlo, whi)
-                start, stop = counting._integer_range(ref_lo.ravel(), ref_hi.ravel(), {})
-                holds = ((ref_lo.ravel() <= ref_hi.ravel()) & (start <= stop)).reshape(2, m).any(axis=0)
-                rows, lo, hi = counting._quadratic_solver(*weights, eps, {}, alphas, beta, window)
+                ref_lo, ref_hi = _pre_filter_slots(form, eps, alphas, wlo, whi)
+                holds = self._holds(ref_lo, ref_hi)
+                rows, lo, hi = counting._quadratic_solver(form, eps, {}, block, window)
                 kept = rows[: len(rows) // 2]
                 assert np.array_equal(rows, np.concatenate([kept, kept]))
                 assert set(np.nonzero(holds)[0]) <= set(kept.tolist()), (p, eps)
@@ -1399,21 +1421,85 @@ class TestNearIntegerPrefilter:
                 targeted_hits += int(holds[400:].sum())  # past the 400 random rows
         assert targeted_hits > 0
 
+    @staticmethod
+    def _holds(ref_lo, ref_hi):
+        """Rows with an integer in one of their two reference slots."""
+        start, stop = counting._integer_range(ref_lo.ravel(), ref_hi.ravel(), {})
+        return ((ref_lo.ravel() <= ref_hi.ravel()) & (start <= stop)).reshape(2, -1).any(axis=0)
+
+    @pytest.mark.parametrize("space", ["v", "w"])
+    def test_multi_lead_block_against_the_expanded_formula(self, space):
+        """A block of several leads over a synthetic table: the kept rows
+        are a superset with the slots of B = lead b1 + b0 and
+        D = (lead d2 + d1) lead + d0, expanded row by row from the form's
+        lead terms b1 = w_b . l, d2 = r . l and r2 = 2 r, r = b1 w_b - w_c l,
+        with d1 = r2 . t and d0 = b0^2 - w_c . t^2, bit for bit; and
+        the expanded B and D are the direct w_b . alpha and B^2 - w_c . alpha^2
+        up to rounding of the terms' scale."""
+        rng = np.random.default_rng(1599 + (space == "w"))
+        n, part = 3, SignedPowerForm(2, 1, 2)
+        beta = rng.normal(size=n)
+        lead_h = rng.normal(size=n)
+        form = counting._quadratic_form(part, beta, lead_h)
+        a, w_b, w_c = form.a, form.w_b, form.w_c
+        leads = np.array([0, 1, -1, 2, -2, 9, -40])
+        targeted_hits = 0
+        for eps in (1e-5, 0.7, 10.0):
+            table = _quadratic_block(rng, part, beta, eps / a, False)
+            m = len(leads) * table.shape[1]
+            block = counting._Block(leads, lead_h, np.zeros((table.shape[1], 1), np.int64), table, beta, {})
+            q = _query(f=part, g=identity_map(n), norm=max_norm(n), t=3e4, shell_space=space)
+            window = counting._window(q, block, {})
+            wlo, whi = (np.array(x) for x in window())
+            # the expanded formula, row by row
+            lead, j = np.divmod(np.arange(m), table.shape[1])
+            lf = leads[lead].astype(float)
+            (b1,), (d2,) = form.b1_d2.reshape(2, 1)
+            r2 = form.r2
+            assert b1 == pytest.approx(w_b @ lead_h, rel=1e-14)
+            assert np.allclose(r2, 2.0 * (b1 * w_b - w_c * lead_h), rtol=1e-14, atol=0.0)
+            assert d2 == pytest.approx(r2 @ lead_h / 2.0, rel=1e-12)
+            b0 = w_b @ table
+            d1 = r2 @ table
+            d0 = b0 * b0 - w_c @ (table * table)
+            half_b = lf * b1 + b0[j]
+            disc = (lf * d2 + d1[j]) * lf + d0[j]
+            alphas = block.alphas()
+            assert np.array_equal(_bits(alphas), _bits(lf * lead_h[:, None] + table[:, j]))
+            direct_b = w_b @ alphas
+            scale_b = np.abs(w_b) @ (np.abs(lf * lead_h[:, None]) + np.abs(table[:, j]))
+            scale_c = np.abs(w_c) @ (np.abs(lf * lead_h[:, None]) + np.abs(table[:, j])) ** 2
+            assert np.all(np.abs(half_b - direct_b) <= 1e-14 * scale_b)
+            direct_d = direct_b * direct_b - w_c @ (alphas * alphas)
+            assert np.all(np.abs(disc - direct_d) <= 1e-14 * (scale_b**2 + scale_c))
+            ref_lo, ref_hi = _root_slots(a, eps, half_b, disc, wlo, whi)
+            holds = self._holds(ref_lo, ref_hi)
+            rows, lo, hi = counting._quadratic_solver(form, eps, {}, block, window)
+            kept = rows[: len(rows) // 2]
+            assert np.array_equal(rows, np.concatenate([kept, kept]))
+            assert set(np.nonzero(holds)[0]) <= set(kept.tolist()), eps
+            assert np.array_equal(_bits(lo), _bits(ref_lo[:, kept].ravel()))
+            assert np.array_equal(_bits(hi), _bits(ref_hi[:, kept].ravel()))
+            assert len(kept) < m
+            targeted_hits += int(holds.sum())
+        assert targeted_hits > 0
+
     def test_window_is_asked_only_at_kept_rows(self):
         rng = np.random.default_rng(15)
         part, beta = SignedPowerForm(2, 1, 2), rng.normal(size=3)
         alphas = np.ascontiguousarray(rng.normal(size=(3, 5000)) * 50.0)
         for space in ("v", "w"):
             q = _query(f=part, g=identity_map(3), norm=max_norm(3), t=200.0, shell_space=space)
-            window = counting._window(q, alphas, beta, {})
+            block = _lead0_block(alphas, beta)
+            window = counting._window(q, block, {})
             asked = []
 
             def spy(rows=None):
                 asked.append(rows)
                 return window(rows)
 
-            rows, _, _ = counting._quadratic_solver(*counting._quadratic_weights(part, beta), 1.0,
-                                                    {}, alphas, beta, spy)
+            form = counting._quadratic_form(part, beta, np.ones(3))
+            rows, _, _ = counting._quadratic_solver(form, 1.0, {}, block, spy)
             assert 0 < len(rows) < 2 * alphas.shape[1]
             assert len(asked) == 1 and asked[0] is not None
             assert np.array_equal(asked[0], rows[: len(rows) // 2])
@@ -1428,10 +1514,11 @@ class TestNearIntegerPrefilter:
         beta = rng.normal(size=3)
         alphas = np.ascontiguousarray(rng.normal(size=(3, 4000)) * 40.0)
         q = _query(f=f, g=identity_map(3), norm=max_norm(3), t=100.0, shell_space="w")
-        window = counting._window(q, alphas, beta, {})
+        block = _lead0_block(alphas, beta)
+        window = counting._window(q, block, {})
         bands = counting.band_system(f)
-        solve = counting._slot_solvers(replace(q, bound=power_law(1.0, 0.5, 0)), np.asarray([0.5]))[0]
-        rows, lo, hi = solve(alphas, beta, window)
+        solve = counting._slot_solvers(replace(q, bound=power_law(1.0, 0.5, 0)), np.asarray([0.5]), 0)[0]
+        rows, lo, hi = solve(block, window)
         radii = np.asarray([0.5 ** (1.0 / a) for _, a, _ in bands])
         blo, bhi = counting._band_slots(alphas, beta, [c for c, _, _ in bands], radii, {})
         assert np.array_equal(rows, np.nonzero(blo <= bhi)[0])
@@ -1448,6 +1535,63 @@ class TestNearIntegerPrefilter:
         # row 1 is empty (lo > hi), rows 2 and 3 have a nan end, row 4 holds
         # no integer
         assert got_rows.tolist() == [0, 0, 5] and ts.tolist() == [1, 2, 7]
+
+
+class TestBlockArithmetic:
+    """What the solvers read off a block: alpha built lazily at the rows
+    asked for, and the quadratic solver's per-tail tables."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_tables_are_mirror_exact(self, n, monkeypatch):
+        """Without a shift, the blocks (leads, tail) and (-leads, -tail) get
+        B and -B and the same D, bit for bit up to the sign of a zero (the
+        zero prefix, its own mirror, has B = 0); every n = 4 block here is
+        a tail slice."""
+        monkeypatch.setattr(counting, "_MAX_BLOCK", 256)
+        rng = np.random.default_rng(2424 + n)
+        f = SignedPowerForm(n - 1, 1, 2)
+        for _ in range(3):
+            g = sample_sl(n, rng)
+            q = CountQuery(g, f, power_law(1.0, 0.5, 0), f.canonical_norm(), PointClass.ALL_NONZERO, 0.0, 12.0)
+            sol = _solved_index(g.h)
+            prefix_cols = [i for i in range(n) if i != sol]
+            form = counting._quadratic_form(f, g.h[:, sol], g.h[:, prefix_cols[0]])
+            blocks = list(_prefix_blocks(counting._prefix_box(q), prefix_cols, 256, half=True))
+            assert n == 3 or all(len(leads) == 1 and len(tail) <= 256 for leads, tail in blocks)
+            for leads, tail in blocks:
+                sides = []
+                for block in (_query_block(q, leads, tail), _query_block(q, -leads, -tail)):
+                    tables = counting._quadratic_tables(form, block, {})
+                    out = np.empty((2, len(leads), len(tail)))
+                    counting._half_b_disc(form, tables, block.leads, out)
+                    sides.append(out.reshape(2, -1))
+                (half_b, disc), (mirror_b, mirror_d) = sides
+                # adding 0.0 turns -0.0 into 0.0 and leaves every other value
+                assert np.array_equal(_bits(mirror_b + 0.0), _bits(-half_b + 0.0))
+                assert np.array_equal(_bits(mirror_d + 0.0), _bits(disc + 0.0))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_lazy_alphas_match_the_full_block(self, n, shifted):
+        """At the rows asked for, ``alphas(rows)`` and the w-space window
+        are the fully built block's rows, bit for bit."""
+        rng = np.random.default_rng(2525 + 2 * n + shifted)
+        f = SignedPowerForm(n - 1, 1, 2)
+        g = sample_asl(n, rng, shift_bound=0.8) if shifted else sample_sl(n, rng)
+        q = CountQuery(g, f, (1.0,), max_norm(n), PointClass.ALL_NONZERO, 0.0, 9.0, shell_space="w")
+        sol = _solved_index(g.h)
+        prefix_cols = [i for i in range(n) if i != sol]
+        for leads, tail in _prefix_blocks(counting._prefix_box(q), prefix_cols, 256):
+            full = _query_block(q, leads, tail)
+            alphas = full.alphas()
+            wlo, whi = (np.array(x) for x in counting._window(q, full, {})())
+            m = full.size
+            for rows in (np.arange(m), np.sort(rng.choice(m, m // 3, replace=False)), np.array([m - 1])):
+                lazy = _query_block(q, leads, tail)
+                assert np.array_equal(_bits(lazy.alphas(rows)), _bits(alphas[:, rows]))
+                lo, hi = counting._window(q, _query_block(q, leads, tail), {})(rows)
+                assert np.array_equal(_bits(lo), _bits(wlo[rows]))
+                assert np.array_equal(_bits(hi), _bits(whi[rows]))
 
 
 class TestBlockMemory:

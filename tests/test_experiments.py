@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from genlat import experiments
+from genlat import experiments, volume
 from genlat.core import (
     ApproxFunction,
     CoordinateProduct,
@@ -289,6 +289,28 @@ class TestCountingRatio:
         assert final is not None and final > 0
         counts = [row["count"] for row in res.records]
         assert counts == sorted(counts)
+
+    def test_references_are_shell_volumes_from_one_threshold(self, monkeypatch):
+        # the run finds M once and integrates each (M, t_k] as shell_volume does
+        f, psi, norm = SignedPowerForm(2, 1, 2), power_law(1.0, 0.5, 0), block_norm(((2, 2), (1, 2)))
+        calls, threshold_m = [], volume.threshold_M
+
+        def counted(*args):
+            calls.append(args)
+            return threshold_m(*args)
+
+        monkeypatch.setattr(experiments, "threshold_M", counted)
+        monkeypatch.setattr(volume, "threshold_M", counted)
+        res = counting_ratio_experiment(f, psi, norm, PointClass.PRIMITIVE, DyadicSchedule(1.0, 2.0, 0, 7),
+                                        samples=1, seed=23)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        rows = [row for row in res.records if row["t"] > res.threshold]
+        assert 0 < len(rows) < len(res.records)
+        for row in rows:
+            want = res.constant * volume.shell_volume(f, psi, norm, res.threshold, row["t"]).value
+            assert row["reference"] == want
+        assert all(row["reference"] == 0.0 for row in res.records if row["t"] <= res.threshold)
 
     def test_convergent_regime_rejected(self):
         with pytest.raises(ValueError, match="divergent"):
