@@ -220,21 +220,30 @@ def power_law(coeff: float = 1.0, s: float = 1.0, j: int = 0) -> ApproxFunction:
 Bound = Union[ApproxFunction, tuple]
 
 
-def bound_values(bound: Bound, zs: np.ndarray, component_count: int) -> np.ndarray:
-    """Tolerance matrix (m, l) for radii ``zs`` under either bound kind."""
-    zs = np.asarray(zs, dtype=float)
+def _checked_tolerance(bound: Bound, component_count: int) -> np.ndarray | None:
+    """``bound`` checked against a target of ``component_count`` components:
+    None for a bound function, whose component count must match, and a
+    fixed tolerance as its validated (l,) row, nonnegative."""
     if isinstance(bound, ApproxFunction):
-        vals = bound.eval_many(zs)
-        if vals.shape[1] != component_count:
+        if bound.component_count != component_count:
             raise ValueError(
-                f"bound has {vals.shape[1]} components, target has {component_count}"
+                f"bound has {bound.component_count} components, target has {component_count}"
             )
-        return vals
+        return None
     eps = np.asarray(bound, dtype=float)
     if eps.shape != (component_count,):
         raise ValueError(f"expected {component_count} tolerance components, got {eps.shape}")
     if np.any(eps < 0):
         raise ValueError("fixed tolerances must be nonnegative")
+    return eps
+
+
+def bound_values(bound: Bound, zs: np.ndarray, component_count: int) -> np.ndarray:
+    """Tolerance matrix (m, l) for radii ``zs`` under either bound kind."""
+    zs = np.asarray(zs, dtype=float)
+    eps = _checked_tolerance(bound, component_count)
+    if eps is None:
+        return bound.eval_many(zs)
     return np.broadcast_to(eps, (len(zs), component_count))
 
 

@@ -95,13 +95,24 @@ the refilter accepts), so the two halves would have made the same
 exact-refilter decisions.  In centered order a prefix of the half comes
 before its mirror, so the first witness is the full order's, and an early
 exit stops at the same point.  A shifted query enumerates every prefix.
+
+A result keeps the radius of every hit it counts (``CountResult.radii``),
+sorted, with the bits the exact refilter compared against T0 and T: one
+radius per unit of the count, so a hit off the zero prefix of an unshifted
+query, which stands for its mirror too, has its radius twice (the mirror's
+radius is the same, as every norm is even and -w is exact).  An early exit
+holds the one radius of its witness.  The refilter decides each v from its
+own radius alone, and the coarse tolerance and the box only grow with T, so
+the hits of (T0, t] for any t < T are the hits of (T0, T] of radius <= t:
+one exhaustive count gives the count of every nested shell of the same
+bound and T0.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterator, NamedTuple
 
@@ -115,6 +126,7 @@ from .core import (
     PointClass,
     TargetFunction,
     VectorOf,
+    _checked_tolerance,
     band_system,
     bound_values,
 )
@@ -145,6 +157,8 @@ class CountQuery:
     t: float
     shell_space: str = "v"  # radius measured on v, or on w = g(v)
     stop_after_first: bool = False
+    # a fixed tolerance as its validated (l,) row; None for a bound function
+    fixed_eps: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.t0 < self.t < math.inf:
@@ -156,8 +170,7 @@ class CountQuery:
             )
         if self.shell_space not in ("v", "w"):
             raise ValueError(f"shell_space must be 'v' or 'w', got {self.shell_space!r}")
-        # validates the component count
-        bound_values(self.bound, np.asarray([1.0]), self.f.component_count)
+        object.__setattr__(self, "fixed_eps", _checked_tolerance(self.bound, self.f.component_count))
 
 
 @dataclass(frozen=True)
@@ -170,10 +183,15 @@ class CountResult:
     # scanned whole; the count command's fullScan key and the benchmark's
     # full_scan_frac still read it
     full_scan: bool = False
+    # the radius of every hit counted, sorted: one per count (a mirrored hit
+    # twice), so an early exit holds its witness's radius
+    radii: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.count == 0) != (self.first_witness is None):
             raise ValueError("count = 0 iff there is no witness")
+        if len(self.radii) != self.count:
+            raise ValueError(f"{len(self.radii)} hit radii for a count of {self.count}")
 
 
 def is_primitive(v) -> bool:
@@ -185,21 +203,24 @@ def is_primitive(v) -> bool:
 # shared exact refilter
 
 
-def _exact_mask(q: CountQuery, vs: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows of integer matrix ``vs`` satisfying the query."""
+def _exact_mask(q: CountQuery, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean mask of rows of integer matrix ``vs`` satisfying the query,
+    and the rows' radii.  Each row is decided from its own radius alone."""
     if len(vs) == 0:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(0, dtype=bool), np.zeros(0)
     xs = vs.astype(float)
     ws = q.g.apply(xs)
     radii = q.norm.eval_many(xs if q.shell_space == "v" else ws)
     mask = (radii > q.t0) & (radii <= q.t) & q.point_class.contains(vs)
     if not mask.any():
-        return mask
+        return mask, radii
     idx = mask.nonzero()[0]
-    tol = bound_values(q.bound, radii[idx], q.f.component_count)
+    tol = q.fixed_eps
+    if tol is None:
+        tol = bound_values(q.bound, radii[idx], q.f.component_count)
     vals = np.abs(q.f.evaluate_many(ws[idx]))
     mask[idx] = np.all(vals <= tol, axis=1)
-    return mask
+    return mask, radii
 
 
 def _coarse_tolerance(q: CountQuery) -> np.ndarray:
@@ -217,7 +238,7 @@ def _coarse_tolerance(q: CountQuery) -> np.ndarray:
                 for c, s, j in q.bound.components
             ]
         )
-    return np.asarray(q.bound, dtype=float)  # validated with the query
+    return q.fixed_eps
 
 
 # --------------------------------------------------------------------------
@@ -878,9 +899,9 @@ def _count_core(q: CountQuery) -> CountResult:
     half = not q.g.z.any()
     work: dict = {}
 
-    count = 0
     witness: tuple[int, ...] | None = None
     visited = 0
+    hit_radii = [np.zeros(0)]
 
     first_block = 256 if q.stop_after_first else _MAX_BLOCK
     for block in _prefix_blocks(box, prefix_cols, first_block, half):
@@ -890,19 +911,22 @@ def _count_core(q: CountQuery) -> CountResult:
         if len(vs) == 0:
             continue
         visited += len(vs)
-        mask = _exact_mask(q, vs)
-        hits = int(mask.sum())
-        if hits and witness is None:
+        mask, radii = _exact_mask(q, vs)
+        if not mask.any():
+            continue
+        first = mask.argmax()
+        if witness is None:
             # candidates come in prefix order, then t
-            witness = tuple(int(x) for x in vs[mask.argmax()])
-        count += hits
-        if half:
-            # every hit off the zero prefix stands for its mirror too
-            count += int((mask & vs[:, prefix_cols].any(axis=1)).sum())
-        if q.stop_after_first and count > 0:
+            witness = tuple(int(x) for x in vs[first])
+        if q.stop_after_first:
             # truncated search: the count reports the witness, not the total
-            return CountResult(1, witness, visited)
-    return CountResult(count, witness, visited)
+            return CountResult(1, witness, visited, radii=radii[first : first + 1])
+        hit_radii.append(radii[mask])
+        if half:
+            # every hit off the zero prefix stands for its mirror, of the same radius
+            hit_radii.append(radii[mask & vs[:, prefix_cols].any(axis=1)])
+    radii = np.sort(np.concatenate(hit_radii))
+    return CountResult(len(radii), witness, visited, radii=radii)
 
 
 def _block_candidates(q: CountQuery, solvers, block, prefix_cols, sol, work) -> np.ndarray:
@@ -1091,9 +1115,9 @@ def _brute_core(q: CountQuery, box_cap: int) -> CountResult:
             raise ValueError(f"brute-force box exceeds {box_cap} points")
     n = q.f.n
     axes = [np.arange(-int(b), int(b) + 1, dtype=np.int64) for b in box]
-    count = 0
     witness = None
     visited = 0
+    hit_radii = [np.zeros(0)]
     # slab over the first coordinate to bound memory
     tail_grids = np.meshgrid(*axes[1:], indexing="ij") if n > 1 else []
     tail = (
@@ -1107,12 +1131,12 @@ def _brute_core(q: CountQuery, box_cap: int) -> CountResult:
         if n > 1:
             vs[:, 1:] = tail
         visited += len(vs)
-        mask = _exact_mask(q, vs)
-        hits = int(mask.sum())
-        if hits and witness is None:
+        mask, radii = _exact_mask(q, vs)
+        if witness is None and mask.any():
             witness = tuple(int(x) for x in vs[mask.argmax()])
-        count += hits
-    return CountResult(count, witness, visited)
+        hit_radii.append(radii[mask])
+    radii = np.sort(np.concatenate(hit_radii))
+    return CountResult(len(radii), witness, visited, radii=radii)
 
 
 # --------------------------------------------------------------------------

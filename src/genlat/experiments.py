@@ -10,7 +10,9 @@ The dichotomy experiments (counting ratio, zero-full, uniform, band system)
 share one map-draw rule, ``draw_map`` (SL, ASL with a bounded shift, or the
 identity), and one worker that counts a run's list of shells (bound, t0, t)
 on each sampled map; each experiment only builds its shells and summarizes
-the counts.  The mean, variance and empty-probability experiments sample
+the counts.  Nested exhaustive shells (``ratio``, ``kgsystem``) are counted
+in one pass per map, at the largest t, and each shell reads its count off
+the hits' radii; early-exit runs count each shell on its own.  The mean, variance and empty-probability experiments sample
 lattices or affine grids from the exact invariant law instead.
 
 Estimators: unweighted runs use the usual sample mean and variance; the
@@ -396,20 +398,36 @@ def draw_map(
 
 
 def _count_map(payload):
+    """One map's counts on a run's shells: a CountResult per shell for an
+    early exit, a count per shell for an exhaustive run.
+
+    The exact refilter decides each v from its own radius, so the hits of an
+    exhaustive shell (t0, t] are the hits of (t0, t_top] with radius <= t,
+    for the same bound and t0 and the largest such t_top.  Each (bound, t0)
+    is counted once, at its t_top, and each shell's count is read off that
+    count's sorted hit radii."""
     (f, norm, point_class, shells, space, early, group, shift_bound, seed), index = payload
     g = draw_map(f.n, seed, index, group, shift_bound, norm)
-    return [
-        count_solutions(CountQuery(g, f, bound, norm, point_class, t0, t, space, early))
-        for bound, t0, t in shells
-    ]
+    queries = [CountQuery(g, f, bound, norm, point_class, t0, t, space, early) for bound, t0, t in shells]
+    if early:
+        return [count_solutions(q) for q in queries]
+    tops = {}
+    for q in queries:
+        top = tops.setdefault((q.bound, q.t0), q)
+        if q.t > top.t:
+            tops[q.bound, q.t0] = q
+    radii = {key: count_solutions(q).radii for key, q in tops.items()}
+    return [int(np.searchsorted(radii[q.bound, q.t0], q.t, side="right")) for q in queries]
 
 
 def _count_maps(
     f, norm, point_class, shells, samples, seed, group, shift_bound, workers,
     space="v", stop_after_first=False,
 ) -> list:
-    """Per sampled map (``draw_map`` of index 0..samples-1), its CountResult
-    on each shell (bound, t0, t), in sample order for any worker count."""
+    """Per sampled map (``draw_map`` of index 0..samples-1), its counts on
+    each shell (bound, t0, t) (``_count_map``): CountResults with
+    ``stop_after_first``, counts otherwise; in sample order for any worker
+    count."""
     run = (f, norm, point_class, tuple(shells), space, stop_after_first, group, shift_bound, seed)
     return _run_indexed(_count_map, [(run, i) for i in range(samples)], workers)
 
@@ -467,9 +485,9 @@ def counting_ratio_experiment(
         f, norm, point_class, shells, samples, seed, group, shift_bound, workers, space="w"
     )
     records, series = [], []
-    for i, results in enumerate(counts):
-        hits = iter(results)
-        found = [int(next(hits).count) if ok else 0 for ok in counted]
+    for i, shell_counts in enumerate(counts):
+        hits = iter(shell_counts)
+        found = [next(hits) if ok else 0 for ok in counted]
         ratios = [None if (k == 0 and ref == 0.0) else k / ref for k, ref in zip(found, references)]
         records += [
             {"sample": i, "t": t, "count": k, "reference": ref, "ratio": r}
@@ -615,10 +633,7 @@ def kg_system_experiment(
         f, norm, point_class, [(psi, 0.0, float(t)) for t in ts], samples, seed,
         group, shift_bound, workers,
     )
-    records = [
-        {"sample": i, "counts": [int(res.count) for res in results]}
-        for i, results in enumerate(counts)
-    ]
+    records = [{"sample": i, "counts": shell_counts} for i, shell_counts in enumerate(counts)]
     rows = []
     for k, t in enumerate(ts):
         xs = np.asarray([r["counts"][k] for r in records], dtype=float)

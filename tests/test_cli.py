@@ -583,6 +583,22 @@ def test_oversized_exhaustive_count_exits_at_once(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_nested_shells_over_the_cap_exit_at_once(tmp_path, capsys, monkeypatch):
+    # kgsystem counts each map once, at its largest checkpoint, so the cap
+    # names that count's box: 2 * 64 + 1 = 129 squared prefixes at T = 64
+    from genlat import counting
+
+    monkeypatch.setattr(counting, "_MAX_PREFIXES", 1000.0)
+    argv = ["kgsystem", "--n", 3, "--psi", "pl:C=1,s=0.6,j=0;C=1,s=0.6,j=0", "--schedule",
+            "t0=1,ratio=2,k0=2,kmax=6", "--samples", 2]
+    rc = _run(argv + ["--out", tmp_path / "x"])
+    assert rc == 2
+    assert _stderr_record(capsys)["message"] == (
+        "an exhaustive count over 1.664e+04 prefixes exceeds the cap of 1000"
+    )
+    assert not list(tmp_path.iterdir())
+
+
 def test_emptyprob_rejects_affine_group(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"group": "ASL"}))

@@ -482,7 +482,7 @@ def _first_in_prefix_order(q):
     lim = int(q.t)
     axes = np.meshgrid(*[np.arange(-lim, lim + 1)] * n, indexing="ij")
     vs = np.stack([a.ravel() for a in axes], axis=1)
-    hits = vs[_exact_mask(q, vs)]
+    hits = vs[_exact_mask(q, vs)[0]]
     if len(hits) == 0:
         return None
     rank = np.abs(2 * hits) - (hits > 0)  # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
@@ -1639,3 +1639,80 @@ class TestBlockMemory:
             results.append((res.first_witness, res.visited))
         assert results[0] == results[1] and results[0][1] < 1000
         assert peak < 8 << 20
+
+
+_RADIUS_FAMILIES = {
+    "spf2": SignedPowerForm(2, 1, 2),
+    "spf_odd": SignedPowerForm(2, 1, 3),
+    "spf_frac": SignedPowerForm(2, 1, 2.5),
+    "prod": CoordinateProduct(3),
+    "maxpow": MaxPower((2.0, 1.0), 3, (0, 1)),
+    "vecbands": VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((1.0,), 3, (1,)))),
+}
+
+
+class TestHitRadii:
+    """A count keeps the radius of every hit it counts, sorted: one radius
+    per count, a mirrored hit's twice, and an early exit its witness's."""
+
+    @pytest.mark.parametrize("space", ["v", "w"])
+    @pytest.mark.parametrize("family", sorted(_RADIUS_FAMILIES))
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_one_sorted_radius_per_hit(self, family, space, shifted):
+        f = _RADIUS_FAMILIES[family]
+        rng = np.random.default_rng(mix_seed(2501, len(family)))
+        g = sample_asl(3, rng, 0.8) if shifted else sample_sl(3, rng)
+        bound = power_law(1.5, 0.3, 0) if f.component_count == 1 else (0.6, 0.8)
+        q = CountQuery(g, f, bound, f.canonical_norm(), PointClass.ALL_NONZERO, 1.5, 7.0, space)
+        res = count_solutions(q)
+        assert res.count > 0 and len(res.radii) == res.count
+        assert np.all(np.diff(res.radii) >= 0.0)
+        assert np.all((res.radii > q.t0) & (res.radii <= q.t))
+        # the same radii, hit for hit, as the full box scan's
+        assert np.array_equal(res.radii, brute_force_count(q).radii)
+        early = count_solutions(replace(q, stop_after_first=True))
+        assert early.count == 1 and early.first_witness == res.first_witness
+        v = np.asarray(early.first_witness, dtype=float)
+        assert early.radii.tolist() == pytest.approx([q.norm(v if space == "v" else g.apply(v))], rel=1e-12)
+
+    def test_mirror_hits_carry_their_radius_twice(self):
+        # identity map, |v1^2 - v2^2| <= 0.5: the hits are (+-k, +-k), four of radius k each
+        res = count_solutions(_query(norm=max_norm(2), t=5.0))
+        assert res.radii.tolist() == [float(k) for k in range(1, 6) for _ in range(4)]
+        assert count_solutions(_query(norm=max_norm(2), t=5.0, stop_after_first=True)).radii.tolist() == [1.0]
+
+    def test_empty_count_has_no_radii(self):
+        res = count_solutions(_query(t0=0.2, t=0.9))
+        assert res.count == 0 and len(res.radii) == 0
+
+    def test_result_needs_one_radius_per_count(self):
+        with pytest.raises(ValueError, match="1 hit radii for a count of 2"):
+            CountResult(2, (1, 1), 5, radii=np.ones(1))
+
+
+class TestFixedTolerance:
+    def test_validated_once_with_the_query(self):
+        q = _query(bound=(0.5,))
+        assert q.fixed_eps.tolist() == [0.5]
+        assert _query(bound=power_law(1.0, 0.5, 0)).fixed_eps is None
+        with pytest.raises(ValueError, match="expected 1 tolerance components"):
+            _query(bound=(0.5, 0.5))
+        with pytest.raises(ValueError, match="nonnegative"):
+            _query(bound=(-0.5,))
+        with pytest.raises(ValueError, match="bound has 2 components, target has 1"):
+            _query(bound=ApproxFunction(((1.0, 0.5, 0), (1.0, 0.5, 0))))
+
+    def test_mask_compares_against_the_row(self):
+        """The refilter's comparison with the validated row is the
+        comparison with ``bound_values``' (m, l) matrix, bit for bit."""
+        from genlat.core import bound_values
+
+        f = VectorOf((SignedPowerForm(2, 1, 2), MaxPower((1.0,), 3, (2,))))
+        g = sample_asl(3, np.random.default_rng(7), 0.5)
+        q = CountQuery(g, f, (1.25, 0.75), lp_norm(3, 2.0), PointClass.ALL_INTEGER, 0.0, 9.0)
+        vs = np.random.default_rng(8).integers(-9, 10, size=(4000, 3))
+        mask, radii = _exact_mask(q, vs)
+        ws = g.apply(vs.astype(float))
+        tol = bound_values(q.bound, radii, 2)
+        want = (radii > 0.0) & (radii <= 9.0) & np.all(np.abs(f.evaluate_many(ws)) <= tol, axis=1)
+        assert mask.any() and np.array_equal(mask, want)

@@ -16,17 +16,20 @@ from genlat.core import (
     ApproxFunction,
     CoordinateProduct,
     DyadicSchedule,
+    MaxPower,
     PointClass,
     SignedPowerForm,
+    VectorOf,
     block_norm,
     lp_norm,
     max_norm,
     mix_seed,
     power_law,
 )
-from genlat.counting import NormBall, lattice_points_in_region
+from genlat.counting import CountQuery, NormBall, count_solutions, lattice_points_in_region
 from genlat.experiments import (
     WeightedMean,
+    _count_map,
     _siegel_sample,
     counting_ratio_experiment,
     empty_probability_experiment,
@@ -35,6 +38,7 @@ from genlat.experiments import (
     rogers_variance_experiment,
     siegel_mean_experiment,
     uniform_approx_experiment,
+    draw_map,
     wilson_interval,
     zero_full_experiment,
 )
@@ -353,6 +357,111 @@ class TestCountingRatio:
         pr = counting_ratio_experiment(point_class=PointClass.PRIMITIVE, **kwargs)
         assert pr.constant == pytest.approx(1.0 / zeta_fn(2.0))
         assert nz.constant == 1.0
+
+
+def _per_shell_counts(payload):
+    """Each shell of a ``_count_map`` payload counted on its own."""
+    (f, norm, point_class, shells, space, early, group, shift_bound, seed), index = payload
+    g = draw_map(f.n, seed, index, group, shift_bound, norm)
+    return [count_solutions(CountQuery(g, f, bound, norm, point_class, t0, t, space)).count
+            for bound, t0, t in shells]
+
+
+def _recording(calls, key):
+    """``count_solutions``, appending ``key(query)`` to ``calls`` first."""
+
+    def count(q):
+        calls.append(key(q))
+        return count_solutions(q)
+
+    return count
+
+
+# (target, n, group, space, point class, largest checkpoint): every slot
+# solver, with and without a shift, in both spaces and all three classes
+_NESTED_CASES = {
+    "spf2-n2": (SignedPowerForm(1, 1, 2), "SL", "v", "nonzero", 40.0),
+    "spf2-n3": (SignedPowerForm(2, 1, 2), "ASL", "w", "primitive", 12.0),
+    "spf2-n4": (SignedPowerForm(3, 1, 2), "SL", "w", "all", 5.0),
+    "maxpow-n3": (MaxPower((2.0, 1.0), 3, (0, 2)), "SL", "w", "nonzero", 12.0),
+    "bands-n4": (VectorOf((MaxPower((1.0,), 4, (0,)), MaxPower((1.0,), 4, (1,)))), "ASL", "v", "all", 5.0),
+    "bands-n2": (VectorOf((MaxPower((1.0,), 2, (1,)),)), "ASL", "w", "primitive", 40.0),
+    "prod-n2": (CoordinateProduct(2), "ASL", "v", "all", 40.0),
+    "prod-n3": (CoordinateProduct(3), "SL", "w", "primitive", 10.0),
+    "spf2.5-n3": (SignedPowerForm(2, 1, 2.5), "SL", "v", "nonzero", 8.0),
+    "spf2.5-n2": (SignedPowerForm(1, 1, 2.5), "ASL", "w", "all", 30.0),
+}
+
+
+class TestNestedShells:
+    """An exhaustive run counts each map once per (bound, t0), at its
+    largest checkpoint, and reads every shell's count off the hit radii."""
+
+    @pytest.mark.parametrize("case", sorted(_NESTED_CASES))
+    def test_one_pass_equals_per_shell_counts(self, case):
+        f, group, space, key, top = _NESTED_CASES[case]
+        bound = power_law(1.5, 0.4, 1) if f.component_count == 1 else ApproxFunction(((1.0, 0.3, 0),) * 2)
+        ts = [top / 2**k for k in range(4)]
+        for index in range(3):
+            for t0 in (0.0, 0.4 * ts[-1]):
+                shells = tuple((bound, t0, t) for t in ts)
+                payload = ((f, f.canonical_norm(), PointClass(key), shells, space, False, group, 0.8, 2502),
+                           index)
+                want = _per_shell_counts(payload)
+                assert _count_map(payload) == want
+                assert want[0] > 0
+                assert draw_map(f.n, 2502, index, group, 0.8).z.any() == (group == "ASL")
+
+    def test_shells_of_two_bounds_count_once_per_bound(self, monkeypatch):
+        f = SignedPowerForm(2, 1, 2)
+        shells = tuple((bound, 1.0, t) for bound in (power_law(1.0, 0.5, 0), (0.3,)) for t in (9.0, 4.0, 6.0))
+        payload = ((f, f.canonical_norm(), PointClass.ALL_NONZERO, shells, "w", False, "SL", 0.0, 5), 1)
+        want = _per_shell_counts(payload)
+        tops = []
+        monkeypatch.setattr(experiments, "count_solutions", _recording(tops, lambda q: (q.bound, q.t)))
+        assert _count_map(payload) == want
+        assert tops == [(power_law(1.0, 0.5, 0), 9.0), ((0.3,), 9.0)]
+
+    def test_hit_on_a_checkpoint_counts_there(self):
+        # identity map, sup norm, a tolerance every point meets: the hits of
+        # (0, k] are the (2k + 1)^2 - 1 nonzero points, 8 of them of radius k
+        f = MaxPower((1.0,), 2, (0,))
+        shells = tuple(((100.0,), 0.0, float(t)) for t in (1, 2, 3, 4))
+        payload = ((f, max_norm(2), PointClass.ALL_NONZERO, shells, "v", False, "identity", 0.0, 0), 0)
+        assert _count_map(payload) == [8, 24, 48, 80] == _per_shell_counts(payload)
+
+    def test_empty_shell_list_issues_no_count(self, monkeypatch):
+        monkeypatch.setattr(experiments, "count_solutions", None)  # a count would raise TypeError
+        f = SignedPowerForm(2, 1, 2)
+        for early in (False, True):
+            payload = ((f, f.canonical_norm(), PointClass.ALL_NONZERO, (), "w", early, "SL", 0.0, 1), 0)
+            assert _count_map(payload) == []
+        # every checkpoint at or below M: no shell, no count, and zero counts
+        res = counting_ratio_experiment(CoordinateProduct(2), ApproxFunction(((8.0, 0.0, 0),)), max_norm(2),
+                                        PointClass.ALL_NONZERO, DyadicSchedule(1.0, 2.0, 0, 1), samples=2, seed=3)
+        assert [row["count"] for row in res.records] == [0, 0, 0, 0]
+
+    def test_early_exit_runs_count_every_shell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "count_solutions", _recording(calls, lambda q: q.t))
+        uniform_approx_experiment(SignedPowerForm(2, 1, 2), power_law(1.0, 1.0, 2), block_norm(((2, 2), (1, 2))),
+                                  PointClass.ALL_NONZERO, DyadicSchedule(1.0, 2.0, 2, 4), samples=2, seed=4)
+        assert calls == [4.0, 8.0, 16.0] * 2
+
+    def test_ratio_below_threshold_matches_per_shell_counts(self):
+        """A schedule whose first checkpoints fall at or below M: the rows
+        past M hold the counts of (M, t_k] counted one by one."""
+        f, psi, norm = SignedPowerForm(2, 1, 2), power_law(2.0, 0.5, 0), block_norm(((2, 2), (1, 2)))
+        res = counting_ratio_experiment(f, psi, norm, PointClass.PRIMITIVE, DyadicSchedule(1.0, 2.0, 0, 5),
+                                        samples=3, seed=31, group="ASL", shift_bound=0.5)
+        assert res.records[0]["t"] <= res.threshold < res.records[-1]["t"]
+        for row in res.records:
+            if row["t"] <= res.threshold:
+                assert row["count"] == 0
+                continue
+            g = draw_map(3, 31, row["sample"], "ASL", 0.5, norm)
+            q = CountQuery(g, f, psi, norm, PointClass.PRIMITIVE, res.threshold, row["t"], "w")
+            assert row["count"] == count_solutions(q).count
 
 
 class TestZeroFull:
