@@ -34,21 +34,22 @@ the rows it has not ruled out:
   are solved: most rows hold no integer and fail this one test.  Its
   half-coefficient B and discriminant D are affine and quadratic in the
   lead value, so they come from per-tail tables and no alpha is built;
-- a coordinate product or an integer-degree form is a polynomial P in t,
-  piecewise for odd degrees: stacked companion matrices give the roots of
-  P -/+ eps* for every row at once, the cells between roots whose midpoint
-  passes become slots, and the nearest integer to every root is one too;
-- a non-integer degree is solved by bisecting certified integer cells: on
-  a cell [s, e] each term |alpha_j + beta_j t|^d lies between the smaller
-  and the larger of its end values (0 and the larger where the affine
-  coordinate changes sign inside), so the signed sum encloses f.  A cell
-  whose enclosure misses [-eps*, eps*] by more than 1e-9 (1 + the sum of
-  the larger end values) holds no solution: the end values and the exact
-  refilter's f(w) build w by different roundings, which move f by about
-  1e-16 |h| |v| of that scale, far below the slack in any box counted.
-  Other cells split at the floor of their midpoint, and the one-integer
-  cells that pass, where the enclosure is the point's own float value,
-  are point slots.
+- every other part (a coordinate product, a signed power form of another
+  degree, or a degree-2 form that is linear in t along the solved column)
+  is solved by bisecting certified integer cells: on a cell [s, e] each
+  affine coordinate u = alpha_j + beta_j t runs between its end values.
+  So a power form's term |u|^d lies between its smaller and larger end
+  value (0 and the larger where u changes sign inside), and the signed sum
+  encloses f; a product is enclosed by the interval product of its
+  factors' [min, max].  A cell whose enclosure misses [-eps*, eps*] by
+  more than a slack, 1e-9 (1 + the sum of the terms' larger ends) for a
+  power form and 1e-9 prod_j (1 + the larger |u_j| end) for a product,
+  holds no solution: the end values and the exact refilter's f(w) build w
+  by different roundings, which move each u by about delta = 1e-16 |h| |v|
+  and f by at most about d delta (n delta for a product) times the slack's
+  sum (product), far below the slack in any box counted.  Other cells split
+  at the floor of their midpoint, and the one-integer cells that pass,
+  where the enclosure is the point's own float value, are point slots.
 
 The candidates are the integers in a slot of every solver; empty slots are
 dropped before their integer ranges are taken.  At a zero tolerance the
@@ -74,9 +75,9 @@ The tail's share of the affine part, h[:, tail] @ tail + z, is an (n, R)
 table built once per query (once per block for a slice), and the affine
 part of row (lead, j) is alpha = h p + z = lead * h[:, lead] + table[:, j].
 The solvers see a block as one ``_Block``, which builds alpha only when
-asked and only at the rows asked for: the band, polynomial and cell solvers
-take the whole block, the column-major (n, m) array of one broadcast add
-whose rows they read contiguously; the w-space window takes the rows it is
+asked and only at the rows asked for: the band and cell solvers take the
+whole block, the column-major (n, m) array of one broadcast add whose rows
+they read contiguously; the w-space window takes the rows it is
 asked at; the quadratic solver takes none.  It reads B = w_b . alpha and
 D = B^2 - w_c . alpha^2 off the (R,) tables b0, d1 and d0 of the tail, as
 lead b1 + b0 and (lead d2 + d1) lead + d0, a few broadcasts over
@@ -304,6 +305,10 @@ def _slot_solvers(q: CountQuery, eps_vec: np.ndarray, sol: int) -> list:
     only place that tells target families apart: a band system is one
     solver over all its bands; every other target has one solver per part,
     and every part has slots of its own, so no window is scanned whole.
+    There are three kinds: a band part takes the band solver, a degree-2
+    signed power form the closed-form quadratic solver, and every other
+    part (a coordinate product, any other degree, or a degree-2 form that
+    is linear in t along this column) the cell solver.
 
     A solver ``solve(block, window)`` maps a prefix block (a ``_Block``) to
     slots (rows, lo, hi): intervals of t, each tied to a row of the block and
@@ -326,36 +331,34 @@ def _slot_solvers(q: CountQuery, eps_vec: np.ndarray, sol: int) -> list:
         if (bands := band_system(part)) is not None:
             solvers.append(partial(_band_solver, bands, [eps], {}))
         elif isinstance(part, CoordinateProduct):
-            solvers.append(partial(_poly_solver, _product_pieces, eps))
+            solvers.append(partial(_cell_solver, 1.0, _product_live, eps, {}))
         elif part.d == 2 and (form := _quadratic_form(part, beta, lead_h)) is not None:
             solvers.append(partial(_quadratic_solver, form, eps, {}))
-        elif part.d == int(part.d):
-            solvers.append(partial(_poly_solver, partial(_power_pieces, part), eps))
         else:
-            solvers.append(partial(_cell_solver, part, eps, {}))
+            solvers.append(partial(_cell_solver, part.d, partial(_power_live, part.p), eps, {}))
     return solvers
 
 
-def _cell_solver(part, eps: float, work, block, window) -> tuple[np.ndarray, ...]:
-    """Point slots of |f(alpha + beta t)| <= eps for a signed power form f
-    of any degree, by bisecting certified integer cells (interval
-    enclosures, Moore 1966).
+def _cell_solver(d: float, live, eps: float, work, block, window) -> tuple[np.ndarray, ...]:
+    """Point slots of |f(alpha + beta t)| <= eps for a part f that is not a
+    band or a solvable degree-2 form, by bisecting certified integer cells
+    (interval enclosures, Moore 1966).  The part gives two things: its
+    degree d, so that a cell end's values are the signed terms
+    sign(u) |u|^d at each u = alpha_j + beta_j t (a product takes d = 1,
+    whose signed terms are the factors u themselves), and
+    ``live(low, top, eps)``, its rule for the cells whose enclosure of f
+    meets [-eps, eps] within a slack (``_power_live``, ``_product_live``).
 
     Each row's window, rounded as ``_integer_range`` rounds it, is one cell
-    [s, e] of integers.  On a cell, |u| for u = alpha_j + beta_j t is convex
-    in t, so the term |u|^d lies in [min, max] of its two end values, or in
-    [0, max] where u changes sign inside; the form's signs sum the terms
-    into an enclosure of f on the cell.  A cell is dropped when its
-    enclosure misses [-eps, eps] by more than 1e-9 (1 + sum of max terms),
-    a slack far above the rounding of the end values, of the sums and of
-    the refilter's own f(w) (see the module docstring).  Any other cell of
-    more than one integer is split at floor of its midpoint; its children
-    keep its outer end values, so each split evaluates two new ends.  A
-    cell of one integer is enclosed by its own float value, so the same
-    test is its integer's prefilter, and the survivors are point slots.
-    Rows are bisected ``_ROW_CHUNK`` at a time.
+    [s, e] of integers.  On a cell, |u| is convex in t, so |u|^d lies in
+    [low, top]: min and max of its two end values, or 0 and the max where u
+    changes sign inside.  A cell that is not live is dropped.  Any other
+    cell of more than one integer is split at floor of its midpoint; its
+    children keep its outer end values, so each split evaluates two new
+    ends.  A cell of one integer is enclosed by its own float value, so the
+    same test is its integer's prefilter, and the survivors are point
+    slots.  Rows are bisected ``_ROW_CHUNK`` at a time.
     """
-    d, p = part.d, part.p
     alphas, beta = block.alphas(), block.beta
 
     def signed_terms(rows, ts):  # sign(u) |u|^d at u = alpha + beta t
@@ -374,14 +377,11 @@ def _cell_solver(part, eps: float, work, block, window) -> tuple[np.ndarray, ...
             ends = np.abs(at_lo), np.abs(at_hi)
             top = np.maximum(*ends)
             low = np.where(at_lo * at_hi < 0.0, 0.0, np.minimum(*ends))
-            slack = 1e-9 * (1.0 + top.sum(axis=0))
-            f_lo = low[:p].sum(axis=0) - top[p:].sum(axis=0)
-            f_hi = top[:p].sum(axis=0) - low[p:].sum(axis=0)
-            live = (f_lo <= eps + slack) & (f_hi >= -(eps + slack))
-            point = live & (lo == hi)
+            passed = live(low, top, eps)
+            point = passed & (lo == hi)
             kept.append((rows[point], lo[point]))
             # children [lo, mid] and [mid + 1, hi] keep their parent's outer ends
-            split = np.nonzero(live & (lo < hi))[0]
+            split = np.nonzero(passed & (lo < hi))[0]
             mid = np.floor(0.5 * (lo[split] + hi[split]))
             rows = np.concatenate((rows[split], rows[split]))
             inner = signed_terms(rows, np.concatenate((mid, mid + 1.0)))
@@ -390,6 +390,35 @@ def _cell_solver(part, eps: float, work, block, window) -> tuple[np.ndarray, ...
             at_hi = np.concatenate((inner[:, : len(split)], np.take(at_hi, split, axis=1)), axis=1)
     rows, ts = (np.concatenate(x) for x in zip(*kept))
     return rows, ts, ts
+
+
+def _power_live(p: int, low, top, eps: float) -> np.ndarray:
+    """The cells where a signed power form's enclosure, its signs' sum of the
+    terms' [low, top], meets [-eps, eps] within 1e-9 (1 + sum of top).  The
+    end values and the exact refilter's f(w) build u by different
+    roundings, which move u by about delta = 1e-16 |h| |v|, and a term by
+    about d |u|^(d-1) delta <= d delta (1 + |u|^d): far below the slack, as
+    are the roundings of the powers and the sums, wherever d |h| |v| is far
+    below 1e7, as in any box counted."""
+    slack = 1e-9 * (1.0 + top.sum(axis=0))
+    f_lo = low[:p].sum(axis=0) - top[p:].sum(axis=0)
+    f_hi = top[:p].sum(axis=0) - low[p:].sum(axis=0)
+    return (f_lo <= eps + slack) & (f_hi >= -(eps + slack))
+
+
+def _product_live(low, top, eps: float) -> np.ndarray:
+    """The cells where a coordinate product's enclosure, the interval product
+    of its factors' [min, max] end values, meets [-eps, eps] within
+    1e-9 prod (1 + top).  That interval holds 0 where a factor's does (low
+    is 0 there), and is +-[prod low, prod top] elsewhere, so it meets the
+    slackened interval exactly where prod low <= eps + slack.  The end
+    values and the refilter's w round u differently, by about
+    delta = 1e-16 |h| |v|, which moves the product by about
+    sum_j delta prod_{k != j} top_k: each such product, and the n - 1
+    roundings of the product itself, is below prod (1 + top), so the slack
+    covers them wherever n |h| |v| is far below 1e7.  (1e-9 (1 + prod top)
+    would not, where a factor near 0 meets large others.)"""
+    return low.prod(axis=0) <= eps + 1e-9 * (1.0 + top).prod(axis=0)
 
 
 def _band_solver(bands, eps_vec, work, block, window) -> tuple[np.ndarray, ...]:
@@ -624,122 +653,9 @@ def _near_integer_rows(half_b, outer, e: float, reach: float, work) -> np.ndarra
     return np.nonzero(dist <= 4.0 * e)[0]
 
 
-# prefix rows whose polynomials, or whose cells, are solved together;
-# bounds the root-isolation arrays, which grow with the degree, and the
-# cell arrays, which grow with the window
+# prefix rows whose cells are bisected together; bounds the cell arrays,
+# which grow with the window
 _ROW_CHUNK = 4096
-
-
-def _poly_solver(pieces, eps: float, block, window) -> tuple[np.ndarray, ...]:
-    """Slots of |P(t)| <= eps for the row polynomials P that ``pieces``
-    writes on each nonempty window, ``_ROW_CHUNK`` rows at a time."""
-    alphas, beta = block.alphas(), block.beta
-    wlo, whi = window()
-    live = np.nonzero(wlo <= whi)[0]
-    out = [(live[:0], wlo[:0], whi[:0])]
-    for s in range(0, len(live), _ROW_CHUNK):
-        sub = live[s : s + _ROW_CHUNK]
-        rows, lo, hi = _poly_slots(*pieces(alphas[:, sub].T, beta, wlo[sub], whi[sub]), eps)
-        out.append((sub[rows], lo, hi))
-    return tuple(np.concatenate(x) for x in zip(*out))
-
-
-def _product_pieces(alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
-    """Pieces (rows, coefficients, lo, hi) of x_1 ... x_n at x = alpha + beta t:
-    one polynomial in t per row, highest power first."""
-    m, n = alphas.shape
-    coeffs = np.ones((m, 1))
-    for j in range(n):
-        nxt = np.zeros((m, j + 2))
-        nxt[:, :-1] = coeffs * beta[j]
-        nxt[:, 1:] += coeffs * alphas[:, j, None]
-        coeffs = nxt
-    return np.arange(m), coeffs, wlo, whi
-
-
-def _power_pieces(part, alphas, beta, wlo, whi) -> tuple[np.ndarray, ...]:
-    """Pieces (rows, coefficients, lo, hi) of the windows on which an
-    integer-degree signed power form at alpha + beta t is one polynomial in
-    t, highest power first."""
-    m = len(alphas)
-    d = int(part.d)
-    k = np.arange(d + 1)
-    binom = np.asarray([math.comb(d, i) for i in k], dtype=float)
-    # (alpha_j + beta_j t)^d has t^(d-i) coefficient C(d, i) beta_j^(d-i) alpha_j^i
-    powers = binom * beta[None, :, None] ** (d - k) * alphas[:, :, None] ** k
-    signs = np.concatenate([np.ones(part.p), -np.ones(part.q)])
-    if d % 2 == 0:
-        return np.arange(m), np.einsum("j,mjk->mk", signs, powers), wlo, whi
-    # odd degree: |u|^d = sign(u) u^d, so the polynomial changes only where
-    # some u_j = alpha_j + beta_j t changes sign; split the window there
-    moving = np.abs(beta) > 1e-12
-    breaks = np.where(moving, -alphas / np.where(moving, beta, 1.0), np.inf)
-    inside = (breaks > wlo[:, None]) & (breaks < whi[:, None])
-    cuts = np.concatenate([wlo[:, None], whi[:, None], np.where(inside, breaks, np.inf)], axis=1)
-    cuts.sort(axis=1)
-    rows, piece = np.nonzero(np.isfinite(cuts[:, 1:]))
-    lo, hi = cuts[rows, piece], cuts[rows, piece + 1]
-    u_sign = np.where(alphas[rows] + beta * (0.5 * (lo + hi))[:, None] >= 0, 1.0, -1.0)
-    return rows, np.einsum("pj,pjk->pk", signs * u_sign, powers[rows]), lo, hi
-
-
-def _batched_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each row polynomial (highest power first), padded with nan.
-
-    Row by row this is ``np.roots``: leading and trailing zeros are stripped
-    (trailing ones are roots at 0), and rows of equal remaining degree stack
-    the same companion matrices into one ``np.linalg.eigvals`` call.
-    """
-    p, width = coeffs.shape
-    out = np.full((p, width - 1), np.nan, dtype=complex)
-    nz = coeffs != 0.0
-    live = nz.any(axis=1)
-    first = np.argmax(nz, axis=1)
-    core = np.where(live, width - 1 - np.argmax(nz[:, ::-1], axis=1) - first, 0)
-    pos = np.arange(width - 1)
-    out[live[:, None] & (pos >= core[:, None]) & (pos < width - 1 - first[:, None])] = 0.0
-    for k in np.unique(core[core > 0]):
-        rows = np.nonzero(core == k)[0]
-        c = coeffs[rows[:, None], first[rows, None] + np.arange(k + 1)]
-        comp = np.zeros((len(rows), k, k))
-        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        comp[:, 0, :] = -c[:, 1:] / c[:, :1]
-        out[rows, :k] = np.linalg.eigvals(comp)
-    return out
-
-
-def _poly_slots(rows, coeffs, lo, hi, eps: float) -> tuple[np.ndarray, ...]:
-    """Slots (rows, lo, hi) of |P(t)| <= eps for row polynomials P on [lo, hi].
-
-    The roots of P - eps and P + eps cut each piece into cells; a cell is
-    kept when its midpoint passes.  The nearest integer to the real part of
-    every root is a point slot too: a multiple root at an integer scatters
-    off the real axis, and the exact refilter decides.
-    """
-    p = len(coeffs)
-    shifted = np.concatenate([coeffs, coeffs])
-    shifted[:p, -1] -= eps
-    shifted[p:, -1] += eps
-    roots = _batched_roots(shifted)
-    roots = np.concatenate([roots[:p], roots[p:]], axis=1)
-    re = roots.real
-    real = (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(re))) & (re > lo[:, None]) & (re < hi[:, None])
-    cuts = np.concatenate([lo[:, None], hi[:, None], np.where(real, re, np.inf)], axis=1)
-    cuts.sort(axis=1)
-    left, right = cuts[:, :-1], cuts[:, 1:]
-    cell = np.isfinite(right)
-    mid = np.where(cell, 0.5 * (left + right), 0.0)
-    val = np.zeros_like(mid)
-    for c in coeffs.T:
-        val = val * mid + c[:, None]
-    cp, ci = np.nonzero(cell & (np.abs(val) <= eps))
-    rp, ri = np.nonzero((re > lo[:, None] - 1.0) & (re < hi[:, None] + 1.0))
-    pts = np.clip(np.rint(re[rp, ri]), lo[rp], hi[rp])
-    return (
-        np.concatenate([rows[cp], rows[rp]]),
-        np.concatenate([left[cp, ci], pts]),
-        np.concatenate([right[cp, ci], pts]),
-    )
 
 
 # --------------------------------------------------------------------------

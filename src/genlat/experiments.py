@@ -187,8 +187,7 @@ def _siegel_sample(args):
         if ensemble == "lattice":
             bases[k], weights[k] = sample_lattice_exact(n, rng)
         else:
-            g, weights[k] = sample_grid_exact(n, rng)
-            bases[k], shifts[k] = g.h, g.z
+            bases[k], shifts[k], weights[k] = sample_grid_exact(n, rng)
     sup = max_norm(n)
     radii = [0.5 * volume ** (1.0 / n) for volume in volumes]  # sup norm: volume (2r)^n
     top = max(radii)

@@ -372,9 +372,10 @@ def sample_lattice_exact(n: int, rng: np.random.Generator) -> tuple[np.ndarray, 
     return basis, weight
 
 
-def sample_grid_exact(n: int, rng: np.random.Generator) -> tuple[UnimodularMap, float]:
-    """Weighted sample of a random affine grid h Z^n + z under the invariant
-    law: an exact lattice plus a uniform torus shift z = h theta."""
+def sample_grid_exact(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weighted sample (column basis h, shift z, importance weight) of a
+    random affine grid h Z^n + z under the invariant law: an exact lattice
+    plus a uniform torus shift z = h theta."""
     basis, weight = sample_lattice_exact(n, rng)
     theta = rng.uniform(0.0, 1.0, size=n)
-    return UnimodularMap(basis, basis @ theta), weight
+    return basis, basis @ theta, weight

@@ -35,7 +35,6 @@ from genlat.counting import (
     NormBall,
     _MAX_BLOCK,
     _REGION_ROWS,
-    _batched_roots,
     _candidates,
     _centered,
     _exact_mask,
@@ -280,7 +279,7 @@ class TestOracleEquivalence:
         assert count_solutions(q).count == brute_force_count(q).count
 
     def test_odd_degree_indefinite_form(self):
-        # exercises the piecewise-polynomial path
+        # odd degree: a term's sign changes inside the cells it crosses 0 in
         q = _query(
             f=SignedPowerForm(1, 1, 3),
             bound=(2.5,),
@@ -312,7 +311,8 @@ class TestBandSystems:
 
 class TestFractionalDegree:
     """Non-integer degrees have slots of their own: the cell solver bisects
-    each window into certified integer cells, and no window is scanned."""
+    each window into certified integer cells, and no window is scanned.
+    Products and integer degrees take the same solver."""
 
     def test_fractional_degree_is_solved_without_a_scan(self):
         q = _query(
@@ -403,19 +403,34 @@ class TestFractionalDegree:
         it, so the point is a solution with no room to spare.  The cell
         solver builds w from the block's affine parts, whose rounding can
         put its own |f| a few ulps above eps; the enclosure slack keeps the
-        point (without it, 3 of these 48 counts fall short)."""
+        point (without it, 3 of the 48 fractional counts fall short).  The
+        products and the integer degrees that follow take the same solver,
+        the products with an enclosure and a slack of their own."""
         rng = np.random.default_rng(5160)
         for i in range(48):
             n = 2 + i % 2
             f = SignedPowerForm(1, n - 1, 2.5) if i % 4 < 2 else SignedPowerForm(n - 1, 1, 1.5)
             g = sample_asl(n, rng, shift_bound=0.8) if i % 3 == 0 else sample_sl(n, rng)
-            v = rng.integers(-6, 7, size=n)
-            if not v.any():
-                continue
-            eps = float(abs(f.evaluate_many(g.apply(v[None].astype(float)))[0, 0]))
-            q = CountQuery(g=g, f=f, bound=(eps,), norm=max_norm(n),
-                           point_class=PointClass.ALL_NONZERO, t0=0.0, t=8.0)
-            assert count_solutions(q).count == brute_force_count(q).count >= 1, q
+            _assert_boundary_point_kept(f, g, rng)
+        rng = np.random.default_rng(5161)
+        for i in range(48):
+            n = 2 + i % 2
+            f = (CoordinateProduct(n), SignedPowerForm(1, n - 1, 3), SignedPowerForm(n - 1, 1, 4))[i % 3]
+            g = sample_asl(n, rng, shift_bound=0.8) if i % 4 < 2 else sample_sl(n, rng)
+            _assert_boundary_point_kept(f, g, rng)
+
+
+def _assert_boundary_point_kept(f, g, rng):
+    """A count at eps = |f(w)| of a random integer point, as the exact
+    refilter computes it, equals brute force and holds that point."""
+    n = f.n
+    v = rng.integers(-6, 7, size=n)
+    if not v.any():
+        return
+    eps = float(abs(f.evaluate_many(g.apply(v[None].astype(float)))[0, 0]))
+    q = CountQuery(g=g, f=f, bound=(eps,), norm=max_norm(n),
+                   point_class=PointClass.ALL_NONZERO, t0=0.0, t=8.0)
+    assert count_solutions(q).count == brute_force_count(q).count >= 1, q
 
 
 class TestMonotonicity:
@@ -1030,26 +1045,9 @@ def _check_against_brute_force(q, counting_tools):
 
 
 class TestSlotSolver:
-    """The batched slot solver (coordinate products, integer-degree power
-    forms and vectors of them) against brute force, in regimes the random
-    query generator rarely reaches."""
-
-    def test_batched_roots_match_np_roots(self):
-        rng = np.random.default_rng(4041)
-        polys = rng.normal(size=(240, 6))
-        polys[::6, 0] = 0.0  # vanishing leading coefficients lower the degree
-        polys[1::6, :3] = 0.0
-        polys[2::6, -1] = 0.0  # vanishing trailing coefficients are roots at 0
-        polys[3::6, -2:] = 0.0
-        polys[4::6, [0, -1]] = 0.0
-        polys[5, :-1] = 0.0  # a constant has no roots
-        polys[11] = 0.0
-        roots = _batched_roots(polys)
-        for row, got in zip(polys, roots):
-            want = np.sort_complex(np.roots(row))
-            got = np.sort_complex(got[~np.isnan(got)])
-            assert len(got) == len(want)
-            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+    """The cell solver on coordinate products, integer-degree power forms
+    and vectors of them, against brute force, in regimes the random query
+    generator rarely reaches."""
 
     def test_candidates_are_distinct_and_ordered(self):
         """Overlapping slots of one solver give each integer once, in prefix
@@ -1064,9 +1062,8 @@ class TestSlotSolver:
 
     @pytest.mark.parametrize("family", ["prod", "spf3", "spf4"])
     def test_zero_tolerance_multiple_root(self, family, counting_tools):
-        """With z = c h e_sol, v = -c e_sol maps to w = 0: a root of
-        multiplicity d of the prefix-0 polynomial, which root finding
-        scatters off the real axis."""
+        """With z = c h e_sol, v = -c e_sol maps to w = 0, a zero of f of
+        order d in t, which at eps = 0 only its one-integer cell can pass."""
         rng = np.random.default_rng(5150)
         for i in range(12):
             n = 2 + i % 2
@@ -1156,7 +1153,7 @@ class TestSlotSolver:
 
     @pytest.mark.parametrize("family", ["prod", "spf3", "spf4"])
     def test_identity_and_triangular_maps(self, family, counting_tools):
-        """Solved columns with zero entries drop the polynomial degree."""
+        """Solved columns with zero entries leave coordinates constant in t."""
         rng = np.random.default_rng(5152)
         for n in (2, 3):
             tri = np.eye(n) + np.triu(rng.normal(size=(n, n)), 1)
@@ -1219,8 +1216,9 @@ _KG_BANDS = VectorOf((MaxPower((1.0,), 3, (0,)), MaxPower((1.0,), 3, (1,))))  # 
 
 class TestQuadraticOracleReach:
     """The closed-form quadratic engine, the band solver and the cell
-    solver (non-integer degrees) against brute force at radii the random
-    query generator does not reach, exhaustive and early exit."""
+    solver (products, integer and non-integer degrees) against brute force
+    at radii the random query generator does not reach, exhaustive and
+    early exit; wide windows are where the cell solver bisects deepest."""
 
     @pytest.mark.parametrize(
         "n, t, f, bound, shell_space",
@@ -1235,6 +1233,12 @@ class TestQuadraticOracleReach:
             (3, 60.0, SignedPowerForm(2, 1, 2.5), power_law(1.0, 0.5, 0), "v"),
             (3, 60.0, SignedPowerForm(1, 2, 2.5), (0.3,), "w"),
             (3, 60.0, SignedPowerForm(2, 1, 1.5), power_law(1.0, 0.5, 0), "v"),
+            (3, 60.0, CoordinateProduct(3), power_law(2.0, 0.5, 0), "v"),
+            (3, 60.0, CoordinateProduct(3), (0.3,), "w"),
+            (3, 60.0, SignedPowerForm(2, 1, 3), power_law(1.0, 0.5, 0), "v"),
+            (3, 60.0, SignedPowerForm(2, 1, 3), (0.3,), "w"),
+            (3, 60.0, SignedPowerForm(1, 2, 4), power_law(100.0, 0.5, 0), "v"),
+            (3, 60.0, SignedPowerForm(1, 2, 4), (20.0,), "w"),
         ],
     )
     def test_large_radius(self, n, t, f, bound, shell_space, counting_tools):
@@ -1261,8 +1265,8 @@ class TestQuadraticOracleReach:
 
 class TestFourDimensions:
     """Every solver kind at n = 4 against brute force: the quadratic engine,
-    a band system, the polynomial engine (products, odd degree) and the
-    cell solver (a non-integer degree).  Each target runs one v-space and
+    a band system and the cell solver (a product, an odd degree and a
+    non-integer degree).  Each target runs one v-space and
     one w-space query, one of them shifted, at the default block cap and at
     a cap below the tail slab, so that every block is a tail slice."""
 

@@ -145,8 +145,7 @@ class TestSiegelMean:
             if ensemble == "lattice":
                 bases[k] = sample_lattice_exact(n, rng)[0]
             else:
-                g = sample_grid_exact(n, rng)[0]
-                bases[k], shifts[k] = g.h, g.z
+                bases[k], shifts[k], _ = sample_grid_exact(n, rng)
         for volume, records in zip(volumes, per_volume):
             ball = NormBall(max_norm(n), 0.5 * volume ** (1.0 / n))
             owner, vs, _ = lattice_points_in_region(bases, shifts, ball)

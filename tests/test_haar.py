@@ -215,8 +215,9 @@ class TestExactSamplers:
 
     def test_grid_shift_inside_fundamental_cell(self):
         rng = np.random.default_rng(2)
-        g, w = sample_grid_exact(2, rng)
-        theta = np.linalg.solve(g.h, g.z)
+        basis, shift, w = sample_grid_exact(2, rng)
+        assert abs(np.linalg.det(basis) - 1.0) <= 1e-12
+        theta = np.linalg.solve(basis, shift)
         assert np.all(theta >= 0.0) and np.all(theta < 1.0)
 
     def test_plane_mean_count_statistical(self):
